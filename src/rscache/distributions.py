@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .incgamma import reg_lower, reg_lower_diff
 from .model import PowerSplit, ReceiverClass, SinrKind, StreamPowers, SystemParams
@@ -92,20 +93,6 @@ def dist_spec(
     return SinrDist(kind=kind, cls=cls, d1=d1, d2=d2, sigma2=params.sigma2)
 
 
-def threshold_scale(spec: SinrDist, t: float) -> float:
-    """Exponential scale s(t) of the fading threshold at SINR level t.
-
-    Defined for t inside the support (0, theta); beyond the bound there is
-    no fading level that reaches t and the request is rejected. A fully
-    degenerate spec (both powers zero) yields an infinite scale.
-    """
-    if t <= 0.0:
-        raise ValueError("SINR level must be positive")
-    if t >= spec.theta:
-        raise ValueError(f"level t={t} is outside the support (0, {spec.theta})")
-    return spec._s(t)
-
-
 def _disk_coverage(s: float, radius: float, alpha: float) -> float:
     a = 2.0 / alpha
     x = s * radius**alpha
@@ -147,11 +134,12 @@ def coverage(spec: SinrDist, t: float, params: SystemParams) -> float:
     return _annulus_coverage(s, params.r_e, params.r_0, params.alpha)
 
 
-def _pdf_bracket(a: float, s: float, x: float, radius: float) -> float:
+def _pdf_bracket(a: float, s: float, x: float, r2: float, gamma_a: float) -> float:
     """s^-a (s + a) gamma(a, x) - r^2 e^-x, the radius term of the density.
 
-    For small x the two parts nearly cancel; the difference is expanded as
-    an all-positive series r^2 e^-x (s/a + (s+a) sum_k>=1 x^k / prod(a+j)).
+    r2 is the squared radius with x = s r^alpha, gamma_a is Gamma(a). For
+    small x the two parts nearly cancel; the difference is expanded as an
+    all-positive series r^2 e^-x (s/a + (s+a) sum_k>=1 x^k / prod(a+j)).
     """
     if x < a + 1.0:
         term = 1.0 / a
@@ -161,16 +149,53 @@ def _pdf_bracket(a: float, s: float, x: float, radius: float) -> float:
             total += term
             if term < (total + 1e-30) * 1e-17:
                 break
-        return radius * radius * math.exp(-x) * (s / a + (s + a) * total)
-    gamma_part = math.gamma(a) * reg_lower(a, x)
-    return (s + a) * gamma_part / s**a - radius * radius * math.exp(-x)
+        return r2 * math.exp(-x) * (s / a + (s + a) * total)
+    gamma_part = gamma_a * reg_lower(a, x)
+    return (s + a) * gamma_part / s**a - r2 * math.exp(-x)
+
+
+def scale_measure(spec: SinrDist, params: SystemParams) -> Callable[[float], float]:
+    """Density of the SINR pushed forward to scale coordinates, as s -> m(s).
+
+    m(s) ds = g(t) dt under t = level_of_s(s); the chain factor ds/dt
+    cancels, leaving the bare exponential-decay shape. Integrating rate
+    functionals in s avoids both the density spike at the support bound
+    and the precision loss of d1 - d2 t near it.
+
+    Everything that depends only on the receiver geometry (a = 2/alpha,
+    r^alpha, r^2, Gamma(a) and the area normaliser) is bound here once, so
+    a quadrature that evaluates m thousands of times pays for it once.
+    """
+    alpha = params.alpha
+    a = 2.0 / alpha
+    gamma_a = math.gamma(a)
+    annulus = spec.cls is ReceiverClass.EDGE
+    if annulus:
+        r_out, r_in = params.r_0, params.r_e
+        norm = alpha * (r_out * r_out - r_in * r_in)
+    else:
+        r_out, r_in = params.r_c, 0.0
+        norm = alpha * r_out * r_out
+    out_alpha, out_sq = r_out**alpha, r_out * r_out
+    in_alpha, in_sq = r_in**alpha, r_in * r_in
+
+    def measure(s: float) -> float:
+        # past the underflow point, and off (0, inf), the density is zero
+        if not 0.0 < s <= _EXP_UNDERFLOW:
+            return 0.0
+        bracket = _pdf_bracket(a, s, s * out_alpha, out_sq, gamma_a)
+        if annulus:
+            bracket = bracket - _pdf_bracket(a, s, s * in_alpha, in_sq, gamma_a)
+        return max(2.0 * math.exp(-s) * bracket / (norm * s), 0.0)
+
+    return measure
 
 
 def pdf(spec: SinrDist, t: float, params: SystemParams) -> float:
     """Density of the SINR at level t (zero outside the open support)."""
     if t <= 0.0 or t >= spec.theta:
         return 0.0
-    return _pdf_from_scale(spec, spec._s(t), spec._s_prime(t), params)
+    return scale_measure(spec, params)(spec._s(t)) * spec._s_prime(t)
 
 
 def level_of_s(spec: SinrDist, s: float) -> float:
@@ -188,40 +213,8 @@ def level_of_s(spec: SinrDist, s: float) -> float:
 
 
 def pdf_s_measure(spec: SinrDist, s: float, params: SystemParams) -> float:
-    """Density of the SINR pushed forward to scale coordinates.
-
-    m(s) ds = g(t) dt under t = level_of_s(s); the chain factor ds/dt
-    cancels, leaving the bare exponential-decay shape. Integrating rate
-    functionals in s avoids both the density spike at the support bound
-    and the precision loss of d1 - d2 t near it.
-    """
-    return _pdf_from_scale(spec, s, 1.0, params)
-
-
-def _pdf_from_scale(
-    spec: SinrDist, s: float, ds: float, params: SystemParams
-) -> float:
-    if not math.isfinite(s) or s > _EXP_UNDERFLOW or s <= 0.0:
-        return 0.0
-    alpha = params.alpha
-    a = 2.0 / alpha
-    if spec.cls is ReceiverClass.CENTER:
-        r = params.r_c
-        bracket = _pdf_bracket(a, s, s * r**alpha, r)
-        val = 2.0 * math.exp(-s) * bracket * ds / (alpha * r * r * s)
-    else:
-        r_in, r_out = params.r_e, params.r_0
-        bracket = _pdf_bracket(a, s, s * r_out**alpha, r_out) - _pdf_bracket(
-            a, s, s * r_in**alpha, r_in
-        )
-        val = (
-            2.0
-            * math.exp(-s)
-            * bracket
-            * ds
-            / (alpha * (r_out * r_out - r_in * r_in) * s)
-        )
-    return max(val, 0.0)
+    """One value of the scale-coordinate density; see scale_measure."""
+    return scale_measure(spec, params)(s)
 
 
 def outage_region(

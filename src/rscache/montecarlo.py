@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -82,9 +83,11 @@ class ChannelDraw:
     h_e: np.ndarray
 
     def link_gain(self, cls: ReceiverClass, alpha: float) -> np.ndarray:
-        if cls is ReceiverClass.CENTER:
-            return self.h_c / (1.0 + self.d_c**alpha)
-        return self.h_e / (1.0 + self.d_e**alpha)
+        h, d = (self.h_c, self.d_c) if cls is ReceiverClass.CENTER else (self.h_e, self.d_e)
+        # h / (1 + d^alpha), in one buffer
+        gain = d**alpha
+        gain += 1.0
+        return np.divide(h, gain, out=gain)
 
 
 def sample_channels(params: SystemParams, rng: np.random.Generator, n: int) -> ChannelDraw:
@@ -93,8 +96,14 @@ def sample_channels(params: SystemParams, rng: np.random.Generator, n: int) -> C
     u_e = rng.random(n)
     h_c = rng.standard_exponential(n)
     h_e = rng.standard_exponential(n)
-    d_c = params.r_c * np.sqrt(u_c)
-    d_e = np.sqrt(params.r_e**2 + u_e * (params.r_0**2 - params.r_e**2))
+    # d_c = r_c sqrt(u_c) and d_e = sqrt(r_e^2 + u_e (r_0^2 - r_e^2)),
+    # computed in the uniform draws' own buffers
+    d_c = np.sqrt(u_c, out=u_c)
+    d_c *= params.r_c
+    d_e = u_e
+    d_e *= params.r_0**2 - params.r_e**2
+    d_e += params.r_e**2
+    np.sqrt(d_e, out=d_e)
     return ChannelDraw(d_c=d_c, d_e=d_e, h_c=h_c, h_e=h_e)
 
 
@@ -106,27 +115,42 @@ def _sinr_vec(
     sigma2: float,
 ) -> np.ndarray:
     # mirrors the scalar instantaneous_sinr ratio by ratio; kept literal so
-    # the simulator never shares coefficients with the distribution module
+    # the simulator never shares coefficients with the distribution module.
+    # The denominator starts as the noise term and becomes the SINR in place.
     with np.errstate(divide="ignore"):
-        noise = sigma2 / gain
+        den = sigma2 / gain
     pn = powers.own(cls)
     pk = powers.other(cls)
     if kind is SinrKind.COMMON:
-        den = pn + pk + noise
+        den += pn + pk
     elif kind is SinrKind.PRIVATE:
-        den = pk + noise
+        den += pk
     elif kind is SinrKind.PRIVATE_INTERF:
-        den = powers.p0 + pk + noise
+        den += powers.p0 + pk
     elif kind is SinrKind.COMMON_IIC:
-        den = pn + noise
+        den += pn
     elif kind is SinrKind.PRIVATE_IIC:
-        den = noise
+        pass
     else:
-        den = powers.p0 + noise
+        den += powers.p0
     num = powers.p0 if kind in (SinrKind.COMMON, SinrKind.COMMON_IIC) else pn
+    dead = ~np.isfinite(den)
     with np.errstate(invalid="ignore"):
-        out = num / den
-    return np.where(np.isfinite(den), out, 0.0)
+        out = np.divide(num, den, out=den)
+    out[dead] = 0.0
+    return out
+
+
+def _map_chunks(kernel: Callable[[int], Any], count: int, workers: int) -> list:
+    """kernel(0), ..., kernel(count - 1), in chunk order.
+
+    A single worker maps in the calling thread; only two or more start a
+    pool, whose threads would otherwise each leave a malloc arena behind.
+    """
+    if workers == 1:
+        return [kernel(index) for index in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(kernel, range(count)))
 
 
 def estimate_coverage(
@@ -140,14 +164,14 @@ def estimate_coverage(
     """Empirical tail probability of one SINR law with its binomial stderr."""
     powers = stream_powers(params.P, split)
 
-    def kernel(index: int, n: int) -> int:
-        draw = sample_channels(params, sim.rng(index), n)
+    sizes = sim.chunk_sizes()
+
+    def kernel(index: int) -> int:
+        draw = sample_channels(params, sim.rng(index), sizes[index])
         eta = _sinr_vec(kind, cls, powers, draw.link_gain(cls, params.alpha), params.sigma2)
         return int(np.count_nonzero(eta > t))
 
-    sizes = sim.chunk_sizes()
-    with ThreadPoolExecutor(max_workers=sim.workers) as pool:
-        hits = sum(pool.map(kernel, range(len(sizes)), sizes))
+    hits = sum(_map_chunks(kernel, len(sizes), sim.workers))
     p = hits / sim.samples
     return p, math.sqrt(p * (1.0 - p) / sim.samples)
 
@@ -167,15 +191,25 @@ _STAT_NAMES = (
     "r_sum",
 )
 
-_TRACE_HEADER = (
-    "draw,d_c,d_e,h_c,h_e,sinr_c0,sinr_e0,sinr_cp,sinr_ep,sinr_cpI,sinr_epI,"
-    "branch_c,branch_e"
+_TRACE_SINRS = ("sinr_c0", "sinr_e0", "sinr_cp", "sinr_ep", "sinr_cpI", "sinr_epI")
+_TRACE_HEADER = ",".join(
+    ("draw", "d_c", "d_e", "h_c", "h_e", *_TRACE_SINRS, "branch_c", "branch_e")
 )
 
 
 def _accumulate(values: np.ndarray, mask: np.ndarray) -> tuple[float, float, float]:
     hit = values[mask]
-    return float(hit.sum()), float((hit * hit).sum()), float(hit.size)
+    total = float(hit.sum())
+    return total, float(np.multiply(hit, hit, out=hit).sum()), float(hit.size)
+
+
+def _log_rate(eta: np.ndarray, w: float) -> np.ndarray:
+    """w * log2(1 + eta), computed in eta's own buffer."""
+    eta += 1.0
+    np.log2(eta, out=eta)
+    if w != 1.0:
+        eta *= w
+    return eta
 
 
 def _conditional(total: np.ndarray) -> tuple[float, float]:
@@ -228,6 +262,71 @@ def _branch_labels(dec, dec_other, priv, interf) -> np.ndarray:
     return np.char.add(common.astype("U1"), extra.astype("U1"))
 
 
+def _common_stage(
+    eta0_c: np.ndarray,
+    eta0_e: np.ndarray,
+    params: SystemParams,
+    streams: _SubcaseStreams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+    """Common-stream decode events and rates of both receivers.
+
+    Returns the two decode events, each receiver's served rate so far (its
+    common-stream share, zero where it does not decode) and the first five
+    statistics. The SINR buffers are overwritten.
+    """
+    dec_c = eta0_c > params.zeta
+    dec_e = eta0_e > params.zeta
+    both = dec_c & dec_e
+    log0_c = _log_rate(eta0_c, 1.0)
+    log0_e = _log_rate(eta0_e, 1.0)
+    min0 = np.minimum(log0_c, log0_e)
+    stats = [
+        _accumulate(min0, both),
+        _accumulate(log0_c, dec_c & ~dec_e),
+        _accumulate(log0_e, dec_e & ~dec_c),
+    ]
+
+    # common-stream contribution given own decode: time-shared min rate if
+    # the partner decoded too, otherwise the full slot at the own SINR
+    alone = ~both
+    rs0_c = params.u * min0
+    np.copyto(rs0_c, log0_c, where=alone)
+    rs0_c *= streams.w_c
+    rs0_e = np.multiply(1.0 - params.u, min0, out=min0)
+    np.copyto(rs0_e, log0_e, where=alone)
+    rs0_e *= streams.w_e
+    stats += [_accumulate(rs0_c, dec_c), _accumulate(rs0_e, dec_e)]
+
+    np.copyto(rs0_c, 0.0, where=~dec_c)
+    np.copyto(rs0_e, 0.0, where=~dec_e)
+    return dec_c, dec_e, rs0_c, rs0_e, stats
+
+
+def _private_stage(
+    served: np.ndarray,
+    dec: np.ndarray,
+    eta_p: np.ndarray,
+    eta_i: np.ndarray,
+    xi: float,
+    w: float,
+) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """Add one receiver's private-stream rates to its served rate in place.
+
+    Returns the private decode events (after the common decode, and with
+    the common stream left in the interference) and their statistics. The
+    SINR buffers are overwritten.
+    """
+    priv = dec & (eta_p > xi)
+    intf = ~dec & (eta_i > xi)
+    rp = _log_rate(eta_p, w)
+    ri = _log_rate(eta_i, w)
+    # every rate term is >= +0, so adding only where an event holds gives
+    # the same bits as adding an explicit 0.0 elsewhere
+    np.add(served, rp, out=served, where=priv)
+    np.add(served, ri, out=served, where=intf)
+    return priv, intf, _accumulate(rp, priv), _accumulate(ri, intf)
+
+
 def _rate_kernel(
     subcase: Subcase,
     params: SystemParams,
@@ -240,71 +339,62 @@ def _rate_kernel(
     powers = stream_powers(params.P, split)
     gain_c = draw.link_gain(ReceiverClass.CENTER, params.alpha)
     gain_e = draw.link_gain(ReceiverClass.EDGE, params.alpha)
-    sig2 = params.sigma2
-    eta0_c = _sinr_vec(streams.common_c, ReceiverClass.CENTER, powers, gain_c, sig2)
-    eta0_e = _sinr_vec(streams.common_e, ReceiverClass.EDGE, powers, gain_e, sig2)
-    etap_c = _sinr_vec(streams.private_c, ReceiverClass.CENTER, powers, gain_c, sig2)
-    etap_e = _sinr_vec(streams.private_e, ReceiverClass.EDGE, powers, gain_e, sig2)
-    etai_c = _sinr_vec(streams.interf_c, ReceiverClass.CENTER, powers, gain_c, sig2)
-    etai_e = _sinr_vec(streams.interf_e, ReceiverClass.EDGE, powers, gain_e, sig2)
+    # each SINR array is made when it is needed and turned into a rate in
+    # place, so few draw-sized buffers are alive at once; the trace keeps
+    # copies of the SINRs by column name
+    traced: dict[str, np.ndarray] = {}
 
-    dec_c = eta0_c > params.zeta
-    dec_e = eta0_e > params.zeta
-    both = dec_c & dec_e
-    only_c = dec_c & ~dec_e
-    only_e = dec_e & ~dec_c
-    log0_c = np.log2(1.0 + eta0_c)
-    log0_e = np.log2(1.0 + eta0_e)
-    min0 = np.minimum(log0_c, log0_e)
+    def sinr(column: str, kind: SinrKind, cls: ReceiverClass, gain: np.ndarray) -> np.ndarray:
+        eta = _sinr_vec(kind, cls, powers, gain, params.sigma2)
+        if trace is not None:
+            traced[column] = eta.copy()
+        return eta
 
-    # common-stream contribution given own decode: time-shared min rate if
-    # the partner decoded too, otherwise the full slot at the own SINR
-    rs0_c = streams.w_c * np.where(both, params.u * min0, log0_c)
-    rs0_e = streams.w_e * np.where(both, (1.0 - params.u) * min0, log0_e)
-
-    priv_c = dec_c & (etap_c > streams.xi_c)
-    priv_e = dec_e & (etap_e > streams.xi_e)
-    intf_c = ~dec_c & (etai_c > streams.xi_c)
-    intf_e = ~dec_e & (etai_e > streams.xi_e)
-    rp_c = streams.w_c * np.log2(1.0 + etap_c)
-    rp_e = streams.w_e * np.log2(1.0 + etap_e)
-    ri_c = streams.w_c * np.log2(1.0 + etai_c)
-    ri_e = streams.w_e * np.log2(1.0 + etai_e)
-
-    served_c = np.where(dec_c, rs0_c, 0.0) + np.where(priv_c, rp_c, 0.0)
-    served_c = served_c + np.where(intf_c, ri_c, 0.0)
-    served_e = np.where(dec_e, rs0_e, 0.0) + np.where(priv_e, rp_e, 0.0)
-    served_e = served_e + np.where(intf_e, ri_e, 0.0)
+    center, edge = ReceiverClass.CENTER, ReceiverClass.EDGE
+    dec_c, dec_e, served_c, served_e, stats = _common_stage(
+        sinr("sinr_c0", streams.common_c, center, gain_c),
+        sinr("sinr_e0", streams.common_e, edge, gain_e),
+        params,
+        streams,
+    )
+    priv_c, intf_c, acc_rp_c, acc_ri_c = _private_stage(
+        served_c,
+        dec_c,
+        sinr("sinr_cp", streams.private_c, center, gain_c),
+        sinr("sinr_cpI", streams.interf_c, center, gain_c),
+        streams.xi_c,
+        streams.w_c,
+    )
+    priv_e, intf_e, acc_rp_e, acc_ri_e = _private_stage(
+        served_e,
+        dec_e,
+        sinr("sinr_ep", streams.private_e, edge, gain_e),
+        sinr("sinr_epI", streams.interf_e, edge, gain_e),
+        streams.xi_e,
+        streams.w_e,
+    )
     eps_c = dec_c | intf_c
     eps_e = dec_e | intf_e
-    any_served = eps_c | eps_e
-
-    stats = np.concatenate(
-        [
-            _accumulate(min0, both),
-            _accumulate(log0_c, only_c),
-            _accumulate(log0_e, only_e),
-            _accumulate(rs0_c, dec_c),
-            _accumulate(rs0_e, dec_e),
-            _accumulate(rp_c, priv_c),
-            _accumulate(rp_e, priv_e),
-            _accumulate(ri_c, intf_c),
-            _accumulate(ri_e, intf_e),
-            _accumulate(served_c, eps_c),
-            _accumulate(served_e, eps_e),
-            _accumulate(served_c + served_e, any_served),
-        ]
-    )
+    stats += [
+        acc_rp_c,
+        acc_rp_e,
+        acc_ri_c,
+        acc_ri_e,
+        _accumulate(served_c, eps_c),
+        _accumulate(served_e, eps_e),
+    ]
+    served_c += served_e
+    stats.append(_accumulate(served_c, eps_c | eps_e))
 
     if trace is not None:
         label_c = _branch_labels(dec_c, dec_e, priv_c, intf_c)
         label_e = _branch_labels(dec_e, dec_c, priv_e, intf_e)
         cols = (draw.d_c, draw.d_e, draw.h_c, draw.h_e,
-                eta0_c, eta0_e, etap_c, etap_e, etai_c, etai_e)
+                *(traced[name] for name in _TRACE_SINRS))
         for i in range(draw.d_c.size):
             row = ",".join("%.9g" % col[i] for col in cols)
             trace.append(f"{base + i},{row},{label_c[i]},{label_e[i]}")
-    return stats
+    return np.concatenate(stats)
 
 
 def estimate_rates(
@@ -335,8 +425,7 @@ def estimate_rates(
             subcase, params, split, streams, draw, offsets[index], traces[index]
         )
 
-    with ThreadPoolExecutor(max_workers=sim.workers) as pool:
-        partials = list(pool.map(kernel, range(len(sizes))))
+    partials = _map_chunks(kernel, len(sizes), sim.workers)
 
     # chunk-order exact reduction: identical totals at any worker count
     totals = np.array(

@@ -30,7 +30,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .caching import Subcase
-from .distributions import SinrDist, coverage, dist_spec, level_of_s, pdf_s_measure
+from .distributions import (
+    SinrDist,
+    coverage,
+    dist_spec,
+    level_of_s,
+    pdf_s_measure,
+    scale_measure,
+)
 from .model import (
     PowerSplit,
     ReceiverClass,
@@ -104,12 +111,18 @@ def _expect_lograte(
     if not math.isfinite(s_lo):
         return 0.0
     s_hi = math.inf if hi >= theta else spec._s(hi)
-    return integrate_log_scaled(
-        lambda s: lograte(omega, level_of_s(spec, s)) * pdf_s_measure(spec, s, params),
-        s_lo,
-        s_hi,
-        rtol=rtol,
-    )
+    measure = scale_measure(spec, params)
+    d1, d2, sigma2 = spec.d1, spec.d2, spec.sigma2
+
+    def integrand(s: float) -> float:
+        # lograte(omega, level_of_s(spec, s)) for the finite s > 0 that
+        # the quadrature visits, in the same arithmetic order
+        t = d1 * s / (sigma2 + d2 * s)
+        if t <= 0.0:
+            return 0.0
+        return omega * math.log2(1.0 + t) * measure(s)
+
+    return integrate_log_scaled(integrand, s_lo, s_hi, rtol=rtol)
 
 
 def _mean_lograte(
@@ -186,12 +199,15 @@ def common_rate_both(
         return 0.0
 
     def half(outer: SinrDist, inner: SinrDist) -> float:
+        measure = scale_measure(inner, params)
+        d1, d2, sigma2 = inner.d1, inner.d2, inner.sigma2
+
         def integrand(y: float) -> float:
-            t = level_of_s(inner, y)
+            t = d1 * y / (sigma2 + d2 * y)  # level_of_s(inner, y)
             tail = coverage(outer, t, params)
             if tail == 0.0:
                 return 0.0
-            return math.log2(1.0 + t) * tail * pdf_s_measure(inner, y, params)
+            return math.log2(1.0 + t) * tail * measure(y)
 
         return integrate_log_scaled(integrand, inner._s(z), math.inf, rtol=rtol)
 

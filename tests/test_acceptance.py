@@ -293,3 +293,21 @@ def test_c9_csv_bytes_invariant_to_worker_count(tmp_path):
         run_sweep(spec, str(path))
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_c9_chunked_csv_bytes_invariant_to_worker_count(tmp_path):
+    # 4 096-draw chunks split every 30 000-draw estimate into 8 chunks, so
+    # the chunk-order reduction runs; one worker maps them in the calling
+    # thread, more go through the pool
+    outputs = []
+    for workers in (1, 2, 3):
+        spec = SweepSpec(
+            variable="beta", start=0.3, stop=0.7, points=2, mode=Mode.ALL_CC,
+            subcases=("xor/xor", "efr/pfr"),
+            methods=("analytic", "monte-carlo"),
+            sim=SimConfig(samples=30_000, seed=5, chunk=4_096, workers=workers),
+        )
+        path = tmp_path / f"w{workers}.csv"
+        run_sweep(spec, str(path))
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
