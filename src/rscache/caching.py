@@ -115,24 +115,10 @@ class PlacementMap:
             raise ValueError("receiver index out of range")
         return tuple(s for s in self._by_file[f] if receiver in s.group)
 
-    def cache_contents(self, receiver: int) -> tuple[Subfile, ...]:
-        return tuple(
-            s for f in sorted(self._by_file) for s in self.cached(f, receiver)
-        )
-
     def storage_files(self, receiver: int) -> Fraction:
         """Occupied cache space in units of whole files (must equal M)."""
         per_file = Fraction(len(self.cached(1, receiver)), self.cfg.subfiles_per_file)
         return per_file * self.cfg.N
-
-    def serialize(self) -> str:
-        """One line per subfile: ``f W_sorted -> receivers``."""
-        lines = []
-        for f in sorted(self._by_file):
-            for s in self._by_file[f]:
-                w = ",".join(str(i) for i in s.group)
-                lines.append(f"{s.f} {w} -> {w}")
-        return "\n".join(lines) + "\n"
 
 
 def cc_place(cfg: CodedCacheConfig) -> PlacementMap:

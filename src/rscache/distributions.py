@@ -93,45 +93,53 @@ def dist_spec(
     return SinrDist(kind=kind, cls=cls, d1=d1, d2=d2, sigma2=params.sigma2)
 
 
-def _disk_coverage(s: float, radius: float, alpha: float) -> float:
-    a = 2.0 / alpha
-    x = s * radius**alpha
-    val = (
-        2.0
-        * math.exp(-s)
-        * math.gamma(a)
-        * reg_lower(a, x)
-        / (alpha * radius * radius * s**a)
-    )
-    return min(max(val, 0.0), 1.0)
+def coverage_tail(spec: SinrDist, params: SystemParams) -> Callable[[float], float]:
+    """P[eta > t] for the positioned receiver, as t -> P; see coverage.
 
-
-def _annulus_coverage(s: float, r_in: float, r_out: float, alpha: float) -> float:
+    The support bound theta, the scale map's d1, d2 and sigma2 and the
+    receiver geometry (a = 2/alpha, Gamma(a), r^alpha and the area
+    normaliser) are bound here once, so an integrand that asks for the
+    tail at every quadrature point pays for them once.
+    """
+    theta = spec.theta
+    d1, d2, sigma2 = spec.d1, spec.d2, spec.sigma2
+    alpha = params.alpha
     a = 2.0 / alpha
-    x_in = s * r_in**alpha
-    x_out = s * r_out**alpha
-    val = (
-        2.0
-        * math.exp(-s)
-        * math.gamma(a)
-        * reg_lower_diff(a, x_in, x_out)
-        / (alpha * (r_out * r_out - r_in * r_in) * s**a)
-    )
-    return min(max(val, 0.0), 1.0)
+    gamma_a = math.gamma(a)
+    annulus = spec.cls is ReceiverClass.EDGE
+    if annulus:
+        r_out, r_in = params.r_0, params.r_e
+        norm = alpha * (r_out * r_out - r_in * r_in)
+    else:
+        r_out, r_in = params.r_c, 0.0
+        norm = alpha * r_out * r_out
+    out_alpha, in_alpha = r_out**alpha, r_in**alpha
+
+    def tail(t: float) -> float:
+        if t <= 0.0:
+            return 1.0
+        if t >= theta:
+            return 0.0
+        # spec._s(t) inline; a nonpositive denominator means s = inf
+        den = d1 - d2 * t
+        if den <= 0.0:
+            return 0.0
+        s = sigma2 * t / den
+        if not math.isfinite(s) or s > _EXP_UNDERFLOW:
+            return 0.0
+        if annulus:
+            p = reg_lower_diff(a, s * in_alpha, s * out_alpha)
+        else:
+            p = reg_lower(a, s * out_alpha)
+        val = 2.0 * math.exp(-s) * gamma_a * p / (norm * s**a)
+        return min(max(val, 0.0), 1.0)
+
+    return tail
 
 
 def coverage(spec: SinrDist, t: float, params: SystemParams) -> float:
     """P[eta > t] for the positioned receiver, exactly zero for t >= theta."""
-    if t <= 0.0:
-        return 1.0
-    if t >= spec.theta:
-        return 0.0
-    s = spec._s(t)
-    if not math.isfinite(s) or s > _EXP_UNDERFLOW:
-        return 0.0
-    if spec.cls is ReceiverClass.CENTER:
-        return _disk_coverage(s, params.r_c, params.alpha)
-    return _annulus_coverage(s, params.r_e, params.r_0, params.alpha)
+    return coverage_tail(spec, params)(t)
 
 
 def _pdf_bracket(a: float, s: float, x: float, r2: float, gamma_a: float) -> float:

@@ -82,9 +82,10 @@ class SystemParams:
     u: float = 0.5           # common-rate share granted to the center class
 
     def __post_init__(self) -> None:
-        if self.P < 0 or self.sigma2 <= 0:
+        # the negated comparisons also reject NaN
+        if not (self.P >= 0 and self.sigma2 > 0):
             raise ValueError("need P >= 0 and sigma2 > 0")
-        if self.alpha <= 2:
+        if not self.alpha > 2:
             raise ValueError("path-loss exponent must exceed 2")
         if not (0 < self.r_c <= self.r_e < self.r_0):
             raise ValueError("radii must satisfy 0 < r_c <= r_e < r_0")
@@ -92,7 +93,7 @@ class SystemParams:
             raise ValueError("need K >= 1, M >= 0, 0 < N <= F")
         if self.M >= self.N:
             raise ValueError("cache must be smaller than the cacheable catalog (M < N)")
-        if self.zeta <= 0 or self.xi <= 0:
+        if not (self.zeta > 0 and self.xi > 0):
             raise ValueError("thresholds zeta and xi must be positive")
         if not 0.0 <= self.u <= 1.0:
             raise ValueError("common-rate share u must lie in [0, 1]")

@@ -32,7 +32,7 @@ from .model import (
     private_sinr_threshold,
     stream_powers,
 )
-from .rates import RateComponents, RateReport, _omega_value
+from .rates import RateComponents, RateReport, omega_value
 
 
 @dataclass(frozen=True)
@@ -238,8 +238,8 @@ class _SubcaseStreams:
 
 
 def _streams(subcase: Subcase, params: SystemParams) -> _SubcaseStreams:
-    w_c = _omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))
-    w_e = _omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))
+    w_c = omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))
+    w_e = omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))
     iic_c = subcase.iic_at is ReceiverClass.CENTER
     iic_e = subcase.iic_at is ReceiverClass.EDGE
     return _SubcaseStreams(

@@ -33,6 +33,7 @@ from .caching import Subcase
 from .distributions import (
     SinrDist,
     coverage,
+    coverage_tail,
     dist_spec,
     level_of_s,
     pdf_s_measure,
@@ -78,7 +79,7 @@ def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _omega_value(params: SystemParams, index: int) -> float:
+def omega_value(params: SystemParams, index: int) -> float:
     """Pre-log by index; index 1 never needs a valid coded-cache geometry."""
     if index == 1:
         return 1.0
@@ -200,11 +201,12 @@ def common_rate_both(
 
     def half(outer: SinrDist, inner: SinrDist) -> float:
         measure = scale_measure(inner, params)
+        outer_tail = coverage_tail(outer, params)
         d1, d2, sigma2 = inner.d1, inner.d2, inner.sigma2
 
         def integrand(y: float) -> float:
             t = d1 * y / (sigma2 + d2 * y)  # level_of_s(inner, y)
-            tail = coverage(outer, t, params)
+            tail = outer_tail(t)
             if tail == 0.0:
                 return 0.0
             return math.log2(1.0 + t) * tail * measure(y)
@@ -503,8 +505,8 @@ def evaluate_subcase(
     rtol: float = DEFAULT_RTOL,
 ) -> RateReport:
     """Closed-form evaluation of one served configuration."""
-    w_c = _omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))
-    w_e = _omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))
+    w_c = omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))
+    w_e = omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))
     iic_at = subcase.iic_at
     center = achieved_rate(params, split, ReceiverClass.CENTER, w_c, iic_at, rtol)
     edge = achieved_rate(params, split, ReceiverClass.EDGE, w_e, iic_at, rtol)
@@ -584,8 +586,8 @@ def asymptotic_report(
     subcase: Subcase, params: SystemParams, split: PowerSplit
 ) -> RateReport:
     """High-power limits for one subcase; infinities pass through the sum."""
-    w_c = _omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))
-    w_e = _omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))
+    w_c = omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))
+    w_e = omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))
     r_c = asymptotic_rate(params, split, ReceiverClass.CENTER, w_c, subcase.iic_at)
     r_e = asymptotic_rate(params, split, ReceiverClass.EDGE, w_e, subcase.iic_at)
     return RateReport(

@@ -19,7 +19,7 @@ import numpy as np
 from .caching import Mode, Subcase, parse_subcase_token
 from .model import PowerSplit, ReceiverClass, SystemParams
 from .montecarlo import SimConfig, estimate_rates
-from .rates import RateReport, _omega_value, asymptotic_report, evaluate_subcase
+from .rates import RateReport, asymptotic_report, evaluate_subcase, omega_value
 
 CSV_HEADER = (
     "var,value,mode,subcase,omega_c,omega_e,iic,method,"
@@ -140,8 +140,8 @@ def _row(
         _fmt(value),
         spec.mode.value,
         f"{subcase.center.name.lower()}/{subcase.edge.name.lower()}",
-        _fmt(_omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))),
-        _fmt(_omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))),
+        _fmt(omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))),
+        _fmt(omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))),
         iic,
         report.method,
         _fmt(report.r_center),

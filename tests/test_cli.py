@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, exit codes, settings precedence."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,16 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("setting", ["zeta=nan", "alpha=nan"])
+def test_nan_setting_exits_1_without_output(setting, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--var", "beta", "--from", "0.3", "--to", "0.6",
+            "--points", "2", "--mode", "all-mpc", "--set", setting]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "must" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -227,9 +238,12 @@ def test_figure_preset_writes_files(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rscache.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "sweep" in proc.stdout and "placement" in proc.stdout

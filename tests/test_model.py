@@ -175,6 +175,16 @@ def test_param_validation():
         )
 
 
+@pytest.mark.parametrize("field", ["P", "sigma2", "alpha", "zeta", "xi"])
+def test_param_validation_rejects_nan(field):
+    with pytest.raises(ValueError):
+        SystemParams(**{field: math.nan})
+
+
+def test_infinite_power_budget_is_accepted():
+    assert math.isinf(SystemParams(P=math.inf).P)
+
+
 def test_zero_power_bound_warns_on_degenerate_ratio():
     powers = stream_powers(0.0, PowerSplit(beta=0.5, rho=0.5))
     with pytest.warns(RuntimeWarning, match="0/0"):
