@@ -17,6 +17,18 @@ a central-difference derivative of the coverage, which is the authoritative
 orientation reference (the density factor 1/(t (theta t - 1)) sometimes
 quoted for this model has the wrong sign/scale and is replaced here by the
 correct ds/dt chain factor).
+
+In scale coordinates the density is 2 e^-s B(s) / (alpha R^2 s), with R^2
+the area normaliser and B the radius bracket (s + a) gamma(a, x) / s^a -
+r^2 e^-x at x = s r^alpha. The annulus takes the bracket at r_0 minus the
+bracket at r_e. Once x_in = s r_e^alpha reaches a + 1 both brackets are
+about (s + a) Gamma(a) / s^a and their difference would cancel to rounding
+noise, so there the difference is taken inside the gamma instead:
+
+  (s + a) Gamma(a) [P(a, x_out) - P(a, x_in)] / s^a
+      - (r_0^2 e^-x_out - r_e^2 e^-x_in)
+
+with the P difference formed from the upper tails (incgamma.reg_lower_diff).
 """
 
 from __future__ import annotations
@@ -173,6 +185,10 @@ def scale_measure(spec: SinrDist, params: SystemParams) -> Callable[[float], flo
     Everything that depends only on the receiver geometry (a = 2/alpha,
     r^alpha, r^2, Gamma(a) and the area normaliser) is bound here once, so
     a quadrature that evaluates m thousands of times pays for it once.
+
+    For the annulus with x_in = s r_e^alpha >= a + 1 the two radius
+    brackets are subtracted inside the gamma (the upper-regime form in the
+    module docstring); below a + 1 their plain difference keeps its digits.
     """
     alpha = params.alpha
     a = 2.0 / alpha
@@ -191,9 +207,17 @@ def scale_measure(spec: SinrDist, params: SystemParams) -> Callable[[float], flo
         # past the underflow point, and off (0, inf), the density is zero
         if not 0.0 < s <= _EXP_UNDERFLOW:
             return 0.0
-        bracket = _pdf_bracket(a, s, s * out_alpha, out_sq, gamma_a)
-        if annulus:
-            bracket = bracket - _pdf_bracket(a, s, s * in_alpha, in_sq, gamma_a)
+        x_out, x_in = s * out_alpha, s * in_alpha
+        if annulus and x_in >= a + 1.0:
+            # both brackets are ~ (s+a) Gamma(a) / s^a here and their
+            # difference would cancel; subtract inside the gamma instead
+            bracket = (s + a) * gamma_a * reg_lower_diff(a, x_in, x_out) / s**a - (
+                out_sq * math.exp(-x_out) - in_sq * math.exp(-x_in)
+            )
+        else:
+            bracket = _pdf_bracket(a, s, x_out, out_sq, gamma_a)
+            if annulus:
+                bracket = bracket - _pdf_bracket(a, s, x_in, in_sq, gamma_a)
         return max(2.0 * math.exp(-s) * bracket / (norm * s), 0.0)
 
     return measure

@@ -16,12 +16,11 @@ from typing import Callable
 from scipy import integrate
 
 DEFAULT_RTOL = 1e-9
-#: the iterated (double) integrals use a looser outer tolerance
-OUTER_RTOL = 1e-8
-#: a roundoff warning with the absolute error bound below this is still a
-#: success: deep-outage tails sit near the double-precision underflow
-#: boundary where the relative target is unattainable, yet every
-#: comparison made with these values is absolute and far looser
+#: a roundoff warning with the error bound below this fraction of the
+#: conditioning probability is still a success: deep-outage tails sit near
+#: the double-precision underflow boundary where the relative target is
+#: unattainable. Rates are these integrals divided by that probability, so
+#: the floor is scaled by it (``scale``) and bounds the rate's own error
 _ABS_TOL = 1e-15
 _LIMIT = 200
 
@@ -30,9 +29,9 @@ class QuadratureError(RuntimeError):
     """An integral failed to converge to the requested tolerance."""
 
 
-def _check(result, rtol: float, message: str) -> float:
+def _check(result, rtol: float, message: str, scale: float = 1.0) -> float:
     value, abserr = result[0], result[1]
-    if len(result) > 3 and abserr > max(rtol * abs(value), _ABS_TOL):
+    if len(result) > 3 and abserr > max(rtol * abs(value), _ABS_TOL * scale):
         raise QuadratureError(f"{message}: {result[3]}")
     if not math.isfinite(value):
         raise QuadratureError(f"{message}: non-finite value {value}")
@@ -82,12 +81,15 @@ def integrate_log_scaled(
     lo: float,
     hi: float,
     rtol: float = DEFAULT_RTOL,
+    scale: float = 1.0,
 ) -> float:
     """Integrate fn over (lo, hi), 0 < lo, in logarithmic coordinates.
 
     The right tool when fn mixes power-law stretches with an exponential
     cutoff across many decades (scale-coordinate SINR measures do): the
     decades become a linear axis and the quadrature sees a tame shape.
+    ``scale`` is the probability the result will be divided by; the
+    absolute error floor shrinks with it.
     """
     if hi <= lo:
         return 0.0
@@ -110,4 +112,4 @@ def integrate_log_scaled(
     res = integrate.quad(
         scaled, 0.0, span, epsabs=0.0, epsrel=rtol, limit=_LIMIT, full_output=1
     )
-    return _check(res, rtol, "log-scaled quadrature failed")
+    return _check(res, rtol, "log-scaled quadrature failed", scale)

@@ -90,20 +90,25 @@ def _common_kind(iic: bool) -> SinrKind:
     return SinrKind.COMMON_IIC if iic else SinrKind.COMMON
 
 
-def _expect_lograte(
+def _mean_lograte(
     spec: SinrDist,
     omega: float,
     lo: float,
     hi: float,
+    norm: float,
     params: SystemParams,
     rtol: float,
 ) -> float:
-    """Integral of omega*log2(1+t) g(t) dt over (lo, min(hi, theta)).
+    """(1/norm) * integral of omega*log2(1+t) g(t) dt over (lo, min(hi, theta)).
 
     Evaluated in scale coordinates, where the integrand is a plain
     exponential-decay shape at any transmit power (in SINR coordinates the
-    mass hugs the support bound ever harder as power grows).
+    mass hugs the support bound ever harder as power grows). The
+    quadrature's absolute error floor is scaled by the normaliser, so a
+    rate conditioned on a tiny probability is held to its own precision.
     """
+    if norm <= 0.0:
+        return 0.0
     theta = spec.theta
     hi = min(hi, theta)
     if not hi > lo:
@@ -123,22 +128,8 @@ def _expect_lograte(
             return 0.0
         return omega * math.log2(1.0 + t) * measure(s)
 
-    return integrate_log_scaled(integrand, s_lo, s_hi, rtol=rtol)
-
-
-def _mean_lograte(
-    spec: SinrDist,
-    omega: float,
-    lo: float,
-    hi: float,
-    norm: float,
-    params: SystemParams,
-    rtol: float,
-) -> float:
-    """(1/norm) * integral of omega*log2(1+t) g(t) dt over (lo, hi)."""
-    if norm <= 0.0:
-        return 0.0
-    return _expect_lograte(spec, omega, lo, hi, params, rtol) / norm
+    integral = integrate_log_scaled(integrand, s_lo, s_hi, rtol=rtol, scale=min(norm, 1.0))
+    return integral / norm
 
 
 def gap_thresholds(params: SystemParams, split: PowerSplit, cls: ReceiverClass) -> tuple[float, float]:
@@ -211,7 +202,9 @@ def common_rate_both(
                 return 0.0
             return math.log2(1.0 + t) * tail * measure(y)
 
-        return integrate_log_scaled(integrand, inner._s(z), math.inf, rtol=rtol)
+        return integrate_log_scaled(
+            integrand, inner._s(z), math.inf, rtol=rtol, scale=pi_c * pi_e
+        )
 
     return (half(spec_e, spec_c) + half(spec_c, spec_e)) / (pi_c * pi_e)
 

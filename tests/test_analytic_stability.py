@@ -9,13 +9,15 @@ against the scipy.special ufuncs, the second against frozen values.
 """
 
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
 import scipy.special
 
+from rscache import quadrature, rates
 from rscache.caching import Mode, parse_subcase_token
-from rscache.distributions import coverage, dist_spec, level_of_s
+from rscache.distributions import _pdf_bracket, coverage, dist_spec, level_of_s, scale_measure
 from rscache.incgamma import reg_lower, reg_lower_diff, reg_upper
 from rscache.model import (
     PowerSplit,
@@ -24,7 +26,9 @@ from rscache.model import (
     SystemParams,
     stream_powers,
 )
+from rscache.quadrature import QuadratureError
 from rscache.rates import evaluate_subcase
+from rscache.sweep import MODE_SUBCASES, figure_presets
 
 PARAMS = SystemParams()
 
@@ -57,48 +61,51 @@ def test_nan_difference_raises():
 
 # (beta, rho, mode, token, R_c, R_e, R_sum, q_c, q_e) for every roster
 # subcase at three working points, frozen from the hand-rolled incomplete
-# gamma that preceded the scipy-backed one; guards against silent drift
+# gamma that preceded the scipy-backed one; guards against silent drift.
+# The 30 cases with an edge value at x_in > 20 were re-frozen from the
+# cancellation-free annulus density; each new value is closer to the
+# mpmath reference (within 2e-14) than the one it replaced
 ROSTER_RATES = (
-    (0.3, 0.2, 'all-mpc', 'efr/efr', 0.0, 0.0, 0.0, 0.0, 1.5926115702126012e-49),
-    (0.3, 0.2, 'cc-mpc', 'xor/efr+iic-e', 1.6574430463415781, 0.0, 1.6574430463415781, 0.3699346286732249, 6.187769320235489e-24),
-    (0.3, 0.2, 'cc-mpc', 'pfr/efr+iic-e', 0.0, 0.0, 0.0, 0.0, 6.187769320235489e-24),
-    (0.3, 0.2, 'cc-mpc', 'xor/efr', 1.6574430463415781, 0.0, 1.6574430463415781, 0.3699346286732249, 1.5926115702126012e-49),
-    (0.3, 0.2, 'cc-mpc', 'pfr/efr', 0.0, 0.0, 0.0, 0.0, 1.5926115702126012e-49),
-    (0.3, 0.2, 'cc-mpc', 'efr/efr', 0.0, 0.0, 0.0, 0.0, 1.5926115702126012e-49),
+    (0.3, 0.2, 'all-mpc', 'efr/efr', 0.0, 1.001396934077763, 1.001396934077763, 0.0, 1.5926115702126012e-49),
+    (0.3, 0.2, 'cc-mpc', 'xor/efr+iic-e', 1.6574430463415781, 1.0064275502922955, 1.6574430463415781, 0.3699346286732249, 6.187769320235489e-24),
+    (0.3, 0.2, 'cc-mpc', 'pfr/efr+iic-e', 0.0, 1.0064275502922955, 1.0064275502922955, 0.0, 6.187769320235489e-24),
+    (0.3, 0.2, 'cc-mpc', 'xor/efr', 1.6574430463415781, 1.001396934077763, 1.6574430463415781, 0.3699346286732249, 1.5926115702126012e-49),
+    (0.3, 0.2, 'cc-mpc', 'pfr/efr', 0.0, 1.001396934077763, 1.001396934077763, 0.0, 1.5926115702126012e-49),
+    (0.3, 0.2, 'cc-mpc', 'efr/efr', 0.0, 1.001396934077763, 1.001396934077763, 0.0, 1.5926115702126012e-49),
     (0.3, 0.2, 'mpc-cc', 'efr/xor+iic-c', 2.9291159701243883, 1.3793309440501627, 2.677569034721885, 0.24042677055891068, 0.09240729564344244),
-    (0.3, 0.2, 'mpc-cc', 'efr/pfr+iic-c', 2.9291159701243883, 1.057259411525628, 2.929082420748063, 0.24042677055891068, 6.908372134988891e-06),
+    (0.3, 0.2, 'mpc-cc', 'efr/pfr+iic-c', 2.9291159701243883, 1.057259411527886, 2.929082420748063, 0.24042677055891068, 6.908372134988891e-06),
     (0.3, 0.2, 'mpc-cc', 'efr/xor', 0.0, 1.3793309440501627, 1.3793309440501627, 0.0, 0.09240729564344244),
-    (0.3, 0.2, 'mpc-cc', 'efr/pfr', 0.0, 1.057259411525628, 1.057259411525628, 0.0, 6.908372134988891e-06),
-    (0.3, 0.2, 'mpc-cc', 'efr/efr', 0.0, 0.0, 0.0, 0.0, 1.5926115702126012e-49),
+    (0.3, 0.2, 'mpc-cc', 'efr/pfr', 0.0, 1.057259411527886, 1.057259411527886, 0.0, 6.908372134988891e-06),
+    (0.3, 0.2, 'mpc-cc', 'efr/efr', 0.0, 1.001396934077763, 1.001396934077763, 0.0, 1.5926115702126012e-49),
     (0.3, 0.2, 'all-cc', 'xor/xor', 1.6574430463415781, 1.3793309440501627, 1.7297518447892823, 0.3699346286732249, 0.09240729564344244),
-    (0.3, 0.2, 'all-cc', 'xor/pfr', 1.6574430463415781, 1.057259411525628, 1.657443288397514, 0.3699346286732249, 6.908372134988891e-06),
-    (0.3, 0.2, 'all-cc', 'xor/efr', 1.6574430463415781, 0.0, 1.6574430463415781, 0.3699346286732249, 1.5926115702126012e-49),
+    (0.3, 0.2, 'all-cc', 'xor/pfr', 1.6574430463415781, 1.057259411527886, 1.657443288397514, 0.3699346286732249, 6.908372134988891e-06),
+    (0.3, 0.2, 'all-cc', 'xor/efr', 1.6574430463415781, 1.001396934077763, 1.6574430463415781, 0.3699346286732249, 1.5926115702126012e-49),
     (0.3, 0.2, 'all-cc', 'pfr/xor', 0.0, 1.3793309440501627, 1.3793309440501627, 0.0, 0.09240729564344244),
-    (0.3, 0.2, 'all-cc', 'pfr/pfr', 0.0, 1.057259411525628, 1.057259411525628, 0.0, 6.908372134988891e-06),
-    (0.3, 0.2, 'all-cc', 'pfr/efr', 0.0, 0.0, 0.0, 0.0, 1.5926115702126012e-49),
+    (0.3, 0.2, 'all-cc', 'pfr/pfr', 0.0, 1.057259411527886, 1.057259411527886, 0.0, 6.908372134988891e-06),
+    (0.3, 0.2, 'all-cc', 'pfr/efr', 0.0, 1.001396934077763, 1.001396934077763, 0.0, 1.5926115702126012e-49),
     (0.3, 0.2, 'all-cc', 'efr/xor', 0.0, 1.3793309440501627, 1.3793309440501627, 0.0, 0.09240729564344244),
-    (0.3, 0.2, 'all-cc', 'efr/pfr', 0.0, 1.057259411525628, 1.057259411525628, 0.0, 6.908372134988891e-06),
-    (0.3, 0.2, 'all-cc', 'efr/efr', 0.0, 0.0, 0.0, 0.0, 1.5926115702126012e-49),
-    (0.5, 0.5, 'all-mpc', 'efr/efr', 0.8302815531344341, 0.5191379095271411, 0.8302815531343148, 0.2506621824324468, 2.9025038951606783e-13),
-    (0.5, 0.5, 'cc-mpc', 'xor/efr+iic-e', 7.852171006457664, 0.5282130673312779, 7.852170994100246, 0.5670256952412673, 2.4401151651299727e-09),
-    (0.5, 0.5, 'cc-mpc', 'pfr/efr+iic-e', 3.905960853764932, 0.5282130673312779, 3.9059608304146454, 0.2506621824324468, 2.4401151651299727e-09),
-    (0.5, 0.5, 'cc-mpc', 'xor/efr', 7.852171012159322, 0.5191379095271411, 7.852171012157848, 0.5670256952412673, 2.9025038951606783e-13),
-    (0.5, 0.5, 'cc-mpc', 'pfr/efr', 3.9059608569893776, 0.5191379095271411, 3.9059608569865896, 0.2506621824324468, 2.9025038951606783e-13),
-    (0.5, 0.5, 'cc-mpc', 'efr/efr', 0.8302815531344341, 0.5191379095271411, 0.8302815531343148, 0.2506621824324468, 2.9025038951606783e-13),
+    (0.3, 0.2, 'all-cc', 'efr/pfr', 0.0, 1.057259411527886, 1.057259411527886, 0.0, 6.908372134988891e-06),
+    (0.3, 0.2, 'all-cc', 'efr/efr', 0.0, 1.001396934077763, 1.001396934077763, 0.0, 1.5926115702126012e-49),
+    (0.5, 0.5, 'all-mpc', 'efr/efr', 0.8302815531344341, 0.5191379743669549, 0.8302815531343148, 0.2506621824324468, 2.9025038951606783e-13),
+    (0.5, 0.5, 'cc-mpc', 'xor/efr+iic-e', 7.852171006457664, 0.5282130664647884, 7.852170994100246, 0.5670256952412673, 2.4401151651299727e-09),
+    (0.5, 0.5, 'cc-mpc', 'pfr/efr+iic-e', 3.905960853764932, 0.5282130664647884, 3.9059608304146454, 0.2506621824324468, 2.4401151651299727e-09),
+    (0.5, 0.5, 'cc-mpc', 'xor/efr', 7.852171012159322, 0.5191379743669549, 7.852171012157848, 0.5670256952412673, 2.9025038951606783e-13),
+    (0.5, 0.5, 'cc-mpc', 'pfr/efr', 3.9059608569893776, 0.5191379743669549, 3.9059608569865896, 0.2506621824324468, 2.9025038951606783e-13),
+    (0.5, 0.5, 'cc-mpc', 'efr/efr', 0.8302815531344341, 0.5191379743669549, 0.8302815531343148, 0.2506621824324468, 2.9025038951606783e-13),
     (0.5, 0.5, 'mpc-cc', 'efr/xor+iic-c', 2.9865751075232687, 1.1266391184252735, 2.979528940525596, 0.3069839241335217, 0.0023054876358744184),
-    (0.5, 0.5, 'mpc-cc', 'efr/pfr+iic-c', 2.9865751075232687, 2.315369534975781, 2.9865751075235005, 0.3069839241335217, 2.9025038951606783e-13),
+    (0.5, 0.5, 'mpc-cc', 'efr/pfr+iic-c', 2.9865751075232687, 2.3153691371281253, 2.9865751075235005, 0.3069839241335217, 2.9025038951606783e-13),
     (0.5, 0.5, 'mpc-cc', 'efr/xor', 0.8302815531344341, 1.1266391184463123, 0.8348897716514174, 0.2506621824324468, 0.0023054876358744184),
-    (0.5, 0.5, 'mpc-cc', 'efr/pfr', 0.8302815531344341, 2.3571478696512793, 0.8302815531364431, 0.2506621824324468, 2.9025038951606783e-13),
-    (0.5, 0.5, 'mpc-cc', 'efr/efr', 0.8302815531344341, 0.5191379095271411, 0.8302815531343148, 0.2506621824324468, 2.9025038951606783e-13),
+    (0.5, 0.5, 'mpc-cc', 'efr/pfr', 0.8302815531344341, 2.3571474464211453, 0.8302815531364431, 0.2506621824324468, 2.9025038951606783e-13),
+    (0.5, 0.5, 'mpc-cc', 'efr/efr', 0.8302815531344341, 0.5191379743669549, 0.8302815531343148, 0.2506621824324468, 2.9025038951606783e-13),
     (0.5, 0.5, 'all-cc', 'xor/xor', 7.852171012159322, 1.1266391184463123, 7.8429447856122785, 0.5670256952412673, 0.0023054876358744184),
-    (0.5, 0.5, 'all-cc', 'xor/pfr', 7.852171012159322, 2.3571478696512793, 7.852171012158788, 0.5670256952412673, 2.9025038951606783e-13),
-    (0.5, 0.5, 'all-cc', 'xor/efr', 7.852171012159322, 0.5191379095271411, 7.852171012157848, 0.5670256952412673, 2.9025038951606783e-13),
+    (0.5, 0.5, 'all-cc', 'xor/pfr', 7.852171012159322, 2.3571474464211453, 7.852171012158788, 0.5670256952412673, 2.9025038951606783e-13),
+    (0.5, 0.5, 'all-cc', 'xor/efr', 7.852171012159322, 0.5191379743669549, 7.852171012157848, 0.5670256952412673, 2.9025038951606783e-13),
     (0.5, 0.5, 'all-cc', 'pfr/xor', 3.9059608569893776, 1.1266391184463123, 3.8895162811430612, 0.2506621824324468, 0.0023054876358744184),
-    (0.5, 0.5, 'all-cc', 'pfr/pfr', 3.9059608569893776, 2.3571478696512793, 3.9059608569887176, 0.2506621824324468, 2.9025038951606783e-13),
-    (0.5, 0.5, 'all-cc', 'pfr/efr', 3.9059608569893776, 0.5191379095271411, 3.9059608569865896, 0.2506621824324468, 2.9025038951606783e-13),
+    (0.5, 0.5, 'all-cc', 'pfr/pfr', 3.9059608569893776, 2.3571474464211453, 3.9059608569887176, 0.2506621824324468, 2.9025038951606783e-13),
+    (0.5, 0.5, 'all-cc', 'pfr/efr', 3.9059608569893776, 0.5191379743669549, 3.9059608569865896, 0.2506621824324468, 2.9025038951606783e-13),
     (0.5, 0.5, 'all-cc', 'efr/xor', 0.8302815531344341, 1.1266391184463123, 0.8348897716514174, 0.2506621824324468, 0.0023054876358744184),
-    (0.5, 0.5, 'all-cc', 'efr/pfr', 0.8302815531344341, 2.3571478696512793, 0.8302815531364431, 0.2506621824324468, 2.9025038951606783e-13),
-    (0.5, 0.5, 'all-cc', 'efr/efr', 0.8302815531344341, 0.5191379095271411, 0.8302815531343148, 0.2506621824324468, 2.9025038951606783e-13),
+    (0.5, 0.5, 'all-cc', 'efr/pfr', 0.8302815531344341, 2.3571474464211453, 0.8302815531364431, 0.2506621824324468, 2.9025038951606783e-13),
+    (0.5, 0.5, 'all-cc', 'efr/efr', 0.8302815531344341, 0.5191379743669549, 0.8302815531343148, 0.2506621824324468, 2.9025038951606783e-13),
     (0.8, 0.8, 'all-mpc', 'efr/efr', 1.8896423777957807, 0.4935003228226827, 1.8896226830542737, 0.4182612874324169, 1.359855663673632e-05),
     (0.8, 0.8, 'cc-mpc', 'xor/efr+iic-e', 21.75672358274574, 0.5009803578775066, 21.755591550979556, 0.4182612874324169, 3.8953646981534276e-05),
     (0.8, 0.8, 'cc-mpc', 'pfr/efr+iic-e', 5.175507802519598, 0.5009803578775066, 5.175274070468361, 0.4182612874324169, 3.8953646981534276e-05),
@@ -202,3 +209,99 @@ def test_coverage_is_frozen_bit_for_bit(case):
     spec = dist_spec(SinrKind[kind], ReceiverClass[cls], stream_powers(params.P, split), params)
     got = tuple(coverage(spec, t, params) for t in _coverage_levels(spec, params))
     assert got == want
+
+
+# -- served receivers and the quadrature behind them -------------------------
+
+GRID = tuple(0.02 + 0.96 * i / 11 for i in range(12))
+RATE_CACHES = (
+    rates.common_rate_single,
+    rates.common_rate_both,
+    rates.common_stream_rate,
+    rates.private_rate_after_common,
+    rates.private_rate_with_interference,
+)
+
+
+@pytest.fixture
+def cold_rate_caches():
+    """Run with empty rate caches, and drop what the test put in them."""
+    for fn in RATE_CACHES:
+        fn.cache_clear()
+    yield
+    for fn in RATE_CACHES:
+        fn.cache_clear()
+
+
+def test_served_receivers_get_a_positive_rate():
+    # q > 0 means the receiver is served, so its conditional rate is a mean
+    # of log2(1 + t) over t > 0; deep-outage edge points once read R = 0
+    subs = [parse_subcase_token(m, tok, PARAMS.K) for m in Mode for tok in MODE_SUBCASES[m]]
+    assert len(subs) == 20
+    bad = []
+    for beta in GRID:
+        for rho in GRID:
+            split = PowerSplit(beta=beta, rho=rho)
+            for sub in subs:
+                rep = evaluate_subcase(sub, PARAMS, split)
+                if rep.q_center > 0.0 and not rep.r_center > 0.0:
+                    bad.append((beta, rho, sub, "center", rep.q_center))
+                if rep.q_edge > 0.0 and not rep.r_edge > 0.0:
+                    bad.append((beta, rho, sub, "edge", rep.q_edge))
+    assert bad == []
+
+
+def _direct_difference_measure(spec, params):
+    """The annulus density as the plain difference of its two radius terms.
+
+    Both terms are about (s + a) Gamma(a) / s^a once x_in = s r_e^alpha
+    passes a few units, so the difference keeps only rounding noise.
+    """
+    if spec.cls is not ReceiverClass.EDGE:
+        return scale_measure(spec, params)
+    alpha = params.alpha
+    a = 2.0 / alpha
+    gamma_a = math.gamma(a)
+    r_out, r_in = params.r_0, params.r_e
+    norm = alpha * (r_out * r_out - r_in * r_in)
+
+    def measure(s):
+        if not 0.0 < s <= 745.0:
+            return 0.0
+        bracket = _pdf_bracket(a, s, s * r_out**alpha, r_out * r_out, gamma_a) - _pdf_bracket(
+            a, s, s * r_in**alpha, r_in * r_in, gamma_a
+        )
+        return max(2.0 * math.exp(-s) * bracket / (norm * s), 0.0)
+
+    return measure
+
+
+def test_noisy_density_fails_the_scaled_error_floor(monkeypatch, cold_rate_caches):
+    # the stock edge class is conditioned on q_e = 2.9e-13; an error floor
+    # fixed at 1e-15 let QUADPACK's integral of the noise through, one
+    # scaled by q_e refuses it
+    monkeypatch.setattr(rates, "scale_measure", _direct_difference_measure)
+    sub = parse_subcase_token(Mode.ALL_MPC, "efr/efr", PARAMS.K)
+    with pytest.raises(QuadratureError):
+        evaluate_subcase(sub, PARAMS, PowerSplit(beta=0.5, rho=0.5))
+
+
+def test_no_figure_preset_integral_reaches_the_subdivision_limit(monkeypatch, cold_rate_caches):
+    hits = []
+    quad = quadrature.integrate.quad
+
+    def counted(fn, *args, **kwargs):
+        res = quad(fn, *args, **kwargs)
+        if res[2]["last"] >= kwargs["limit"]:
+            hits.append(res[:2])
+        return res
+
+    monkeypatch.setattr(quadrature, "integrate", SimpleNamespace(quad=counted))
+    for entries in figure_presets().values():
+        for _name, spec in entries:
+            subs = [parse_subcase_token(spec.mode, tok, spec.params.K) for tok in spec.subcases]
+            for value in spec.grid():
+                params, split = spec.at(value)
+                for sub in subs:
+                    evaluate_subcase(sub, params, split)
+    assert hits == []

@@ -135,8 +135,8 @@ FROZEN_RATES = (
     # (mode, token, R_c, R_e, R_sum, q_c, q_e, branch_c, branch_e)
     # frozen from this implementation at the bundled defaults; guards
     # against silent numerical drift, not an external source
-    ("all-mpc", "efr/efr", 0.830281553134, 0.519137909527, 0.830281553134, 0.250662182432, 2.90250389516e-13, "B1", "B1"),
-    ("cc-mpc", "xor/efr", 7.85217101216, 0.519137909527, 7.85217101216, 0.567025695241, 2.90250389516e-13, "B3", "B1"),
+    ("all-mpc", "efr/efr", 0.830281553134, 0.519137974367, 0.830281553134, 0.250662182432, 2.90250389516e-13, "B1", "B1"),
+    ("cc-mpc", "xor/efr", 7.85217101216, 0.519137974367, 7.85217101216, 0.567025695241, 2.90250389516e-13, "B3", "B1"),
     ("cc-mpc", "xor/efr+iic-e", 7.85217100646, 0.528213067331, 7.8521709941, 0.567025695241, 2.44011516513e-09, "B3", "B1"),
     ("cc-mpc", "pfr/efr+iic-e", 3.90596085376, 0.528213067331, 3.90596083041, 0.250662182432, 2.44011516513e-09, "B2", "B1"),
     ("all-cc", "xor/xor", 7.85217101216, 1.12663911845, 7.84294478561, 0.567025695241, 0.00230548763587, "B3", "B3"),
