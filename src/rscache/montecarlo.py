@@ -11,11 +11,21 @@ Determinism contract: draws come from counter-based Philox streams keyed
 per fixed-size chunk, and chunk partials are reduced in chunk order, so a
 given (seed, samples, chunk) produces a bit-identical report at any
 worker count.
+
+Memory: once warm, the kernel allocates no draw-sized array. Each thread
+keeps a workspace of named draw-sized buffers, 7 float64 and 12 bool
+(about 9 MB at the default 131 072-draw chunk, 7 MB at 100 000 draws),
+that grows on demand and lasts across chunks and across estimate calls;
+the draws, link gains, SINRs, rates and event masks are all written into
+it. With two or more workers the pool threads, and so their buffers, last
+only for one call. Buffer reuse never changes a value: every array is
+filled by the same operations in the same order as a fresh one would be.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -73,6 +83,38 @@ class SimConfig:
         return np.random.Generator(np.random.Philox(seq))
 
 
+class _Workspace(threading.local):
+    """The calling thread's draw-sized scratch arrays, kept between calls.
+
+    Each name owns one buffer of one dtype. A request longer than the
+    buffer replaces it; callers get a view sliced to their length.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, n: int, dtype: type = np.float64) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < n:
+            buf = self.buffers[name] = np.empty(n, dtype)
+        return buf[:n]
+
+
+_WORKSPACE = _Workspace()
+
+
+def _floats(name: str, n: int) -> np.ndarray:
+    return _WORKSPACE.take(name, n)
+
+
+def _mask(name: str, n: int) -> np.ndarray:
+    return _WORKSPACE.take(name, n, np.bool_)
+
+
+def _draw_buffers(n: int) -> tuple[np.ndarray, ...]:
+    return tuple(_floats(name, n) for name in ("d_c", "d_e", "h_c", "h_e"))
+
+
 @dataclass(frozen=True)
 class ChannelDraw:
     """Vectorized batch of joint center/edge channel realizations."""
@@ -82,25 +124,39 @@ class ChannelDraw:
     h_c: np.ndarray
     h_e: np.ndarray
 
-    def link_gain(self, cls: ReceiverClass, alpha: float) -> np.ndarray:
+    def link_gain(
+        self, cls: ReceiverClass, alpha: float, in_place: bool = False
+    ) -> np.ndarray:
+        """h / (1 + d^alpha), in one buffer; in_place overwrites the distances."""
         h, d = (self.h_c, self.d_c) if cls is ReceiverClass.CENTER else (self.h_e, self.d_e)
-        # h / (1 + d^alpha), in one buffer
-        gain = d**alpha
+        # in-place ** takes the same scalar-exponent path as d**alpha
+        gain = d if in_place else d.copy()
+        gain **= alpha
         gain += 1.0
         return np.divide(h, gain, out=gain)
 
 
-def sample_channels(params: SystemParams, rng: np.random.Generator, n: int) -> ChannelDraw:
-    """Draw n joint realizations; the draw order is part of the contract."""
-    u_c = rng.random(n)
-    u_e = rng.random(n)
-    h_c = rng.standard_exponential(n)
-    h_e = rng.standard_exponential(n)
+def sample_channels(
+    params: SystemParams,
+    rng: np.random.Generator,
+    n: int,
+    out: tuple[np.ndarray, ...] | None = None,
+) -> ChannelDraw:
+    """Draw n joint realizations; the draw order is part of the contract.
+
+    out, if given, holds four float64 arrays of length n that become d_c,
+    d_e, h_c and h_e; without it the draw gets fresh arrays. Both fill
+    their buffers the same way and give the same values.
+    """
+    d_c, d_e, h_c, h_e = out if out is not None else [np.empty(n) for _ in range(4)]
+    rng.random(out=d_c)
+    rng.random(out=d_e)
+    rng.standard_exponential(out=h_c)
+    rng.standard_exponential(out=h_e)
     # d_c = r_c sqrt(u_c) and d_e = sqrt(r_e^2 + u_e (r_0^2 - r_e^2)),
     # computed in the uniform draws' own buffers
-    d_c = np.sqrt(u_c, out=u_c)
+    np.sqrt(d_c, out=d_c)
     d_c *= params.r_c
-    d_e = u_e
     d_e *= params.r_0**2 - params.r_e**2
     d_e += params.r_e**2
     np.sqrt(d_e, out=d_e)
@@ -113,12 +169,14 @@ def _sinr_vec(
     powers: StreamPowers,
     gain: np.ndarray,
     sigma2: float,
+    out: np.ndarray,
 ) -> np.ndarray:
     # mirrors the scalar instantaneous_sinr ratio by ratio; kept literal so
     # the simulator never shares coefficients with the distribution module.
-    # The denominator starts as the noise term and becomes the SINR in place.
+    # The denominator starts as the noise term in out and becomes the SINR
+    # in place.
     with np.errstate(divide="ignore"):
-        den = sigma2 / gain
+        den = np.divide(sigma2, gain, out=out)
     pn = powers.own(cls)
     pk = powers.other(cls)
     if kind is SinrKind.COMMON:
@@ -134,11 +192,12 @@ def _sinr_vec(
     else:
         den += powers.p0
     num = powers.p0 if kind in (SinrKind.COMMON, SinrKind.COMMON_IIC) else pn
-    dead = ~np.isfinite(den)
+    dead = np.isfinite(den, out=_mask("dead", den.size))
+    np.invert(dead, out=dead)
     with np.errstate(invalid="ignore"):
-        out = np.divide(num, den, out=den)
-    out[dead] = 0.0
-    return out
+        np.divide(num, den, out=den)
+    np.copyto(den, 0.0, where=dead)
+    return den
 
 
 def _map_chunks(kernel: Callable[[int], Any], count: int, workers: int) -> list:
@@ -167,9 +226,12 @@ def estimate_coverage(
     sizes = sim.chunk_sizes()
 
     def kernel(index: int) -> int:
-        draw = sample_channels(params, sim.rng(index), sizes[index])
-        eta = _sinr_vec(kind, cls, powers, draw.link_gain(cls, params.alpha), params.sigma2)
-        return int(np.count_nonzero(eta > t))
+        n = sizes[index]
+        draw = sample_channels(params, sim.rng(index), n, out=_draw_buffers(n))
+        gain = draw.link_gain(cls, params.alpha, in_place=True)
+        fading = draw.h_c if cls is ReceiverClass.CENTER else draw.h_e
+        eta = _sinr_vec(kind, cls, powers, gain, params.sigma2, fading)
+        return int(np.count_nonzero(np.greater(eta, t, out=_mask("one", n))))
 
     hits = sum(_map_chunks(kernel, len(sizes), sim.workers))
     p = hits / sim.samples
@@ -197,10 +259,34 @@ _TRACE_HEADER = ",".join(
 )
 
 
+#: draws per step of the gather in _accumulate; its index arrays stay small
+#: enough for malloc to serve from the heap instead of fresh pages
+_GATHER_BLOCK = 8192
+
+
 def _accumulate(values: np.ndarray, mask: np.ndarray) -> tuple[float, float, float]:
-    hit = values[mask]
+    """Sum, sum of squares and count of values where mask holds.
+
+    The hits are gathered in order into one contiguous workspace array, so
+    the pairwise sums see exactly values[mask].
+    """
+    hit = _floats("hit", values.size)
+    count = 0
+    for lo in range(0, values.size, _GATHER_BLOCK):
+        index = mask[lo : lo + _GATHER_BLOCK].nonzero()[0]
+        values[lo : lo + _GATHER_BLOCK].take(
+            index, out=hit[count : count + index.size], mode="clip"
+        )
+        count += index.size
+    hit = hit[:count]
     total = float(hit.sum())
-    return total, float(np.multiply(hit, hit, out=hit).sum()), float(hit.size)
+    return total, float(np.multiply(hit, hit, out=hit).sum()), float(count)
+
+
+def _and_not(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a & ~b, written into out (which may be b but not a)."""
+    np.invert(b, out=out)
+    return np.logical_and(a, out, out=out)
 
 
 def _log_rate(eta: np.ndarray, w: float) -> np.ndarray:
@@ -274,22 +360,24 @@ def _common_stage(
     common-stream share, zero where it does not decode) and the first five
     statistics. The SINR buffers are overwritten.
     """
-    dec_c = eta0_c > params.zeta
-    dec_e = eta0_e > params.zeta
-    both = dec_c & dec_e
+    n = eta0_c.size
+    dec_c = np.greater(eta0_c, params.zeta, out=_mask("dec_c", n))
+    dec_e = np.greater(eta0_e, params.zeta, out=_mask("dec_e", n))
+    both = np.logical_and(dec_c, dec_e, out=_mask("both", n))
+    one = _mask("one", n)
     log0_c = _log_rate(eta0_c, 1.0)
     log0_e = _log_rate(eta0_e, 1.0)
-    min0 = np.minimum(log0_c, log0_e)
+    min0 = np.minimum(log0_c, log0_e, out=_floats("min0", n))
     stats = [
         _accumulate(min0, both),
-        _accumulate(log0_c, dec_c & ~dec_e),
-        _accumulate(log0_e, dec_e & ~dec_c),
+        _accumulate(log0_c, _and_not(dec_c, dec_e, one)),
+        _accumulate(log0_e, _and_not(dec_e, dec_c, one)),
     ]
 
     # common-stream contribution given own decode: time-shared min rate if
     # the partner decoded too, otherwise the full slot at the own SINR
-    alone = ~both
-    rs0_c = params.u * min0
+    alone = np.invert(both, out=one)
+    rs0_c = np.multiply(params.u, min0, out=_floats("rs0_c", n))
     np.copyto(rs0_c, log0_c, where=alone)
     rs0_c *= streams.w_c
     rs0_e = np.multiply(1.0 - params.u, min0, out=min0)
@@ -297,8 +385,8 @@ def _common_stage(
     rs0_e *= streams.w_e
     stats += [_accumulate(rs0_c, dec_c), _accumulate(rs0_e, dec_e)]
 
-    np.copyto(rs0_c, 0.0, where=~dec_c)
-    np.copyto(rs0_e, 0.0, where=~dec_e)
+    np.copyto(rs0_c, 0.0, where=np.invert(dec_c, out=one))
+    np.copyto(rs0_e, 0.0, where=np.invert(dec_e, out=one))
     return dec_c, dec_e, rs0_c, rs0_e, stats
 
 
@@ -309,15 +397,19 @@ def _private_stage(
     eta_i: np.ndarray,
     xi: float,
     w: float,
+    side: str,
 ) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
     """Add one receiver's private-stream rates to its served rate in place.
 
     Returns the private decode events (after the common decode, and with
     the common stream left in the interference) and their statistics. The
-    SINR buffers are overwritten.
+    SINR buffers are overwritten; side names the event masks' buffers.
     """
-    priv = dec & (eta_p > xi)
-    intf = ~dec & (eta_i > xi)
+    n = dec.size
+    priv = np.greater(eta_p, xi, out=_mask("priv" + side, n))
+    np.logical_and(dec, priv, out=priv)
+    above = np.greater(eta_i, xi, out=_mask("one", n))
+    intf = _and_not(above, dec, _mask("intf" + side, n))
     rp = _log_rate(eta_p, w)
     ri = _log_rate(eta_i, w)
     # every rate term is >= +0, so adding only where an event holds gives
@@ -337,44 +429,55 @@ def _rate_kernel(
     trace: list[str] | None,
 ) -> np.ndarray:
     powers = stream_powers(params.P, split)
-    gain_c = draw.link_gain(ReceiverClass.CENTER, params.alpha)
-    gain_e = draw.link_gain(ReceiverClass.EDGE, params.alpha)
-    # each SINR array is made when it is needed and turned into a rate in
-    # place, so few draw-sized buffers are alive at once; the trace keeps
-    # copies of the SINRs by column name
+    n = draw.d_c.size
+    # the trace keeps its own copies of the draw and of the SINRs by
+    # column name, so the kernel runs the same with or without it
     traced: dict[str, np.ndarray] = {}
+    if trace is not None:
+        traced.update(
+            d_c=draw.d_c.copy(), d_e=draw.d_e.copy(), h_c=draw.h_c.copy(), h_e=draw.h_e.copy()
+        )
+    # the link gains overwrite the distances; the fading buffers are then
+    # dead and take two SINRs at a time, each turned into a rate in place
+    gain_c = draw.link_gain(ReceiverClass.CENTER, params.alpha, in_place=True)
+    gain_e = draw.link_gain(ReceiverClass.EDGE, params.alpha, in_place=True)
+    first, second = draw.h_c, draw.h_e
 
-    def sinr(column: str, kind: SinrKind, cls: ReceiverClass, gain: np.ndarray) -> np.ndarray:
-        eta = _sinr_vec(kind, cls, powers, gain, params.sigma2)
+    def sinr(
+        column: str, kind: SinrKind, cls: ReceiverClass, gain: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        eta = _sinr_vec(kind, cls, powers, gain, params.sigma2, out)
         if trace is not None:
             traced[column] = eta.copy()
         return eta
 
     center, edge = ReceiverClass.CENTER, ReceiverClass.EDGE
     dec_c, dec_e, served_c, served_e, stats = _common_stage(
-        sinr("sinr_c0", streams.common_c, center, gain_c),
-        sinr("sinr_e0", streams.common_e, edge, gain_e),
+        sinr("sinr_c0", streams.common_c, center, gain_c, first),
+        sinr("sinr_e0", streams.common_e, edge, gain_e, second),
         params,
         streams,
     )
     priv_c, intf_c, acc_rp_c, acc_ri_c = _private_stage(
         served_c,
         dec_c,
-        sinr("sinr_cp", streams.private_c, center, gain_c),
-        sinr("sinr_cpI", streams.interf_c, center, gain_c),
+        sinr("sinr_cp", streams.private_c, center, gain_c, first),
+        sinr("sinr_cpI", streams.interf_c, center, gain_c, second),
         streams.xi_c,
         streams.w_c,
+        "_c",
     )
     priv_e, intf_e, acc_rp_e, acc_ri_e = _private_stage(
         served_e,
         dec_e,
-        sinr("sinr_ep", streams.private_e, edge, gain_e),
-        sinr("sinr_epI", streams.interf_e, edge, gain_e),
+        sinr("sinr_ep", streams.private_e, edge, gain_e, first),
+        sinr("sinr_epI", streams.interf_e, edge, gain_e, second),
         streams.xi_e,
         streams.w_e,
+        "_e",
     )
-    eps_c = dec_c | intf_c
-    eps_e = dec_e | intf_e
+    eps_c = np.logical_or(dec_c, intf_c, out=_mask("eps_c", n))
+    eps_e = np.logical_or(dec_e, intf_e, out=_mask("eps_e", n))
     stats += [
         acc_rp_c,
         acc_rp_e,
@@ -384,14 +487,13 @@ def _rate_kernel(
         _accumulate(served_e, eps_e),
     ]
     served_c += served_e
-    stats.append(_accumulate(served_c, eps_c | eps_e))
+    stats.append(_accumulate(served_c, np.logical_or(eps_c, eps_e, out=_mask("eps", n))))
 
     if trace is not None:
         label_c = _branch_labels(dec_c, dec_e, priv_c, intf_c)
         label_e = _branch_labels(dec_e, dec_c, priv_e, intf_e)
-        cols = (draw.d_c, draw.d_e, draw.h_c, draw.h_e,
-                *(traced[name] for name in _TRACE_SINRS))
-        for i in range(draw.d_c.size):
+        cols = [traced[name] for name in ("d_c", "d_e", "h_c", "h_e", *_TRACE_SINRS)]
+        for i in range(n):
             row = ",".join("%.9g" % col[i] for col in cols)
             trace.append(f"{base + i},{row},{label_c[i]},{label_e[i]}")
     return np.concatenate(stats)
@@ -420,7 +522,8 @@ def estimate_rates(
     ]
 
     def kernel(index: int) -> np.ndarray:
-        draw = sample_channels(params, sim.rng(index), sizes[index])
+        n = sizes[index]
+        draw = sample_channels(params, sim.rng(index), n, out=_draw_buffers(n))
         return _rate_kernel(
             subcase, params, split, streams, draw, offsets[index], traces[index]
         )

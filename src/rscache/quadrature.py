@@ -1,11 +1,9 @@
-"""Adaptive quadrature wrappers for integrals of SINR functionals.
+"""Adaptive quadrature wrapper for integrals of SINR functionals.
 
 All achieved-rate expressions reduce to integrals of smooth integrands over
-(lo, hi) where hi is either a finite support endpoint or infinite. The
-support endpoint is an integrable singularity magnet (the density blows up
-or vanishes extremely fast near it), so finite upper limits get the
-substitution t = hi - (hi - lo) e^{-v}, which maps (lo, hi) to (0, inf)
-and lets QUADPACK's infinite-interval transform handle the endpoint.
+(lo, hi) where hi is either a finite support endpoint or infinite. They
+are taken in logarithmic coordinates, where the decades an SINR measure
+spans become a linear axis that QUADPACK resolves.
 """
 
 from __future__ import annotations
@@ -36,44 +34,6 @@ def _check(result, rtol: float, message: str, scale: float = 1.0) -> float:
     if not math.isfinite(value):
         raise QuadratureError(f"{message}: non-finite value {value}")
     return value
-
-
-def integrate_interval(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rtol: float = DEFAULT_RTOL,
-    open_upper: bool = False,
-) -> float:
-    """Integrate fn over (lo, hi); hi may be math.inf.
-
-    With ``open_upper`` a finite hi is treated as an open support bound
-    hiding structure at scales far below the interval width (a density
-    spike hugging it): the substitution t = hi - (hi - lo) e^{-v} walks
-    into the bound exponentially, resolving features of any relative
-    magnitude. Without it the interval is integrated directly, which is
-    the right call for integrands already in exponential-decay form.
-    """
-    if hi <= lo:
-        return 0.0
-    if math.isinf(hi):
-        res = integrate.quad(fn, lo, math.inf, epsabs=0.0, epsrel=rtol, limit=_LIMIT, full_output=1)
-        return _check(res, rtol, "infinite-interval quadrature failed")
-    if not open_upper:
-        res = integrate.quad(
-            fn, lo, hi, epsabs=0.0, epsrel=rtol, limit=_LIMIT, full_output=1
-        )
-        return _check(res, rtol, "finite-interval quadrature failed")
-    span = hi - lo
-
-    def with_endpoint_pulled_out(v: float) -> float:
-        w = span * math.exp(-v)
-        return fn(hi - w) * w
-
-    res = integrate.quad(
-        with_endpoint_pulled_out, 0.0, math.inf, epsabs=0.0, epsrel=rtol, limit=_LIMIT, full_output=1
-    )
-    return _check(res, rtol, "open-bound quadrature failed")
 
 
 def integrate_log_scaled(

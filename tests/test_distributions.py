@@ -29,7 +29,9 @@ from rscache.model import (
     stream_powers,
 )
 from rscache.montecarlo import SimConfig, estimate_coverage
-from rscache.quadrature import integrate_interval, integrate_log_scaled
+from rscache.quadrature import integrate_log_scaled
+
+from oracles import integrate_interval
 
 PARAMS = SystemParams()
 SPLIT = PowerSplit(beta=0.5, rho=0.5)

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from rscache.montecarlo import (
 PARAMS = SystemParams()
 SPLIT = PowerSplit(beta=0.5, rho=0.5)
 XOR_XOR = parse_subcase_token(Mode.ALL_CC, "xor/xor", PARAMS.K)
+PFR_IIC_E = parse_subcase_token(Mode.CC_MPC, "pfr/efr+iic-e", PARAMS.K)
+EFR_IIC_C = parse_subcase_token(Mode.MPC_CC, "efr/xor+iic-c", PARAMS.K)
 
 
 def test_center_positions_fill_the_disk():
@@ -71,6 +76,19 @@ def test_draw_order_is_frozen():
     )
     assert np.array_equal(draw.h_c, h_c)
     assert np.array_equal(draw.h_e, h_e)
+
+
+def test_sample_channels_fills_given_buffers_with_the_same_draw():
+    fresh = sample_channels(PARAMS, SimConfig(seed=7).rng(0), 1_000)
+    out = tuple(np.full(1_000, np.nan) for _ in range(4))
+    filled = sample_channels(PARAMS, SimConfig(seed=7).rng(0), 1_000, out=out)
+    for name, buf in zip(("d_c", "d_e", "h_c", "h_e"), out):
+        assert getattr(filled, name) is buf
+        assert np.array_equal(buf, getattr(fresh, name))
+    # without out, every call gets arrays of its own
+    again = sample_channels(PARAMS, SimConfig(seed=7).rng(0), 1_000)
+    assert not np.shares_memory(again.h_c, fresh.h_c)
+    assert np.array_equal(again.h_c, fresh.h_c)
 
 
 def test_spawn_and_seed_change_the_stream():
@@ -179,3 +197,66 @@ def test_partial_final_chunk_keeps_totals_consistent():
         XOR_XOR, PARAMS, SPLIT, dataclasses.replace(sim, workers=3)
     )
     assert rep == rep_workers
+
+
+def _fresh_thread(call):
+    # a new thread starts with an empty simulator workspace
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(call).result()
+
+
+def _assert_same_report(got, want):
+    for field in dataclasses.fields(want):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def test_warm_rate_estimate_allocates_no_draw_sized_array():
+    n = 100_000
+    sim = SimConfig(samples=n, seed=21)
+    estimate_rates(XOR_XOR, PARAMS, SPLIT, sim)  # warm the workspace
+    tracemalloc.start()
+    try:
+        estimate_rates(XOR_XOR, PARAMS, SPLIT, dataclasses.replace(sim, seed=22))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float64 array of the draw count is 8 n bytes
+    assert peak < 8 * n
+
+
+def test_trace_leaves_the_estimate_unchanged(tmp_path):
+    sim = SimConfig(samples=3_000, seed=23, chunk=1_024)
+    for sub in (XOR_XOR, PFR_IIC_E, EFR_IIC_C):
+        plain = estimate_rates(sub, PARAMS, SPLIT, sim)
+        traced = estimate_rates(sub, PARAMS, SPLIT, sim, trace_path=str(tmp_path / "t.csv"))
+        _assert_same_report(traced, plain)
+
+
+def test_interleaved_estimates_equal_estimates_run_alone():
+    # the workspace grows and shrinks its views between these calls; none
+    # may see what an earlier one left in the buffers
+    coverage_args = (SinrKind.PRIVATE, ReceiverClass.EDGE, 0.2, PARAMS, SPLIT)
+    calls = [
+        partial(estimate_rates, XOR_XOR, PARAMS, SPLIT, SimConfig(samples=40_000, seed=24)),
+        partial(
+            estimate_rates, PFR_IIC_E, PARAMS, SPLIT, SimConfig(samples=7_000, seed=25, chunk=3_000)
+        ),
+        partial(estimate_coverage, *coverage_args, SimConfig(samples=30_000, seed=26)),
+        partial(
+            estimate_rates,
+            EFR_IIC_C,
+            PARAMS,
+            SPLIT,
+            SimConfig(samples=20_000, seed=27, chunk=8_192, workers=2),
+        ),
+        partial(
+            estimate_rates, XOR_XOR, PARAMS, SPLIT, SimConfig(samples=9_000, seed=28, chunk=16_384)
+        ),
+    ]
+    alone = [_fresh_thread(call) for call in calls]
+    for call, want in zip(calls + calls[::-1], alone + alone[::-1]):
+        got = call()
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_report(got, want)

@@ -26,7 +26,6 @@ from rscache.model import (
     stream_powers,
 )
 from rscache.montecarlo import SimConfig, estimate_rates
-from rscache.quadrature import integrate_interval
 from rscache.rates import (
     _nested_common_rate_both,
     achieved_rate,
@@ -39,6 +38,8 @@ from rscache.rates import (
     sum_rate,
 )
 from rscache.sweep import compare_reports
+
+from oracles import integrate_interval
 
 PARAMS = SystemParams()
 SPLIT = PowerSplit(beta=0.5, rho=0.5)
@@ -137,8 +138,8 @@ FROZEN_RATES = (
     # against silent numerical drift, not an external source
     ("all-mpc", "efr/efr", 0.830281553134, 0.519137974367, 0.830281553134, 0.250662182432, 2.90250389516e-13, "B1", "B1"),
     ("cc-mpc", "xor/efr", 7.85217101216, 0.519137974367, 7.85217101216, 0.567025695241, 2.90250389516e-13, "B3", "B1"),
-    ("cc-mpc", "xor/efr+iic-e", 7.85217100646, 0.528213067331, 7.8521709941, 0.567025695241, 2.44011516513e-09, "B3", "B1"),
-    ("cc-mpc", "pfr/efr+iic-e", 3.90596085376, 0.528213067331, 3.90596083041, 0.250662182432, 2.44011516513e-09, "B2", "B1"),
+    ("cc-mpc", "xor/efr+iic-e", 7.85217100646, 0.528213066465, 7.8521709941, 0.567025695241, 2.44011516513e-09, "B3", "B1"),
+    ("cc-mpc", "pfr/efr+iic-e", 3.90596085376, 0.528213066465, 3.90596083041, 0.250662182432, 2.44011516513e-09, "B2", "B1"),
     ("all-cc", "xor/xor", 7.85217101216, 1.12663911845, 7.84294478561, 0.567025695241, 0.00230548763587, "B3", "B3"),
     ("all-cc", "pfr/xor", 3.90596085699, 1.12663911845, 3.88951628114, 0.250662182432, 0.00230548763587, "B2", "B3"),
 )
