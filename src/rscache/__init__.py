@@ -6,104 +6,24 @@ independent Monte-Carlo simulator, with a coded-caching engine supplying
 the pre-log factors.
 """
 
-from .caching import (
-    CodedCacheConfig,
-    DeliverySchedule,
-    Mode,
-    PlacementMap,
-    Subcase,
-    Technique,
-    cc_delivery_schedule,
-    cc_place,
-    classify_subcase,
-    make_subcase,
-    parse_subcase_token,
-)
-from .model import (
-    PowerSplit,
-    ReceiverClass,
-    SinrBounds,
-    SinrKind,
-    StreamPowers,
-    SystemParams,
-    instantaneous_sinr,
-    prelog_factors,
-    private_sinr_threshold,
-    sinr_bounds,
-    stream_powers,
-)
-from .distributions import SinrDist, coverage, dist_spec, outage_region, pdf
-from .montecarlo import SimConfig, estimate_coverage, estimate_rates
-from .quadrature import QuadratureError
-from .rates import (
-    RateComponents,
-    RateReport,
-    achieved_rate,
-    asymptotic_rate,
-    asymptotic_report,
-    evaluate_subcase,
-    gap_thresholds,
-    sum_rate,
-)
-from .sweep import (
-    CSV_HEADER,
-    MODE_SUBCASES,
-    CompareSummary,
-    SweepSpec,
-    compare_csv,
-    compare_reports,
-    figure_presets,
-    run_sweep,
-)
+from .caching import Mode, parse_subcase_token
+from .model import PowerSplit, SystemParams
+from .montecarlo import SimConfig, estimate_rates
+from .rates import evaluate_subcase
+from .sweep import SweepSpec, compare_csv, figure_presets, run_sweep
 
 __all__ = [
-    "CSV_HEADER",
-    "CodedCacheConfig",
-    "CompareSummary",
-    "DeliverySchedule",
-    "MODE_SUBCASES",
     "Mode",
-    "PlacementMap",
     "PowerSplit",
-    "QuadratureError",
-    "RateComponents",
-    "RateReport",
-    "ReceiverClass",
     "SimConfig",
-    "SinrBounds",
-    "SinrDist",
-    "SinrKind",
-    "StreamPowers",
-    "Subcase",
     "SweepSpec",
     "SystemParams",
-    "Technique",
-    "achieved_rate",
-    "asymptotic_rate",
-    "asymptotic_report",
-    "cc_delivery_schedule",
-    "cc_place",
-    "classify_subcase",
     "compare_csv",
-    "compare_reports",
-    "coverage",
-    "dist_spec",
-    "estimate_coverage",
     "estimate_rates",
     "evaluate_subcase",
     "figure_presets",
-    "gap_thresholds",
-    "instantaneous_sinr",
-    "make_subcase",
-    "outage_region",
     "parse_subcase_token",
-    "pdf",
-    "prelog_factors",
-    "private_sinr_threshold",
     "run_sweep",
-    "sinr_bounds",
-    "stream_powers",
-    "sum_rate",
 ]
 
 __version__ = "0.1.0"

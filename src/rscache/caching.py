@@ -1,4 +1,4 @@
-"""Cache placement, coded delivery and request-pattern classification.
+"""Cache placement, coded delivery and the served subcases.
 
 Two placement policies coexist in the cell. A class under "most popular
 content" (MPC) placement stores the top M files whole, so only requests of
@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .model import ReceiverClass, SystemParams
+from .model import ReceiverClass, replication_degree
 
 
 class Mode(enum.Enum):
@@ -64,13 +64,7 @@ class CodedCacheConfig:
     def __post_init__(self) -> None:
         if self.K < 2:
             raise ValueError("coded caching needs at least two receivers")
-        if not 0 < self.M < self.N:
-            raise ValueError("need 0 < M < N")
-        t = Fraction(self.M * self.K, self.N)
-        if t.denominator != 1 or not 1 <= t <= self.K - 1:
-            raise ValueError(
-                f"replication degree M*K/N = {t} must be an integer in [1, K-1]"
-            )
+        replication_degree(self.K, self.M, self.N)
 
     @property
     def t(self) -> int:
@@ -257,87 +251,3 @@ def parse_subcase_token(mode: Mode, token: str, K: int) -> Subcase:
     except ValueError:
         raise ValueError(f"malformed subcase token {token!r}") from None
     return make_subcase(mode, c, e, tag or None, K=K)
-
-
-def _classify_side(
-    mode: Mode,
-    cls: ReceiverClass,
-    ranks: Sequence[int],
-    params: SystemParams,
-    rng,
-) -> tuple[Technique, int, int]:
-    """Technique, scheduled-receiver count and served rank for one class."""
-    if len(ranks) != params.K:
-        raise ValueError(f"need one request per receiver (K={params.K})")
-    if any(not 1 <= r <= params.F for r in ranks):
-        raise ValueError("ranks must lie in [1, F]")
-    if not mode.is_cc(cls):
-        # MPC side: the top-M files are served from cache; by the worst-case
-        # model assumption somebody wants a file beyond them.
-        pending = [i for i, r in enumerate(ranks) if r > params.M]
-        if not pending:
-            raise ValueError(
-                "every request is cached locally; the model assumes at least "
-                "one MPC-side request beyond the top M files"
-            )
-        pick = pending[int(rng.integers(len(pending)))]
-        return Technique.EFR, 1, ranks[pick]
-    if all(r <= params.N for r in ranks):
-        # feasible coded round; the cancellation question looks at all K ranks
-        worst = max(ranks)
-        return Technique.XOR, params.K, worst
-    pick = int(rng.integers(params.K))
-    rank = ranks[pick]
-    return (Technique.PFR if rank <= params.N else Technique.EFR), 1, rank
-
-
-def classify_subcase(
-    mode: Mode,
-    center_requests: Sequence[int],
-    edge_requests: Sequence[int],
-    params: SystemParams,
-    rng,
-) -> Subcase:
-    """Map a request pattern to the served subcase.
-
-    ``rng`` (a numpy Generator) breaks ties when a unicast receiver must be
-    picked. For a CC class the coded round runs iff all K ranks fit the
-    catalog; otherwise one receiver is scheduled uniformly at random. The
-    MPC-side receiver gets the cancellation flag iff everything served to
-    the CC side has rank <= M (whole files in the MPC cache).
-    """
-    c_tech, c_count, c_rank = _classify_side(
-        mode, ReceiverClass.CENTER, center_requests, params, rng
-    )
-    e_tech, e_count, e_rank = _classify_side(
-        mode, ReceiverClass.EDGE, edge_requests, params, rng
-    )
-    iic_at = None
-    if mode is Mode.CC_MPC and c_tech is not Technique.EFR and c_rank <= params.M:
-        iic_at = ReceiverClass.EDGE
-    elif mode is Mode.MPC_CC and e_tech is not Technique.EFR and e_rank <= params.M:
-        iic_at = ReceiverClass.CENTER
-    return Subcase(
-        mode=mode,
-        center=c_tech,
-        edge=e_tech,
-        iic_at=iic_at,
-        scheduled_center=c_count,
-        scheduled_edge=e_count,
-    )
-
-
-def sample_requests(params: SystemParams, count: int, rng, gamma: float = 0.0):
-    """Draw popularity ranks from a truncated Zipf law over [1, F].
-
-    gamma = 0 gives the uniform default; larger gamma skews toward low
-    ranks. Returns an integer numpy array of shape (count,).
-    """
-    import numpy as np
-
-    if gamma < 0:
-        raise ValueError("Zipf exponent must be nonnegative")
-    ranks = np.arange(1, params.F + 1, dtype=float)
-    w = ranks**-gamma if gamma > 0 else np.ones_like(ranks)
-    w /= w.sum()
-    return rng.choice(np.arange(1, params.F + 1), size=count, p=w)

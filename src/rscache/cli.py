@@ -27,6 +27,7 @@ from .rates import asymptotic_report
 from .sweep import (
     METHOD_ANALYTIC,
     METHOD_MC,
+    SWEEP_VARIABLES,
     SweepSpec,
     compare_csv,
     figure_presets,
@@ -90,8 +91,12 @@ def _coerce(key: str, text: str) -> float | int:
         raise ValueError(f"{key} needs a numeric value, got {text!r}") from None
 
 
-def _settings(args) -> tuple[SystemParams, PowerSplit, SimConfig]:
-    """Resolve parameters: flags beat the seed env var beat the config file."""
+def _resolve(args) -> dict[str, float | int]:
+    """The settings given for one run, by key.
+
+    Precedence, low to high: config file, the seed env var, --set, flags.
+    Keys nobody gave are left out, so the caller's defaults stand.
+    """
     values: dict[str, float | int] = {}
     if getattr(args, "config", None):
         for key, text in _read_config(args.config).items():
@@ -110,7 +115,12 @@ def _settings(args) -> tuple[SystemParams, PowerSplit, SimConfig]:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    return values
 
+
+def _settings(args) -> tuple[SystemParams, PowerSplit, SimConfig]:
+    """Resolved parameters, power split and simulation config of one run."""
+    values = _resolve(args)
     params = SystemParams(**{k: v for k, v in values.items() if k in _PARAM_FLOAT + _PARAM_INT})
     split = PowerSplit(
         beta=values.get("beta", 0.5), rho=values.get("rho", 0.5)
@@ -225,19 +235,13 @@ def _cmd_placement(args) -> int:
 
 def _cmd_figure(args) -> int:
     entries = figure_presets()[args.name]
+    # the preset's simulation config takes the place of the defaults
+    sim_values = {k: v for k, v in _resolve(args).items() if k in _SIM_KEYS}
     os.makedirs(args.out_dir, exist_ok=True)
     for fname, spec in entries:
-        sim = spec.sim
-        for key in ("seed", "samples", "workers"):
-            flag = getattr(args, key, None)
-            if flag is not None:
-                sim = dataclasses.replace(sim, **{key: flag})
-        env_seed = os.environ.get(SEED_ENV)
-        if env_seed is not None and args.seed is None:
-            sim = dataclasses.replace(sim, seed=_coerce("seed", env_seed))
+        spec = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, **sim_values))
         if args.methods:
             spec = dataclasses.replace(spec, methods=_METHOD_CHOICES[args.methods])
-        spec = dataclasses.replace(spec, sim=sim)
         path = os.path.join(args.out_dir, fname)
         rows = run_sweep(spec, path)
         print(f"wrote {path}: {rows} data rows")
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="evaluate subcases over a parameter grid")
-    sweep.add_argument("--var", required=True, choices=("beta", "rho", "u", "P"))
+    sweep.add_argument("--var", required=True, choices=SWEEP_VARIABLES)
     sweep.add_argument("--from", dest="start", type=float, required=True)
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--points", type=int, required=True)

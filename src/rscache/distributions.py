@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .incgamma import reg_lower, reg_lower_diff
-from .model import PowerSplit, ReceiverClass, SinrKind, StreamPowers, SystemParams
+from .model import ReceiverClass, SinrKind, StreamPowers, SystemParams, _ratio, sinr_powers
 
 # exp(-s) underflows to zero past this point; coverage and density are then
 # far below anything observable and are clamped to exactly zero.
@@ -49,8 +49,10 @@ _EXP_UNDERFLOW = 745.0
 class SinrDist:
     """Distribution of one SINR kind at one receiver class.
 
-    The scale map is s(t) = sigma2 * t / (d1 - d2 * t); the distribution has
-    support (0, theta) with theta = d1/d2 (infinite when nothing interferes).
+    d1 and d2 are the kind's signal and interference powers (model's SINR
+    table). The scale map is s(t) = sigma2 * t / (d1 - d2 * t); the
+    distribution has support (0, theta) with theta = d1/d2, the kind's
+    noise-free bound (infinite when nothing interferes).
     """
 
     kind: SinrKind
@@ -61,23 +63,13 @@ class SinrDist:
 
     @property
     def theta(self) -> float:
-        if self.d2 == 0.0:
-            return math.inf
-        if self.d1 == 0.0:
-            return 0.0
-        return self.d1 / self.d2
+        return _ratio(self.d1, self.d2)
 
     def _s(self, t: float) -> float:
         den = self.d1 - self.d2 * t
         if den <= 0.0:
             return math.inf
         return self.sigma2 * t / den
-
-    def _s_prime(self, t: float) -> float:
-        den = self.d1 - self.d2 * t
-        if den <= 0.0 or self.d1 == 0.0:
-            return math.inf
-        return self.sigma2 * self.d1 / (den * den)
 
 
 def dist_spec(
@@ -87,45 +79,44 @@ def dist_spec(
     params: SystemParams,
 ) -> SinrDist:
     """Build the distribution of a SINR kind from the stream powers."""
-    pn = powers.own(cls)
-    pk = powers.other(cls)
-    p0 = powers.p0
-    if kind is SinrKind.COMMON:
-        d1, d2 = p0, pn + pk
-    elif kind is SinrKind.PRIVATE:
-        d1, d2 = pn, pk
-    elif kind is SinrKind.PRIVATE_INTERF:
-        d1, d2 = pn, p0 + pk
-    elif kind is SinrKind.COMMON_IIC:
-        d1, d2 = p0, pn
-    elif kind is SinrKind.PRIVATE_IIC:
-        d1, d2 = pn, 0.0
-    else:  # PRIVATE_INTERF_IIC
-        d1, d2 = pn, p0
+    d1, d2 = sinr_powers(kind, cls, powers)
     return SinrDist(kind=kind, cls=cls, d1=d1, d2=d2, sigma2=params.sigma2)
 
 
-def coverage_tail(spec: SinrDist, params: SystemParams) -> Callable[[float], float]:
-    """P[eta > t] for the positioned receiver, as t -> P; see coverage.
+def _geometry(
+    cls: ReceiverClass, params: SystemParams
+) -> tuple[float, float, bool, float, float, float, float, float]:
+    """Position-average constants of one receiver class.
 
-    The support bound theta, the scale map's d1, d2 and sigma2 and the
-    receiver geometry (a = 2/alpha, Gamma(a), r^alpha and the area
-    normaliser) are bound here once, so an integrand that asks for the
-    tail at every quadrature point pays for them once.
+    (a, Gamma(a), annulus, norm, r_out^alpha, r_in^alpha, r_out^2, r_in^2)
+    with a = 2/alpha, annulus true for the edge class's ring (r_in = 0 for
+    the center disk) and norm = alpha (r_out^2 - r_in^2).
     """
-    theta = spec.theta
-    d1, d2, sigma2 = spec.d1, spec.d2, spec.sigma2
     alpha = params.alpha
     a = 2.0 / alpha
-    gamma_a = math.gamma(a)
-    annulus = spec.cls is ReceiverClass.EDGE
+    annulus = cls is ReceiverClass.EDGE
     if annulus:
         r_out, r_in = params.r_0, params.r_e
         norm = alpha * (r_out * r_out - r_in * r_in)
     else:
         r_out, r_in = params.r_c, 0.0
         norm = alpha * r_out * r_out
-    out_alpha, in_alpha = r_out**alpha, r_in**alpha
+    return (
+        a, math.gamma(a), annulus, norm,
+        r_out**alpha, r_in**alpha, r_out * r_out, r_in * r_in,
+    )
+
+
+def coverage_tail(spec: SinrDist, params: SystemParams) -> Callable[[float], float]:
+    """P[eta > t] for the positioned receiver, as t -> P; see coverage.
+
+    The support bound theta, the scale map's d1, d2 and sigma2 and the
+    receiver geometry (_geometry) are bound here once, so an integrand
+    that asks for the tail at every quadrature point pays for them once.
+    """
+    theta = spec.theta
+    d1, d2, sigma2 = spec.d1, spec.d2, spec.sigma2
+    a, gamma_a, annulus, norm, out_alpha, in_alpha, _, _ = _geometry(spec.cls, params)
 
     def tail(t: float) -> float:
         if t <= 0.0:
@@ -182,26 +173,14 @@ def scale_measure(spec: SinrDist, params: SystemParams) -> Callable[[float], flo
     functionals in s avoids both the density spike at the support bound
     and the precision loss of d1 - d2 t near it.
 
-    Everything that depends only on the receiver geometry (a = 2/alpha,
-    r^alpha, r^2, Gamma(a) and the area normaliser) is bound here once, so
-    a quadrature that evaluates m thousands of times pays for it once.
+    The receiver geometry (_geometry) is bound here once, so a quadrature
+    that evaluates m thousands of times pays for it once.
 
     For the annulus with x_in = s r_e^alpha >= a + 1 the two radius
     brackets are subtracted inside the gamma (the upper-regime form in the
     module docstring); below a + 1 their plain difference keeps its digits.
     """
-    alpha = params.alpha
-    a = 2.0 / alpha
-    gamma_a = math.gamma(a)
-    annulus = spec.cls is ReceiverClass.EDGE
-    if annulus:
-        r_out, r_in = params.r_0, params.r_e
-        norm = alpha * (r_out * r_out - r_in * r_in)
-    else:
-        r_out, r_in = params.r_c, 0.0
-        norm = alpha * r_out * r_out
-    out_alpha, out_sq = r_out**alpha, r_out * r_out
-    in_alpha, in_sq = r_in**alpha, r_in * r_in
+    a, gamma_a, annulus, norm, out_alpha, in_alpha, out_sq, in_sq = _geometry(spec.cls, params)
 
     def measure(s: float) -> float:
         # past the underflow point, and off (0, inf), the density is zero
@@ -223,13 +202,6 @@ def scale_measure(spec: SinrDist, params: SystemParams) -> Callable[[float], flo
     return measure
 
 
-def pdf(spec: SinrDist, t: float, params: SystemParams) -> float:
-    """Density of the SINR at level t (zero outside the open support)."""
-    if t <= 0.0 or t >= spec.theta:
-        return 0.0
-    return scale_measure(spec, params)(spec._s(t)) * spec._s_prime(t)
-
-
 def level_of_s(spec: SinrDist, s: float) -> float:
     """Inverse of the scale map: the SINR level whose threshold scale is s.
 
@@ -247,51 +219,3 @@ def level_of_s(spec: SinrDist, s: float) -> float:
 def pdf_s_measure(spec: SinrDist, s: float, params: SystemParams) -> float:
     """One value of the scale-coordinate density; see scale_measure."""
     return scale_measure(spec, params)(s)
-
-
-def outage_region(
-    kind: SinrKind, cls: ReceiverClass, t: float, split: PowerSplit
-) -> bool:
-    """True iff the coverage of this kind is identically zero at level t.
-
-    Direct power-split inequalities, equivalent to t >= theta for the
-    bounded kinds. The cache-cancelled private stream has no SINR ceiling,
-    so its coverage vanishes only when its own power allocation is zero.
-    """
-    if t <= 0.0:
-        raise ValueError("SINR level must be positive")
-    beta, rho = split.beta, split.rho
-    if cls is ReceiverClass.CENTER:
-        if kind is SinrKind.COMMON:
-            return beta <= t / (1.0 + t)
-        if kind is SinrKind.PRIVATE:
-            return rho <= t / (1.0 + t)
-        if kind is SinrKind.PRIVATE_INTERF:
-            if beta > 1.0 / (1.0 + t):
-                return True
-            return rho <= -t / (beta * t + beta - t - 1.0)
-        if kind is SinrKind.COMMON_IIC:
-            return beta <= rho * t / (1.0 + rho * t)
-        if kind is SinrKind.PRIVATE_IIC:
-            return (1.0 - beta) * rho == 0.0
-        # PRIVATE_INTERF_IIC
-        if rho == 0.0:
-            return beta > 0.0
-        return beta >= rho / (rho + t)
-    else:
-        if kind is SinrKind.COMMON:
-            return beta <= t / (1.0 + t)
-        if kind is SinrKind.PRIVATE:
-            return rho >= 1.0 / (1.0 + t)
-        if kind is SinrKind.PRIVATE_INTERF:
-            if beta > 1.0 / (1.0 + t):
-                return True
-            return rho >= (beta * t + beta - 1.0) / (beta * t + beta - t - 1.0)
-        if kind is SinrKind.COMMON_IIC:
-            return beta <= (rho * t - t) / (rho * t - t - 1.0)
-        if kind is SinrKind.PRIVATE_IIC:
-            return (1.0 - beta) * (1.0 - rho) == 0.0
-        # PRIVATE_INTERF_IIC
-        if rho == 1.0:
-            return beta > 0.0
-        return beta >= (rho - 1.0) / (rho - t - 1.0)

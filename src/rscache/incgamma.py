@@ -53,11 +53,6 @@ def reg_upper(a: float, x: float) -> float:
     return gammaincc(a, x)
 
 
-def lower(a: float, x: float) -> float:
-    """Unregularized lower incomplete gamma."""
-    return reg_lower(a, x) * math.gamma(a)
-
-
 def reg_lower_diff(a: float, x_lo: float, x_hi: float) -> float:
     """P(a, x_hi) - P(a, x_lo) for 0 <= x_lo <= x_hi, computed stably.
 

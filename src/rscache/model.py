@@ -18,10 +18,11 @@ which changes every SINR it sees.
 
 This module holds the plain scalar bookkeeping shared by the closed-form
 distributions, the rate integrals and the simulator: parameter containers,
-stream powers, per-stream SINR expressions, their almost-sure upper bounds,
-and the pre-log factors of the three delivery techniques (EFR, unicast of a
-whole file; PFR, unicast of the uncached fraction; XOR, one coded multicast
-serving all cached requests at once).
+stream powers, the pre-log factors of the three delivery techniques (EFR,
+unicast of a whole file; PFR, unicast of the uncached fraction; XOR, one
+coded multicast serving all cached requests at once), and the one table of
+SINR kinds, each a signal power over an interference power, from which the
+distributions and every almost-sure SINR bound are derived.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 
 class ReceiverClass(enum.Enum):
@@ -85,10 +87,18 @@ class SystemParams:
         # the negated comparisons also reject NaN
         if not (self.P >= 0 and self.sigma2 > 0):
             raise ValueError("need P >= 0 and sigma2 > 0")
+        if math.isinf(self.P):
+            # every SINR bound would be inf/inf; the high-power limit is
+            # what the asymptotic rows report
+            raise ValueError("P must be finite; use --asymptotic for the high-power limit")
         if not self.alpha > 2:
             raise ValueError("path-loss exponent must exceed 2")
         if not (0 < self.r_c <= self.r_e < self.r_0):
             raise ValueError("radii must satisfy 0 < r_c <= r_e < r_0")
+        try:
+            self.r_0**self.alpha
+        except OverflowError:
+            raise ValueError("r_0 ** alpha must fit a float") from None
         if self.K < 1 or self.M < 0 or self.N <= 0 or self.F < self.N:
             raise ValueError("need K >= 1, M >= 0, 0 < N <= F")
         if self.M >= self.N:
@@ -157,95 +167,29 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
-class SinrBounds:
-    """Almost-sure upper bounds of the SINR kinds for one receiver class.
-
-    ``common`` bounds COMMON, ``private`` bounds PRIVATE, ``private_interf``
-    bounds PRIVATE_INTERF and ``common_iic`` bounds COMMON_IIC. The
-    cache-cancelled private stream is noise limited (no finite bound) and
-    PRIVATE_INTERF_IIC is bounded by the inverse of ``common_iic``.
-    """
-
-    common: float
-    private: float
-    private_interf: float
-    common_iic: float
-
-    def __post_init__(self) -> None:
-        if self.common > self.common_iic:
-            raise ValueError("common bound cannot exceed its cancellation variant")
-
-    @property
-    def private_interf_iic(self) -> float:
-        if self.common_iic == 0.0:
-            return math.inf
-        if math.isinf(self.common_iic):
-            return 0.0
-        return 1.0 / self.common_iic
-
-    def bound(self, kind: SinrKind) -> float:
-        if kind is SinrKind.COMMON:
-            return self.common
-        if kind is SinrKind.PRIVATE:
-            return self.private
-        if kind is SinrKind.PRIVATE_INTERF:
-            return self.private_interf
-        if kind is SinrKind.COMMON_IIC:
-            return self.common_iic
-        if kind is SinrKind.PRIVATE_IIC:
-            return math.inf
-        return self.private_interf_iic
+# The one table of SINR kinds: kind -> (signal, interference) power as a
+# function of the common, own private and other private stream powers.
+# Noise enters every kind as sigma2 / L on top of the interference.
+_SINR_POWERS: dict[SinrKind, Callable[[float, float, float], tuple[float, float]]] = {
+    SinrKind.COMMON: lambda p0, pn, pk: (p0, pn + pk),
+    SinrKind.PRIVATE: lambda p0, pn, pk: (pn, pk),
+    SinrKind.PRIVATE_INTERF: lambda p0, pn, pk: (pn, p0 + pk),
+    SinrKind.COMMON_IIC: lambda p0, pn, pk: (p0, pn),
+    SinrKind.PRIVATE_IIC: lambda p0, pn, pk: (pn, 0.0),
+    SinrKind.PRIVATE_INTERF_IIC: lambda p0, pn, pk: (pn, p0),
+}
 
 
-def sinr_bounds(cls: ReceiverClass, powers: StreamPowers) -> SinrBounds:
-    """Noise-free SINR limits seen by one class under the given powers."""
-    pn = powers.own(cls)
-    pk = powers.other(cls)
-    return SinrBounds(
-        common=_ratio(powers.p0, pn + pk),
-        private=_ratio(pn, pk),
-        private_interf=_ratio(pn, powers.p0 + pk),
-        common_iic=_ratio(powers.p0, pn),
-    )
+def sinr_powers(
+    kind: SinrKind, cls: ReceiverClass, powers: StreamPowers
+) -> tuple[float, float]:
+    """(signal, interference) power of one SINR kind at one receiver class."""
+    return _SINR_POWERS[kind](powers.p0, powers.own(cls), powers.other(cls))
 
 
-def instantaneous_sinr(
-    kind: SinrKind,
-    cls: ReceiverClass,
-    powers: StreamPowers,
-    link_gain: float,
-    sigma2: float,
-) -> float:
-    """SINR of one stream at one receiver for a realized channel gain.
-
-    ``link_gain`` is the fading-scaled path gain L = h / (1 + d^alpha);
-    noise enters every denominator as sigma2 / L. Accepts L = inf as the
-    noise-free limit and then returns the corresponding bound.
-    """
-    if link_gain < 0:
-        raise ValueError("link gain must be nonnegative")
-    noise = math.inf if link_gain == 0.0 else sigma2 / link_gain
-    pn = powers.own(cls)
-    pk = powers.other(cls)
-    if kind is SinrKind.COMMON:
-        den = pn + pk + noise
-    elif kind is SinrKind.PRIVATE:
-        den = pk + noise
-    elif kind is SinrKind.PRIVATE_INTERF:
-        den = powers.p0 + pk + noise
-    elif kind is SinrKind.COMMON_IIC:
-        den = pn + noise
-    elif kind is SinrKind.PRIVATE_IIC:
-        den = noise
-    else:  # PRIVATE_INTERF_IIC
-        den = powers.p0 + noise
-    num = powers.p0 if kind in (SinrKind.COMMON, SinrKind.COMMON_IIC) else pn
-    if den == 0.0:
-        return math.inf
-    if math.isinf(den):
-        return 0.0
-    return num / den
+def sinr_bound(kind: SinrKind, cls: ReceiverClass, powers: StreamPowers) -> float:
+    """Noise-free SINR limit of one kind: its signal over its interference."""
+    return _ratio(*sinr_powers(kind, cls, powers))
 
 
 @dataclass(frozen=True)
@@ -270,11 +214,11 @@ class PrelogFactors:
             raise ValueError("pre-log index must be 1, 2 or 3") from None
 
 
-def prelog_factors(K: int, M: int, N: int) -> PrelogFactors:
-    """Pre-log factors for a coded-caching configuration.
+def replication_degree(K: int, M: int, N: int) -> int:
+    """Coded-caching replication degree t = M K / N, checked.
 
-    Requires 0 < M < N and an integral replication degree t = M K / N with
-    1 <= t <= K - 1, the regime where subfile placement is well defined.
+    Requires 0 < M < N and an integral t with 1 <= t <= K - 1, the regime
+    where subfile placement is well defined.
     """
     if not 0 < M < N:
         raise ValueError("need 0 < M < N")
@@ -283,6 +227,12 @@ def prelog_factors(K: int, M: int, N: int) -> PrelogFactors:
         raise ValueError(
             f"replication degree M*K/N = {t} must be an integer in [1, K-1]"
         )
+    return int(t)
+
+
+def prelog_factors(K: int, M: int, N: int) -> PrelogFactors:
+    """Pre-log factors for a coded-caching configuration (see replication_degree)."""
+    replication_degree(K, M, N)
     frac = 1.0 - M / N
     return PrelogFactors(efr=1.0, pfr=1.0 / frac, xor=(1.0 + M * K / N) / frac)
 

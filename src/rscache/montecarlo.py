@@ -42,7 +42,7 @@ from .model import (
     private_sinr_threshold,
     stream_powers,
 )
-from .rates import RateComponents, RateReport, omega_value
+from .rates import RateComponents, RateReport, omegas
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,9 @@ def _sinr_vec(
     sigma2: float,
     out: np.ndarray,
 ) -> np.ndarray:
-    # mirrors the scalar instantaneous_sinr ratio by ratio; kept literal so
-    # the simulator never shares coefficients with the distribution module.
+    # mirrors the scalar oracle instantaneous_sinr in tests/oracles.py ratio
+    # by ratio; kept literal so the simulator never shares coefficients with
+    # the SINR table in model.
     # The denominator starts as the noise term in out and becomes the SINR
     # in place.
     with np.errstate(divide="ignore"):
@@ -324,8 +325,7 @@ class _SubcaseStreams:
 
 
 def _streams(subcase: Subcase, params: SystemParams) -> _SubcaseStreams:
-    w_c = omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))
-    w_e = omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))
+    w_c, w_e = omegas(params, subcase)
     iic_c = subcase.iic_at is ReceiverClass.CENTER
     iic_e = subcase.iic_at is ReceiverClass.EDGE
     return _SubcaseStreams(

@@ -46,7 +46,7 @@ from .model import (
     SystemParams,
     prelog_factors,
     private_sinr_threshold,
-    sinr_bounds,
+    sinr_bound,
     stream_powers,
 )
 from .quadrature import DEFAULT_RTOL, integrate_log_scaled
@@ -86,8 +86,24 @@ def omega_value(params: SystemParams, index: int) -> float:
     return prelog_factors(params.K, params.M, params.N).by_index(index)
 
 
-def _common_kind(iic: bool) -> SinrKind:
-    return SinrKind.COMMON_IIC if iic else SinrKind.COMMON
+def omegas(params: SystemParams, subcase: Subcase) -> tuple[float, float]:
+    """(omega_c, omega_e): the pre-logs of a subcase's center and edge streams."""
+    return (
+        omega_value(params, subcase.prelog_index(ReceiverClass.CENTER)),
+        omega_value(params, subcase.prelog_index(ReceiverClass.EDGE)),
+    )
+
+
+_IIC_VARIANT = {
+    SinrKind.COMMON: SinrKind.COMMON_IIC,
+    SinrKind.PRIVATE: SinrKind.PRIVATE_IIC,
+    SinrKind.PRIVATE_INTERF: SinrKind.PRIVATE_INTERF_IIC,
+}
+
+
+def _variant(kind: SinrKind, iic: bool) -> SinrKind:
+    """The kind a receiver sees: its cancellation variant when it cancels."""
+    return _IIC_VARIANT[kind] if iic else kind
 
 
 def _mean_lograte(
@@ -141,10 +157,10 @@ def gap_thresholds(params: SystemParams, split: PowerSplit, cls: ReceiverClass) 
     cancellation variants because the bound ratio collapses either way.
     Only meaningful while zeta sits below the relevant common bound.
     """
-    b = sinr_bounds(cls, stream_powers(params.P, split))
-    r = _mul(b.common_iic, _inv(params.zeta))
+    common_iic = sinr_bound(SinrKind.COMMON_IIC, cls, stream_powers(params.P, split))
+    r = _mul(common_iic, _inv(params.zeta))
     after = _inv(r - 1.0) if r > 1.0 else math.inf
-    with_i = _inv(r + b.common_iic - 1.0) if r + b.common_iic > 1.0 else math.inf
+    with_i = _inv(r + common_iic - 1.0) if r + common_iic > 1.0 else math.inf
     return after, with_i
 
 
@@ -158,9 +174,22 @@ def common_rate_single(
 ) -> float:
     """E[log2(1 + common SINR) | it clears zeta] for one receiver, pre-log free."""
     powers = stream_powers(params.P, split)
-    spec = dist_spec(_common_kind(iic), cls, powers, params)
+    spec = dist_spec(_variant(SinrKind.COMMON, iic), cls, powers, params)
     pi = coverage(spec, params.zeta, params)
     return _mean_lograte(spec, 1.0, params.zeta, spec.theta, pi, params, rtol)
+
+
+def _common_pair(
+    params: SystemParams, split: PowerSplit, iic_at: ReceiverClass | None
+) -> tuple[SinrDist, SinrDist, float, float]:
+    """Center and edge common-stream laws and their decode probabilities."""
+    powers = stream_powers(params.P, split)
+    spec_c, spec_e = (
+        dist_spec(_variant(SinrKind.COMMON, iic_at is cls), cls, powers, params)
+        for cls in (ReceiverClass.CENTER, ReceiverClass.EDGE)
+    )
+    z = params.zeta
+    return spec_c, spec_e, coverage(spec_c, z, params), coverage(spec_e, z, params)
 
 
 @lru_cache(maxsize=4096)
@@ -177,16 +206,8 @@ def common_rate_both(
     the other receiver only enters through its closed-form tail probability
     at the same level.
     """
-    powers = stream_powers(params.P, split)
     z = params.zeta
-    spec_c = dist_spec(
-        _common_kind(iic_at is ReceiverClass.CENTER), ReceiverClass.CENTER, powers, params
-    )
-    spec_e = dist_spec(
-        _common_kind(iic_at is ReceiverClass.EDGE), ReceiverClass.EDGE, powers, params
-    )
-    pi_c = coverage(spec_c, z, params)
-    pi_e = coverage(spec_e, z, params)
+    spec_c, spec_e, pi_c, pi_e = _common_pair(params, split, iic_at)
     if pi_c <= 0.0 or pi_e <= 0.0:
         return 0.0
 
@@ -221,16 +242,8 @@ def _nested_common_rate_both(
     integral runs at a tenth of the outer tolerance. Orders of magnitude
     slower than the production path, so tests sample it sparingly.
     """
-    powers = stream_powers(params.P, split)
     z = params.zeta
-    spec_c = dist_spec(
-        _common_kind(iic_at is ReceiverClass.CENTER), ReceiverClass.CENTER, powers, params
-    )
-    spec_e = dist_spec(
-        _common_kind(iic_at is ReceiverClass.EDGE), ReceiverClass.EDGE, powers, params
-    )
-    pi_c = coverage(spec_c, z, params)
-    pi_e = coverage(spec_e, z, params)
+    spec_c, spec_e, pi_c, pi_e = _common_pair(params, split, iic_at)
     if pi_c <= 0.0 or pi_e <= 0.0:
         return 0.0
     inner_rtol = rtol * 0.1
@@ -282,7 +295,7 @@ def common_stream_rate(
     """
     powers = stream_powers(params.P, split)
     other = cls.other
-    other_spec = dist_spec(_common_kind(iic_at is other), other, powers, params)
+    other_spec = dist_spec(_variant(SinrKind.COMMON, iic_at is other), other, powers, params)
     pi_other = coverage(other_spec, params.zeta, params)
     share = params.u if cls is ReceiverClass.CENTER else 1.0 - params.u
     both = common_rate_both(params, split, iic_at, rtol)
@@ -309,22 +322,19 @@ def private_rate_after_common(
     powers = stream_powers(params.P, split)
     if powers.own(cls) == 0.0:
         return 0.0
-    b = sinr_bounds(cls, powers)
     z = params.zeta
-    common_bound = b.common_iic if iic else b.common
-    if not z < common_bound:
+    spec0 = dist_spec(_variant(SinrKind.COMMON, iic), cls, powers, params)
+    if not z < spec0.theta:
         return 0.0
     xi_t = private_sinr_threshold(omega, params.xi)
-    kind = SinrKind.PRIVATE_IIC if iic else SinrKind.PRIVATE
-    spec = dist_spec(kind, cls, powers, params)
-    bound = spec.theta if iic else b.private
+    spec = dist_spec(_variant(SinrKind.PRIVATE, iic), cls, powers, params)
+    bound = spec.theta
     if xi_t >= bound:
         return 0.0
     after, _ = gap_thresholds(params, split, cls)
     if xi_t >= after:
         norm = coverage(spec, xi_t, params)
         return _mean_lograte(spec, omega, xi_t, bound, norm, params, rtol)
-    spec0 = dist_spec(_common_kind(iic), cls, powers, params)
     norm = coverage(spec0, z, params)
     return _mean_lograte(spec, omega, after, bound, norm, params, rtol)
 
@@ -347,14 +357,12 @@ def private_rate_with_interference(
     powers = stream_powers(params.P, split)
     if powers.own(cls) == 0.0:
         return 0.0
-    b = sinr_bounds(cls, powers)
     z = params.zeta
-    common_bound = b.common_iic if iic else b.common
+    spec0 = dist_spec(_variant(SinrKind.COMMON, iic), cls, powers, params)
     xi_t = private_sinr_threshold(omega, params.xi)
-    kind = SinrKind.PRIVATE_INTERF_IIC if iic else SinrKind.PRIVATE_INTERF
-    spec = dist_spec(kind, cls, powers, params)
-    bound = b.private_interf_iic if iic else b.private_interf
-    if z >= common_bound:
+    spec = dist_spec(_variant(SinrKind.PRIVATE_INTERF, iic), cls, powers, params)
+    bound = spec.theta
+    if z >= spec0.theta:
         # at or above the ceiling the common decode never happens, so the
         # interference route carries the whole conditioning
         if xi_t >= bound:
@@ -364,7 +372,6 @@ def private_rate_with_interference(
     _, with_i = gap_thresholds(params, split, cls)
     if not xi_t < with_i:
         return 0.0
-    spec0 = dist_spec(_common_kind(iic), cls, powers, params)
     norm = coverage(spec, xi_t, params) - coverage(spec0, z, params)
     if norm <= 0.0:
         return 0.0
@@ -397,19 +404,13 @@ def achieved_rate(
     probability and min-SINR law).
     """
     powers = stream_powers(params.P, split)
-    b = sinr_bounds(cls, powers)
     z = params.zeta
     xi_t = private_sinr_threshold(omega, params.xi)
     self_iic = iic_at is cls
-    common_bound = b.common_iic if self_iic else b.common
-    pif_bound = b.private_interf_iic if self_iic else b.private_interf
-    kind_0 = _common_kind(self_iic)
-    kind_pi = SinrKind.PRIVATE_INTERF_IIC if self_iic else SinrKind.PRIVATE_INTERF
-    kind_p = SinrKind.PRIVATE_IIC if self_iic else SinrKind.PRIVATE
-    spec_0 = dist_spec(kind_0, cls, powers, params)
-    spec_pi = dist_spec(kind_pi, cls, powers, params)
+    spec_0 = dist_spec(_variant(SinrKind.COMMON, self_iic), cls, powers, params)
+    spec_pi = dist_spec(_variant(SinrKind.PRIVATE_INTERF, self_iic), cls, powers, params)
 
-    if z < common_bound:
+    if z < spec_0.theta:
         after, with_i = gap_thresholds(params, split, cls)
         pi_0 = coverage(spec_0, z, params)
         rs0 = common_stream_rate(params, split, cls, omega, iic_at, rtol)
@@ -427,12 +428,12 @@ def achieved_rate(
             )
         if xi_t < after:
             return ReceiverRate(rate=rs0 + rp, q=pi_0, branch="B2")
-        spec_p = dist_spec(kind_p, cls, powers, params)
+        spec_p = dist_spec(_variant(SinrKind.PRIVATE, self_iic), cls, powers, params)
         pi_p = coverage(spec_p, xi_t, params)
         ratio = _clamp01(pi_p / pi_0) if pi_0 > 0.0 else 0.0
         return ReceiverRate(rate=rs0 + ratio * rp, q=pi_0, branch="B1")
 
-    if xi_t < pif_bound:
+    if xi_t < spec_pi.theta:
         rpi = private_rate_with_interference(params, split, cls, omega, self_iic, rtol)
         pi_pif = coverage(spec_pi, xi_t, params)
         return ReceiverRate(rate=rpi, q=pi_pif, branch="B4")
@@ -498,8 +499,7 @@ def evaluate_subcase(
     rtol: float = DEFAULT_RTOL,
 ) -> RateReport:
     """Closed-form evaluation of one served configuration."""
-    w_c = omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))
-    w_e = omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))
+    w_c, w_e = omegas(params, subcase)
     iic_at = subcase.iic_at
     center = achieved_rate(params, split, ReceiverClass.CENTER, w_c, iic_at, rtol)
     edge = achieved_rate(params, split, ReceiverClass.EDGE, w_e, iic_at, rtol)
@@ -555,23 +555,26 @@ def asymptotic_rate(
     common stream stays decodable; everything else saturates.
     """
     powers = stream_powers(params.P, split)
-    b = sinr_bounds(cls, powers)
+    iic = iic_at is cls
+
+    def bound(kind: SinrKind) -> float:
+        return sinr_bound(_variant(kind, iic), cls, powers)
+
     z = params.zeta
     xi_t = private_sinr_threshold(omega, params.xi)
-    if iic_at is cls:
-        if z < b.common_iic:
+    common = bound(SinrKind.COMMON)
+    if z < common:
+        if iic:
             return math.inf
-        if xi_t < b.private_interf_iic:
-            return lograte(omega, b.private_interf_iic)
-        return 0.0
-    share = params.u if cls is ReceiverClass.CENTER else 1.0 - params.u
-    if z < b.common:
-        rate = share * lograte(omega, b.common)
-        if xi_t < b.private:
-            rate += lograte(omega, b.private)
+        share = params.u if cls is ReceiverClass.CENTER else 1.0 - params.u
+        rate = share * lograte(omega, common)
+        private = bound(SinrKind.PRIVATE)
+        if xi_t < private:
+            rate += lograte(omega, private)
         return rate
-    if xi_t < b.private_interf:
-        return lograte(omega, b.private_interf)
+    private_interf = bound(SinrKind.PRIVATE_INTERF)
+    if xi_t < private_interf:
+        return lograte(omega, private_interf)
     return 0.0
 
 
@@ -579,8 +582,7 @@ def asymptotic_report(
     subcase: Subcase, params: SystemParams, split: PowerSplit
 ) -> RateReport:
     """High-power limits for one subcase; infinities pass through the sum."""
-    w_c = omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))
-    w_e = omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))
+    w_c, w_e = omegas(params, subcase)
     r_c = asymptotic_rate(params, split, ReceiverClass.CENTER, w_c, subcase.iic_at)
     r_e = asymptotic_rate(params, split, ReceiverClass.EDGE, w_e, subcase.iic_at)
     return RateReport(

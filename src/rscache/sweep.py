@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caching import Mode, Subcase, parse_subcase_token
-from .model import PowerSplit, ReceiverClass, SystemParams
+from .model import PowerSplit, SystemParams
 from .montecarlo import SimConfig, estimate_rates
-from .rates import RateReport, asymptotic_report, evaluate_subcase, omega_value
+from .rates import RateReport, asymptotic_report, evaluate_subcase, omegas
 
 CSV_HEADER = (
     "var,value,mode,subcase,omega_c,omega_e,iic,method,"
@@ -130,19 +130,15 @@ def _row(
     params: SystemParams,
     report: RateReport,
 ) -> str:
-    iic = "none"
-    if subcase.iic_at is ReceiverClass.CENTER:
-        iic = "center"
-    elif subcase.iic_at is ReceiverClass.EDGE:
-        iic = "edge"
+    w_c, w_e = omegas(params, subcase)
     cells = [
         spec.variable,
         _fmt(value),
         spec.mode.value,
-        f"{subcase.center.name.lower()}/{subcase.edge.name.lower()}",
-        _fmt(omega_value(params, subcase.prelog_index(ReceiverClass.CENTER))),
-        _fmt(omega_value(params, subcase.prelog_index(ReceiverClass.EDGE))),
-        iic,
+        subcase.token.partition("+")[0],
+        _fmt(w_c),
+        _fmt(w_e),
+        subcase.iic_at.value if subcase.iic_at else "none",
         report.method,
         _fmt(report.r_center),
         _fmt(report.r_edge),

@@ -1,12 +1,30 @@
-"""Numerical oracles that only the tests use, kept out of the package."""
+"""Oracles that only the tests use, kept out of the package.
+
+Each restates a production quantity a second way, so a test can check the
+package against something that does not share its code: the per-draw SINR
+written out kind by kind, the outage region as direct power-split
+inequalities, the SINR density in level coordinates, a plain-interval
+quadrature, and a request-pattern classifier that maps raw popularity ranks
+to the served subcase.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
+import numpy as np
 from scipy import integrate
 
+from rscache.caching import Mode, Subcase, Technique
+from rscache.distributions import SinrDist, scale_measure
+from rscache.model import (
+    PowerSplit,
+    ReceiverClass,
+    SinrKind,
+    StreamPowers,
+    SystemParams,
+)
 from rscache.quadrature import _LIMIT, DEFAULT_RTOL, _check
 
 
@@ -46,3 +64,186 @@ def integrate_interval(
         with_endpoint_pulled_out, 0.0, math.inf, epsabs=0.0, epsrel=rtol, limit=_LIMIT, full_output=1
     )
     return _check(res, rtol, "open-bound quadrature failed")
+
+
+def instantaneous_sinr(
+    kind: SinrKind,
+    cls: ReceiverClass,
+    powers: StreamPowers,
+    link_gain: float,
+    sigma2: float,
+) -> float:
+    """SINR of one stream at one receiver for a realized channel gain.
+
+    ``link_gain`` is the fading-scaled path gain L = h / (1 + d^alpha);
+    noise enters every denominator as sigma2 / L. Accepts L = inf as the
+    noise-free limit and then returns the corresponding bound.
+    """
+    if link_gain < 0:
+        raise ValueError("link gain must be nonnegative")
+    noise = math.inf if link_gain == 0.0 else sigma2 / link_gain
+    pn = powers.own(cls)
+    pk = powers.other(cls)
+    if kind is SinrKind.COMMON:
+        den = pn + pk + noise
+    elif kind is SinrKind.PRIVATE:
+        den = pk + noise
+    elif kind is SinrKind.PRIVATE_INTERF:
+        den = powers.p0 + pk + noise
+    elif kind is SinrKind.COMMON_IIC:
+        den = pn + noise
+    elif kind is SinrKind.PRIVATE_IIC:
+        den = noise
+    else:  # PRIVATE_INTERF_IIC
+        den = powers.p0 + noise
+    num = powers.p0 if kind in (SinrKind.COMMON, SinrKind.COMMON_IIC) else pn
+    if den == 0.0:
+        return math.inf
+    if math.isinf(den):
+        return 0.0
+    return num / den
+
+
+def outage_region(
+    kind: SinrKind, cls: ReceiverClass, t: float, split: PowerSplit
+) -> bool:
+    """True iff the coverage of this kind is identically zero at level t.
+
+    Direct power-split inequalities, equivalent to t >= theta for the
+    bounded kinds. The cache-cancelled private stream has no SINR ceiling,
+    so its coverage vanishes only when its own power allocation is zero.
+    """
+    if t <= 0.0:
+        raise ValueError("SINR level must be positive")
+    beta, rho = split.beta, split.rho
+    if cls is ReceiverClass.CENTER:
+        if kind is SinrKind.COMMON:
+            return beta <= t / (1.0 + t)
+        if kind is SinrKind.PRIVATE:
+            return rho <= t / (1.0 + t)
+        if kind is SinrKind.PRIVATE_INTERF:
+            if beta > 1.0 / (1.0 + t):
+                return True
+            return rho <= -t / (beta * t + beta - t - 1.0)
+        if kind is SinrKind.COMMON_IIC:
+            return beta <= rho * t / (1.0 + rho * t)
+        if kind is SinrKind.PRIVATE_IIC:
+            return (1.0 - beta) * rho == 0.0
+        # PRIVATE_INTERF_IIC
+        if rho == 0.0:
+            return beta > 0.0
+        return beta >= rho / (rho + t)
+    else:
+        if kind is SinrKind.COMMON:
+            return beta <= t / (1.0 + t)
+        if kind is SinrKind.PRIVATE:
+            return rho >= 1.0 / (1.0 + t)
+        if kind is SinrKind.PRIVATE_INTERF:
+            if beta > 1.0 / (1.0 + t):
+                return True
+            return rho >= (beta * t + beta - 1.0) / (beta * t + beta - t - 1.0)
+        if kind is SinrKind.COMMON_IIC:
+            return beta <= (rho * t - t) / (rho * t - t - 1.0)
+        if kind is SinrKind.PRIVATE_IIC:
+            return (1.0 - beta) * (1.0 - rho) == 0.0
+        # PRIVATE_INTERF_IIC
+        if rho == 1.0:
+            return beta > 0.0
+        return beta >= (rho - 1.0) / (rho - t - 1.0)
+
+
+def _s_prime(spec: SinrDist, t: float) -> float:
+    """ds/dt of the scale map s(t) = sigma2 t / (d1 - d2 t)."""
+    den = spec.d1 - spec.d2 * t
+    if den <= 0.0 or spec.d1 == 0.0:
+        return math.inf
+    return spec.sigma2 * spec.d1 / (den * den)
+
+
+def pdf(spec: SinrDist, t: float, params: SystemParams) -> float:
+    """Density of the SINR at level t (zero outside the open support)."""
+    if t <= 0.0 or t >= spec.theta:
+        return 0.0
+    return scale_measure(spec, params)(spec._s(t)) * _s_prime(spec, t)
+
+
+def _classify_side(
+    mode: Mode,
+    cls: ReceiverClass,
+    ranks: Sequence[int],
+    params: SystemParams,
+    rng,
+) -> tuple[Technique, int, int]:
+    """Technique, scheduled-receiver count and served rank for one class."""
+    if len(ranks) != params.K:
+        raise ValueError(f"need one request per receiver (K={params.K})")
+    if any(not 1 <= r <= params.F for r in ranks):
+        raise ValueError("ranks must lie in [1, F]")
+    if not mode.is_cc(cls):
+        # MPC side: the top-M files are served from cache; by the worst-case
+        # model assumption somebody wants a file beyond them.
+        pending = [i for i, r in enumerate(ranks) if r > params.M]
+        if not pending:
+            raise ValueError(
+                "every request is cached locally; the model assumes at least "
+                "one MPC-side request beyond the top M files"
+            )
+        pick = pending[int(rng.integers(len(pending)))]
+        return Technique.EFR, 1, ranks[pick]
+    if all(r <= params.N for r in ranks):
+        # feasible coded round; the cancellation question looks at all K ranks
+        worst = max(ranks)
+        return Technique.XOR, params.K, worst
+    pick = int(rng.integers(params.K))
+    rank = ranks[pick]
+    return (Technique.PFR if rank <= params.N else Technique.EFR), 1, rank
+
+
+def classify_subcase(
+    mode: Mode,
+    center_requests: Sequence[int],
+    edge_requests: Sequence[int],
+    params: SystemParams,
+    rng,
+) -> Subcase:
+    """Map a request pattern to the served subcase.
+
+    ``rng`` (a numpy Generator) breaks ties when a unicast receiver must be
+    picked. For a CC class the coded round runs iff all K ranks fit the
+    catalog; otherwise one receiver is scheduled uniformly at random. The
+    MPC-side receiver gets the cancellation flag iff everything served to
+    the CC side has rank <= M (whole files in the MPC cache).
+    """
+    c_tech, c_count, c_rank = _classify_side(
+        mode, ReceiverClass.CENTER, center_requests, params, rng
+    )
+    e_tech, e_count, e_rank = _classify_side(
+        mode, ReceiverClass.EDGE, edge_requests, params, rng
+    )
+    iic_at = None
+    if mode is Mode.CC_MPC and c_tech is not Technique.EFR and c_rank <= params.M:
+        iic_at = ReceiverClass.EDGE
+    elif mode is Mode.MPC_CC and e_tech is not Technique.EFR and e_rank <= params.M:
+        iic_at = ReceiverClass.CENTER
+    return Subcase(
+        mode=mode,
+        center=c_tech,
+        edge=e_tech,
+        iic_at=iic_at,
+        scheduled_center=c_count,
+        scheduled_edge=e_count,
+    )
+
+
+def sample_requests(params: SystemParams, count: int, rng, gamma: float = 0.0):
+    """Draw popularity ranks from a truncated Zipf law over [1, F].
+
+    gamma = 0 gives the uniform default; larger gamma skews toward low
+    ranks. Returns an integer numpy array of shape (count,).
+    """
+    if gamma < 0:
+        raise ValueError("Zipf exponent must be nonnegative")
+    ranks = np.arange(1, params.F + 1, dtype=float)
+    w = ranks**-gamma if gamma > 0 else np.ones_like(ranks)
+    w /= w.sum()
+    return rng.choice(np.arange(1, params.F + 1), size=count, p=w)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rscache.caching import CodedCacheConfig, Mode, cc_place, parse_subcase_token
-from rscache.distributions import coverage, dist_spec, outage_region
+from rscache.distributions import coverage
 from rscache.model import (
     PowerSplit,
     ReceiverClass,
@@ -28,6 +28,7 @@ from rscache.montecarlo import SimConfig, estimate_coverage, estimate_rates, sam
 from rscache.rates import asymptotic_report, evaluate_subcase
 from rscache.sweep import MODE_SUBCASES, SweepSpec, compare_reports, run_sweep
 
+from oracles import outage_region
 from test_caching import ALL_SMALL, decodes
 from test_distributions import quantile, spec_for, tail_mass
 

@@ -18,12 +18,12 @@ from rscache.caching import (
     Technique,
     cc_delivery_schedule,
     cc_place,
-    classify_subcase,
     make_subcase,
     parse_subcase_token,
-    sample_requests,
 )
 from rscache.model import ReceiverClass, SystemParams
+
+from oracles import classify_subcase, sample_requests
 
 
 def small_configs(max_k=6, max_n=12):

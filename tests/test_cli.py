@@ -131,13 +131,23 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("setting", ["zeta=nan", "alpha=nan"])
+@pytest.mark.parametrize("setting", ["zeta=nan", "alpha=nan", "P=inf", "alpha=200"])
 def test_nan_setting_exits_1_without_output(setting, tmp_path, capsys):
     out = tmp_path / "x.csv"
     argv = ["sweep", "--var", "beta", "--from", "0.3", "--to", "0.6",
             "--points", "2", "--mode", "all-mpc", "--set", setting]
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert not out.exists()
+    assert "must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cls, setting", [("center", "alpha=200"), ("edge", "r_0=1e200")]
+)
+def test_overflowing_path_loss_exits_1(cls, setting, capsys):
+    argv = ["coverage", "--kind", "common", "--cls", cls, "--t", "0.5",
+            "--no-mc", "--set", setting]
+    assert cli.main(argv) == 1
     assert "must" in capsys.readouterr().err
 
 
@@ -235,6 +245,25 @@ def test_figure_preset_writes_files(tmp_path, capsys):
     rows = (tmp_path / "fig5.csv").read_text().splitlines()
     assert len(rows) == 96
     assert all(",analytic," in r for r in rows[1:])
+
+
+def test_figure_seed_env_then_flag(tmp_path, monkeypatch):
+    # figure resolves its seed like sweep: RSCACHE_SEED beats the preset,
+    # --seed beats RSCACHE_SEED
+    def fig5(name, extra):
+        out_dir = tmp_path / name
+        argv = ["figure", "fig5", "--methods", "mc", "--samples", "2000",
+                "--out-dir", str(out_dir)]
+        assert cli.main(argv + extra) == 0
+        return (out_dir / "fig5.csv").read_bytes()
+
+    monkeypatch.delenv("RSCACHE_SEED", raising=False)
+    seed7 = fig5("seed7", ["--seed", "7"])
+    seed11 = fig5("seed11", ["--seed", "11"])
+    monkeypatch.setenv("RSCACHE_SEED", "7")
+    assert fig5("env7", []) == seed7
+    assert fig5("env7_flag11", ["--seed", "11"]) == seed11
+    assert seed7 != seed11
 
 
 def test_module_entry_point():

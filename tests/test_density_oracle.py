@@ -29,7 +29,7 @@ from rscache.model import (
     SinrKind,
     SystemParams,
     private_sinr_threshold,
-    sinr_bounds,
+    sinr_bound,
     stream_powers,
 )
 from rscache.rates import (
@@ -40,6 +40,7 @@ from rscache.rates import (
     private_rate_after_common,
     private_rate_with_interference,
 )
+from rscache.sweep import figure_presets
 
 PARAMS = SystemParams()
 STOCK = PowerSplit(beta=0.5, rho=0.5)
@@ -204,7 +205,7 @@ def test_private_rate_after_common_edge_matches_mpmath():
     assert xi_t < after
     spec = dist_spec(SinrKind.PRIVATE, cls, powers, PARAMS)
     spec0 = dist_spec(SinrKind.COMMON, cls, powers, PARAMS)
-    bound = sinr_bounds(cls, powers).private
+    bound = sinr_bound(SinrKind.PRIVATE, cls, powers)
     with mp.workdps(RATE_DPS):
         want = omega * _ref_expect(spec, after, bound) / _ref_coverage(spec0, PARAMS.zeta)
     got = private_rate_after_common(PARAMS, STOCK, cls, omega, False, 1e-9)
@@ -216,14 +217,41 @@ def test_private_rate_with_interference_deep_edge_matches_mpmath():
     # conditioning, here on q_e = 1.59e-49; the cancelling density read 0
     powers = _powers(DEEP)
     cls = ReceiverClass.EDGE
-    b = sinr_bounds(cls, powers)
-    assert PARAMS.zeta >= b.common
+    assert PARAMS.zeta >= sinr_bound(SinrKind.COMMON, cls, powers)
     spec = dist_spec(SinrKind.PRIVATE_INTERF, cls, powers, PARAMS)
     xi_t = private_sinr_threshold(1.0, PARAMS.xi)
     q = coverage(spec, xi_t, PARAMS)
     assert 1e-50 < q < 1e-48
+    bound = sinr_bound(SinrKind.PRIVATE_INTERF, cls, powers)
     with mp.workdps(RATE_DPS):
-        want = _ref_expect(spec, xi_t, b.private_interf) / _ref_coverage(spec, xi_t)
+        want = _ref_expect(spec, xi_t, bound) / _ref_coverage(spec, xi_t)
     got = private_rate_with_interference(PARAMS, DEEP, cls, 1.0, False, 1e-9)
     assert got == pytest.approx(float(want), rel=1e-10)
     assert got == pytest.approx(1.00139693407776, rel=1e-12)
+
+
+def test_cancelled_interference_route_at_high_power_matches_mpmath():
+    # fig9 at P = 10^5.5, beta = 0.3: the cancelling center receiver is
+    # served only through the interference route, whose integral runs up
+    # to the table bound theta = pc/p0. The disk density decays by a power
+    # law in s, so the reference integrates in log s up to where e^-s has
+    # underflowed (the x-axis cut of _ref_expect suits the annulus only).
+    name, spec9 = figure_presets()["fig9"][2]
+    params, split = spec9.at(spec9.grid()[11])
+    cls = ReceiverClass.CENTER
+    powers = stream_powers(params.P, split)
+    assert params.zeta >= sinr_bound(SinrKind.COMMON_IIC, cls, powers)
+    spec = dist_spec(SinrKind.PRIVATE_INTERF_IIC, cls, powers, params)
+    xi_t = private_sinr_threshold(1.0, params.xi)
+    with mp.workdps(40):
+        lo = mp.log(_scale(spec, xi_t))
+
+        def f(u):
+            s = mp.exp(u)
+            return mp.log(1 + _level(spec, s), 2) * _measure(cls, s) * s
+
+        pts = [lo] + [mp.mpf(k) for k in range(int(lo) + 1, 8)]
+        want = mp.quad(f, pts) / _ref_coverage(spec, xi_t)
+    got = private_rate_with_interference(params, split, cls, 1.0, True, 1e-9)
+    assert name == "fig9_iic_beta03.csv"
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)

@@ -16,8 +16,6 @@ from rscache.distributions import (
     coverage,
     dist_spec,
     level_of_s,
-    outage_region,
-    pdf,
     pdf_s_measure,
 )
 from rscache.model import (
@@ -25,13 +23,13 @@ from rscache.model import (
     ReceiverClass,
     SinrKind,
     SystemParams,
-    sinr_bounds,
+    sinr_bound,
     stream_powers,
 )
 from rscache.montecarlo import SimConfig, estimate_coverage
 from rscache.quadrature import integrate_log_scaled
 
-from oracles import integrate_interval
+from oracles import _s_prime, integrate_interval, outage_region, pdf
 
 PARAMS = SystemParams()
 SPLIT = PowerSplit(beta=0.5, rho=0.5)
@@ -133,7 +131,7 @@ def test_pdf_is_zero_outside_the_support(kind, cls):
 def test_outage_region_agrees_with_the_bound(kind, cls, beta, rho, t):
     split = PowerSplit(beta=beta, rho=rho)
     spec = spec_for(kind, cls, split)
-    bound = sinr_bounds(cls, stream_powers(PARAMS.P, split)).bound(kind)
+    bound = sinr_bound(kind, cls, stream_powers(PARAMS.P, split))
     in_outage = outage_region(kind, cls, t, split)
     assert in_outage == (t >= bound)
     if in_outage:
@@ -180,7 +178,7 @@ def test_scale_measure_matches_the_density():
     s = spec._s(t)
     # m(s) ds = g(t) dt, so m(s) = g(t) / s'(t)
     assert pdf_s_measure(spec, s, PARAMS) == pytest.approx(
-        pdf(spec, t, PARAMS) / spec._s_prime(t), rel=1e-10
+        pdf(spec, t, PARAMS) / _s_prime(spec, t), rel=1e-10
     )
 
 

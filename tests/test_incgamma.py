@@ -4,14 +4,12 @@ The table below was frozen from mpmath.gammainc at 40 decimal digits;
 the live hypothesis check reuses mpmath directly.
 """
 
-import math
-
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rscache.incgamma import lower, reg_lower, reg_lower_diff, reg_upper
+from rscache.incgamma import reg_lower, reg_lower_diff, reg_upper
 
 # (a, x, regularized lower value); a = 2/alpha for the exponents the
 # coverage formulas use, plus a > 1 to cross the series/fraction split.
@@ -54,13 +52,6 @@ def test_reg_upper_is_the_complement(a, x, expected):
 def test_edge_values():
     assert reg_lower(0.5, 0.0) == 0.0
     assert reg_upper(0.5, 0.0) == 1.0
-    assert lower(1.0, 0.0) == 0.0
-
-
-def test_unnormalized_scales_by_gamma():
-    a = 0.5
-    x = 1.3
-    assert lower(a, x) == pytest.approx(reg_lower(a, x) * math.gamma(a), rel=1e-12)
 
 
 def test_diff_of_bounds():

@@ -1,20 +1,22 @@
 """Stream powers, SINR bounds and pre-log factors."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import instantaneous_sinr
 
+from rscache.distributions import dist_spec
 from rscache.model import (
     PowerSplit,
     ReceiverClass,
     SinrKind,
     SystemParams,
-    instantaneous_sinr,
     prelog_factors,
     private_sinr_threshold,
-    sinr_bounds,
+    sinr_bound,
     stream_powers,
 )
 
@@ -88,27 +90,49 @@ def test_receiver_class_other():
 @given(split=interior_splits, cls=st.sampled_from(ReceiverClass))
 def test_bounds_are_the_expected_power_ratios(split, cls):
     powers = stream_powers(10.0, split)
-    b = sinr_bounds(cls, powers)
+    b = {kind: sinr_bound(kind, cls, powers) for kind in SinrKind}
     pn, pk = powers.own(cls), powers.other(cls)
-    assert b.common == pytest.approx(powers.p0 / (pn + pk), rel=1e-12)
-    assert b.private == pytest.approx(pn / pk, rel=1e-12)
-    assert b.private_interf == pytest.approx(pn / (powers.p0 + pk), rel=1e-12)
-    assert b.common_iic == pytest.approx(powers.p0 / pn, rel=1e-12)
+    assert b[SinrKind.COMMON] == pytest.approx(powers.p0 / (pn + pk), rel=1e-12)
+    assert b[SinrKind.PRIVATE] == pytest.approx(pn / pk, rel=1e-12)
+    assert b[SinrKind.PRIVATE_INTERF] == pytest.approx(pn / (powers.p0 + pk), rel=1e-12)
+    assert b[SinrKind.COMMON_IIC] == pytest.approx(powers.p0 / pn, rel=1e-12)
     # removing the other private stream can only raise the common SINR
-    assert b.common <= b.common_iic
-    assert b.private_interf_iic == pytest.approx(1.0 / b.common_iic, rel=1e-12)
-    assert b.bound(SinrKind.PRIVATE_IIC) == math.inf
+    assert b[SinrKind.COMMON] <= b[SinrKind.COMMON_IIC]
+    assert b[SinrKind.PRIVATE_INTERF_IIC] == pytest.approx(
+        1.0 / b[SinrKind.COMMON_IIC], rel=1e-12
+    )
+    assert b[SinrKind.PRIVATE_IIC] == math.inf
     for kind in SinrKind:
-        assert b.bound(kind) >= 0.0
+        assert b[kind] >= 0.0
+
+
+EDGE_SPLITS = [
+    PowerSplit(beta, rho) for beta in (0.0, 0.3, 1.0) for rho in (0.0, 0.6, 1.0)
+]
+
+
+@pytest.mark.parametrize("split", EDGE_SPLITS, ids=repr)
+@pytest.mark.parametrize("cls", list(ReceiverClass))
+@pytest.mark.parametrize("kind", list(SinrKind))
+def test_distribution_support_is_the_table_bound(kind, cls, split):
+    # one table: the distribution's support bound and the SINR bound are
+    # the same signal/interference ratio, degenerate splits included
+    powers = stream_powers(10.0, split)
+    with warnings.catch_warnings():
+        # switched-off streams hit the documented 0/0 bound warning
+        warnings.simplefilter("ignore", RuntimeWarning)
+        theta = dist_spec(kind, cls, powers, SystemParams()).theta
+        bound = sinr_bound(kind, cls, powers)
+    assert theta == bound
 
 
 @settings(max_examples=200, deadline=None)
 @given(split=interior_splits)
 def test_common_bound_is_class_independent(split):
     powers = stream_powers(10.0, split)
-    c = sinr_bounds(ReceiverClass.CENTER, powers)
-    e = sinr_bounds(ReceiverClass.EDGE, powers)
-    assert c.common == pytest.approx(e.common, rel=1e-12)
+    c = sinr_bound(SinrKind.COMMON, ReceiverClass.CENTER, powers)
+    e = sinr_bound(SinrKind.COMMON, ReceiverClass.EDGE, powers)
+    assert c == pytest.approx(e, rel=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -121,7 +145,7 @@ def test_common_bound_is_class_independent(split):
 def test_sinr_stays_below_its_bound(split, cls, kind, gain):
     powers = stream_powers(10.0, split)
     sinr = instantaneous_sinr(kind, cls, powers, gain, sigma2=1e-5)
-    assert 0.0 <= sinr <= sinr_bounds(cls, powers).bound(kind)
+    assert 0.0 <= sinr <= sinr_bound(kind, cls, powers)
 
 
 @settings(max_examples=200, deadline=None)
@@ -134,7 +158,7 @@ def test_sinr_limits_in_the_link_gain(split, cls, kind):
     powers = stream_powers(10.0, split)
     assert instantaneous_sinr(kind, cls, powers, 0.0, 1e-5) == 0.0
     at_inf = instantaneous_sinr(kind, cls, powers, math.inf, 1e-5)
-    bound = sinr_bounds(cls, powers).bound(kind)
+    bound = sinr_bound(kind, cls, powers)
     if math.isinf(bound):
         assert math.isinf(at_inf)
     else:
@@ -181,12 +205,20 @@ def test_param_validation_rejects_nan(field):
         SystemParams(**{field: math.nan})
 
 
-def test_infinite_power_budget_is_accepted():
-    assert math.isinf(SystemParams(P=math.inf).P)
+def test_infinite_power_budget_is_rejected():
+    # every bound would be inf/inf; the asymptotic rows carry that limit
+    with pytest.raises(ValueError, match="must.*--asymptotic"):
+        SystemParams(P=math.inf)
+
+
+@pytest.mark.parametrize("field, value", [("alpha", 200.0), ("r_0", 1e200)])
+def test_path_loss_that_overflows_a_float_is_rejected(field, value):
+    with pytest.raises(ValueError, match="must"):
+        SystemParams(**{field: value})
 
 
 def test_zero_power_bound_warns_on_degenerate_ratio():
     powers = stream_powers(0.0, PowerSplit(beta=0.5, rho=0.5))
     with pytest.warns(RuntimeWarning, match="0/0"):
-        b = sinr_bounds(ReceiverClass.CENTER, powers)
-    assert math.isinf(b.common)
+        b = sinr_bound(SinrKind.COMMON, ReceiverClass.CENTER, powers)
+    assert math.isinf(b)

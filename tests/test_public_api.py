@@ -1,0 +1,19 @@
+"""The package's public surface is the one the README documents."""
+
+import re
+from pathlib import Path
+
+import rscache
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_exported_name_is_documented():
+    text = README.read_text()
+    missing = [name for name in rscache.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert not missing, f"exported but not in README.md: {missing}"
+
+
+def test_every_exported_name_exists():
+    for name in rscache.__all__:
+        assert hasattr(rscache, name), name

@@ -22,7 +22,7 @@ from rscache.model import (
     SinrKind,
     SystemParams,
     private_sinr_threshold,
-    sinr_bounds,
+    sinr_bound,
     stream_powers,
 )
 from rscache.montecarlo import SimConfig, estimate_rates
@@ -106,15 +106,15 @@ def test_min_rate_matches_the_two_axis_integration():
 
 
 def test_min_rate_sits_between_its_almost_sure_bounds():
-    b = sinr_bounds(ReceiverClass.CENTER, stream_powers(PARAMS.P, SPLIT))
+    bound = sinr_bound(SinrKind.COMMON, ReceiverClass.CENTER, stream_powers(PARAMS.P, SPLIT))
     got = common_rate_both(PARAMS, SPLIT, None, 1e-9)
-    assert math.log2(1.0 + PARAMS.zeta) <= got <= math.log2(1.0 + b.common)
+    assert math.log2(1.0 + PARAMS.zeta) <= got <= math.log2(1.0 + bound)
 
 
 def test_single_receiver_common_rate_bounds():
     for cls in ReceiverClass:
         got = common_rate_single(PARAMS, SPLIT, cls, False, 1e-9)
-        bound = sinr_bounds(cls, stream_powers(PARAMS.P, SPLIT)).common
+        bound = sinr_bound(SinrKind.COMMON, cls, stream_powers(PARAMS.P, SPLIT))
         assert math.log2(1.0 + PARAMS.zeta) <= got <= math.log2(1.0 + bound)
 
 
@@ -123,13 +123,14 @@ def test_single_receiver_common_rate_bounds():
 def test_gap_threshold_ordering(split):
     for cls in ReceiverClass:
         after, with_i = gap_thresholds(PARAMS, split, cls)
-        b = sinr_bounds(cls, stream_powers(PARAMS.P, split))
+        powers = stream_powers(PARAMS.P, split)
         assert 0.0 < with_i <= after
-        if PARAMS.zeta < b.common:
+        if PARAMS.zeta < sinr_bound(SinrKind.COMMON, cls, powers):
             # while the common stage is feasible, its gain threshold at
             # zeta exceeds the private one at the gap value, keeping the
             # dispatch inequalities consistent with the private bound
-            assert after <= b.private or math.isinf(b.private)
+            private = sinr_bound(SinrKind.PRIVATE, cls, powers)
+            assert after <= private or math.isinf(private)
 
 
 FROZEN_RATES = (
@@ -246,8 +247,8 @@ def test_decode_ceiling_exactly_at_threshold_keeps_the_interference_route():
     # zeta, so the receiver must still be served through the
     # common-as-interference route, not silenced by the boundary
     split = PowerSplit(beta=0.2, rho=0.5)
-    bounds = sinr_bounds(ReceiverClass.CENTER, stream_powers(PARAMS.P, split))
-    assert bounds.common_iic == PARAMS.zeta
+    powers = stream_powers(PARAMS.P, split)
+    assert sinr_bound(SinrKind.COMMON_IIC, ReceiverClass.CENTER, powers) == PARAMS.zeta
     sub = parse_subcase_token(Mode.MPC_CC, "efr/xor+iic-c", PARAMS.K)
     rep = evaluate_subcase(sub, PARAMS, split)
     assert rep.branch_center == "B4"
