@@ -17,6 +17,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 
 from .caching import CodedCacheConfig, Mode, cc_delivery_schedule, cc_place, parse_subcase_token
 from .distributions import coverage, dist_spec
@@ -346,14 +347,21 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.handler(args)
-    except QuadratureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.handler(args)
+        except QuadratureError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        finally:
+            # a documented convention (the 0/0 SINR bound) warns once per
+            # call site; the user gets each distinct message once, plainly
+            for note in dict.fromkeys(str(w.message) for w in caught):
+                print(f"note: {note}", file=sys.stderr)
 
 
 if __name__ == "__main__":

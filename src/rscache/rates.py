@@ -20,7 +20,8 @@ treating it as noise, which swaps every distribution on its side for the
 cancellation variant and raises its support bound.
 
 All expectations are integrals of log2(1 + t) against the conditional SINR
-densities; quadrature does the rest.
+densities, taken in scale coordinates by the package's adaptive
+Gauss–Kronrod rule (quadrature.integrate_log_scaled).
 """
 
 from __future__ import annotations
@@ -204,7 +205,10 @@ def common_rate_both(
     The gains are independent, so splitting on which receiver holds the
     smaller SINR turns the two-axis integral into two one-axis integrals:
     the other receiver only enters through its closed-form tail probability
-    at the same level.
+    at the same level. That tail is exactly zero once the level reaches the
+    other receiver's bound, so each half ends at the scale of that level
+    when it lies inside the support, instead of integrating across the
+    kink to infinity.
     """
     z = params.zeta
     spec_c, spec_e, pi_c, pi_e = _common_pair(params, split, iic_at)
@@ -223,9 +227,10 @@ def common_rate_both(
                 return 0.0
             return math.log2(1.0 + t) * tail * measure(y)
 
-        return integrate_log_scaled(
-            integrand, inner._s(z), math.inf, rtol=rtol, scale=pi_c * pi_e
-        )
+        # the comparison is False for the degenerate bounds (inf, or nan
+        # from a 0/0 split), which keep the infinite range
+        hi = inner._s(outer.theta) if outer.theta < inner.theta else math.inf
+        return integrate_log_scaled(integrand, inner._s(z), hi, rtol=rtol, scale=pi_c * pi_e)
 
     return (half(spec_e, spec_c) + half(spec_c, spec_e)) / (pi_c * pi_e)
 

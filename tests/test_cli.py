@@ -266,13 +266,70 @@ def test_figure_seed_env_then_flag(tmp_path, monkeypatch):
     assert seed7 != seed11
 
 
-def test_module_entry_point():
+def _child(*args):
     # the child imports the same package as this process, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rscache.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _child("-m", "rscache.cli", "--help")
     assert proc.returncode == 0
     assert "sweep" in proc.stdout and "placement" in proc.stdout
+
+
+def test_import_loads_no_scipy_integrate():
+    # scipy.integrate drags in scipy.optimize, sparse and linalg: about a
+    # third of a second and 26 MB on every start, integrating or not
+    proc = _child(
+        "-c",
+        "import sys, rscache, rscache.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.optimize'))))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("power", ["1e11", "1e16", "1e30", "1e100"])
+def test_high_power_rows_match_the_limit_or_exit_2(power, tmp_path, capsys):
+    # past P ~ 1e10 the finite-P rate sits within 1e-6 of its high-power
+    # limit; the analytic rows must either agree with it or the run must
+    # fail loudly, never write a finite row that missed the mass
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--var", "beta", "--from", "0.3", "--to", "0.7", "--points", "2",
+            "--mode", "all-mpc", "--set", f"P={power}", "--asymptotic", "--out", str(out)]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    if rc == 2:
+        assert "numerical failure: log-scaled quadrature failed" in err
+        assert not out.exists()
+        return
+    assert rc == 0, err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    limits = {(r[1], r[3]): r for r in rows if r[7] == "asymptotic"}
+    analytic = [r for r in rows if r[7] == "analytic"]
+    assert analytic and len(analytic) == len(limits)
+    for row in analytic:
+        limit = limits[row[1], row[3]]
+        for col in (8, 9, 10):  # R_c, R_e, R_sum
+            assert float(row[col]) == pytest.approx(float(limit[col]), rel=1e-6, abs=0.0)
+
+
+def test_degenerate_bound_prints_one_plain_note(tmp_path, capsys):
+    # rho = 0 switches streams off, so the 0/0 bound convention fires at
+    # several call sites; the user sees it once, without a source path
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--var", "beta", "--from", "0", "--to", "1", "--points", "3",
+            "--mode", "mpc-cc", "--set", "rho=0", "--asymptotic", "--out", str(out)]
+    assert cli.main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "note: 0/0 SINR bound: stream and interferer powers both vanish; "
+        "treating the bound as infinite by convention"
+    ]
+    assert len(out.read_text().splitlines()) == 31

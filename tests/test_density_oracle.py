@@ -192,6 +192,43 @@ def test_common_rate_both_matches_mpmath():
     assert got == pytest.approx(float(want), rel=1e-10)
 
 
+def test_common_rate_both_ends_at_the_kink_like_mpmath():
+    # fig3 at beta = 0.35 with cancellation at the edge: the center's
+    # common bound (0.54) sits inside the edge's (1.08), so the center tail
+    # in the edge half is exactly zero past its bound. The reference ends
+    # that half there, on the log-s axis (the x-axis cut of _ref_expect
+    # loses the slow decay of the disk half), and runs the other half to
+    # s = e^8, where e^-s has underflowed.
+    name, spec3 = figure_presets()["fig3"][1]
+    params, split = spec3.at(0.35)
+    powers = stream_powers(params.P, split)
+    c = dist_spec(SinrKind.COMMON, ReceiverClass.CENTER, powers, params)
+    e = dist_spec(SinrKind.COMMON_IIC, ReceiverClass.EDGE, powers, params)
+    z = params.zeta
+    assert z < c.theta < e.theta
+    with mp.workdps(30):
+
+        def half(outer, inner):
+            lo = mp.log(_scale(inner, z))
+            cap = min(outer.theta, inner.theta)
+            hi = mp.mpf(8) if math.isinf(cap) else mp.log(_scale(inner, cap))
+
+            def f(u):
+                s = mp.exp(u)
+                t = _level(inner, s)
+                return mp.log(1 + t, 2) * _ref_coverage(outer, t) * _measure(inner.cls, s) * s
+
+            pts = [lo] + [mp.mpf(k) for k in range(int(mp.floor(lo)) + 1, int(mp.ceil(hi)), 3)]
+            return mp.quad(f, pts + [hi])
+
+        want = (half(e, c) + half(c, e)) / (_ref_coverage(c, z) * _ref_coverage(e, z))
+    got = common_rate_both(params, split, ReceiverClass.EDGE, 1e-9)
+    assert name == "fig3_cc-mpc.csv"
+    assert got == pytest.approx(float(want), rel=1e-11)
+    # integrating across the kink to infinity gave 0.5912165445, 1.2e-6 low
+    assert got == pytest.approx(0.591217225173, rel=1e-11)
+
+
 def test_private_rate_after_common_edge_matches_mpmath():
     # the pfr edge stream of mpc-cc efr/pfr: its private threshold sits
     # below the equal-gain point, so the common event (q = 2.9e-13) is the

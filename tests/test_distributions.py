@@ -27,7 +27,6 @@ from rscache.model import (
     stream_powers,
 )
 from rscache.montecarlo import SimConfig, estimate_coverage
-from rscache.quadrature import integrate_log_scaled
 
 from oracles import _s_prime, integrate_interval, outage_region, pdf
 
@@ -64,16 +63,23 @@ def tail_mass(spec, t, params=PARAMS, rtol=1e-10):
     """Integral of the density from t to the top of the support."""
     if math.isinf(spec.theta):
         # qagie extrapolation chokes on a power law that only decays over
-        # many decades, so split: an ordinary head, then a log-axis tail.
+        # many decades, so split: an ordinary head, then a tail on the
+        # log axis u = ln x (past u = 709 e^u overflows and the density
+        # has long underflowed).
         head = 0.0
         cut = max(t, 1.0)
         if t < cut:
             head = integrate_interval(
                 lambda x: pdf(spec, x, params), t, cut, rtol=rtol
             )
-        tail = integrate_log_scaled(
-            lambda x: pdf(spec, x, params), cut, math.inf, rtol=rtol
-        )
+
+        def on_log_axis(u):
+            if u > 709.0:
+                return 0.0
+            x = math.exp(u)
+            return pdf(spec, x, params) * x
+
+        tail = integrate_interval(on_log_axis, math.log(cut), math.inf, rtol=rtol)
         return head + tail
     return integrate_interval(
         lambda x: pdf(spec, x, params), t, spec.theta, rtol=rtol, open_upper=True
