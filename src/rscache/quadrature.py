@@ -77,8 +77,8 @@ class QuadratureError(RuntimeError):
 def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:
     """(integral, error estimate, integral of |f|, integral of |f - mean|) on (a, b).
 
-    Written out node by node: the loop form costs CPython a third more per
-    rule, and the rule runs a few thousand times per sweep point.
+    Written out node by node: as a loop over the node pairs it costs
+    CPython about a third more per rule, which showed in the sweep times.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
