@@ -85,14 +85,6 @@ class Subfile:
 
 
 @dataclass(frozen=True)
-class Request:
-    """A receiver (1-based within its class) asking for a popularity rank."""
-
-    receiver: int
-    rank: int
-
-
-@dataclass(frozen=True)
 class PlacementMap:
     """Subfile layout of a coded-caching class."""
 

@@ -168,7 +168,7 @@ def _pdf_bracket(a: float, s: float, x: float, r2: float, gamma_a: float) -> flo
 def scale_measure(spec: SinrDist, params: SystemParams) -> Callable[[float], float]:
     """Density of the SINR pushed forward to scale coordinates, as s -> m(s).
 
-    m(s) ds = g(t) dt under t = level_of_s(s); the chain factor ds/dt
+    m(s) ds = g(t) dt under t = d1 s / (sigma2 + d2 s); the chain factor ds/dt
     cancels, leaving the bare exponential-decay shape. Integrating rate
     functionals in s avoids both the density spike at the support bound
     and the precision loss of d1 - d2 t near it.
@@ -200,20 +200,6 @@ def scale_measure(spec: SinrDist, params: SystemParams) -> Callable[[float], flo
         return max(2.0 * math.exp(-s) * bracket / (norm * s), 0.0)
 
     return measure
-
-
-def level_of_s(spec: SinrDist, s: float) -> float:
-    """Inverse of the scale map: the SINR level whose threshold scale is s.
-
-    t(s) = d1 s / (sigma2 + d2 s) involves no cancellation, so levels
-    arbitrarily close to the support bound are produced exactly; s = inf
-    maps to the bound itself.
-    """
-    if s <= 0.0:
-        return 0.0
-    if math.isinf(s):
-        return spec.theta
-    return spec.d1 * s / (spec.sigma2 + spec.d2 * s)
 
 
 def pdf_s_measure(spec: SinrDist, s: float, params: SystemParams) -> float:

@@ -180,6 +180,20 @@ _SINR_POWERS: dict[SinrKind, Callable[[float, float, float], tuple[float, float]
 }
 
 
+# What a receiver that cancels the other private stream from cache sees in
+# place of each plain kind.
+_IIC_VARIANT = {
+    SinrKind.COMMON: SinrKind.COMMON_IIC,
+    SinrKind.PRIVATE: SinrKind.PRIVATE_IIC,
+    SinrKind.PRIVATE_INTERF: SinrKind.PRIVATE_INTERF_IIC,
+}
+
+
+def seen_kind(kind: SinrKind, iic: bool) -> SinrKind:
+    """The kind a receiver sees: its cancellation variant when it cancels."""
+    return _IIC_VARIANT[kind] if iic else kind
+
+
 def sinr_powers(
     kind: SinrKind, cls: ReceiverClass, powers: StreamPowers
 ) -> tuple[float, float]:

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Any, Callable
 
 import numpy as np
@@ -40,6 +41,7 @@ from .model import (
     StreamPowers,
     SystemParams,
     private_sinr_threshold,
+    seen_kind,
     stream_powers,
 )
 from .rates import RateComponents, RateReport, omegas
@@ -236,20 +238,10 @@ def estimate_coverage(
     return p, math.sqrt(p * (1.0 - p) / sim.samples)
 
 
-_STAT_NAMES = (
-    "r0_both",
-    "r0_center_only",
-    "r0_edge_only",
-    "rs0_center",
-    "rs0_edge",
-    "rp_center",
-    "rp_edge",
-    "rpi_center",
-    "rpi_edge",
-    "r_center",
-    "r_edge",
-    "r_sum",
-)
+# the statistics _rate_kernel accumulates, in its order: the components
+# in RateComponents' field order, then the served and sum rates
+_COMPONENT_NAMES = tuple(f.name for f in fields(RateComponents))
+_STAT_NAMES = (*_COMPONENT_NAMES, "r_center", "r_edge", "r_sum")
 
 _TRACE_SINRS = ("sinr_c0", "sinr_e0", "sinr_cp", "sinr_ep", "sinr_cpI", "sinr_epI")
 _TRACE_HEADER = ",".join(
@@ -326,12 +318,12 @@ def _streams(subcase: Subcase, params: SystemParams) -> _SubcaseStreams:
     iic_c = subcase.iic_at is ReceiverClass.CENTER
     iic_e = subcase.iic_at is ReceiverClass.EDGE
     return _SubcaseStreams(
-        common_c=SinrKind.COMMON_IIC if iic_c else SinrKind.COMMON,
-        common_e=SinrKind.COMMON_IIC if iic_e else SinrKind.COMMON,
-        private_c=SinrKind.PRIVATE_IIC if iic_c else SinrKind.PRIVATE,
-        private_e=SinrKind.PRIVATE_IIC if iic_e else SinrKind.PRIVATE,
-        interf_c=SinrKind.PRIVATE_INTERF_IIC if iic_c else SinrKind.PRIVATE_INTERF,
-        interf_e=SinrKind.PRIVATE_INTERF_IIC if iic_e else SinrKind.PRIVATE_INTERF,
+        common_c=seen_kind(SinrKind.COMMON, iic_c),
+        common_e=seen_kind(SinrKind.COMMON, iic_e),
+        private_c=seen_kind(SinrKind.PRIVATE, iic_c),
+        private_e=seen_kind(SinrKind.PRIVATE, iic_e),
+        interf_c=seen_kind(SinrKind.PRIVATE_INTERF, iic_c),
+        interf_e=seen_kind(SinrKind.PRIVATE_INTERF, iic_e),
         w_c=w_c,
         w_e=w_e,
         xi_c=private_sinr_threshold(w_c, params.xi),
@@ -518,9 +510,7 @@ def estimate_rates(
     """
     streams = _streams(subcase, params)
     sizes = sim.chunk_sizes()
-    offsets = [0] * len(sizes)
-    for i in range(1, len(sizes)):
-        offsets[i] = offsets[i - 1] + sizes[i - 1]
+    offsets = [0, *accumulate(sizes)]
     traces: list[list[str] | None] = [
         [] if trace_path is not None else None for _ in sizes
     ]
@@ -562,10 +552,6 @@ def estimate_rates(
         stderr_center=means["r_center"][1],
         stderr_edge=means["r_edge"][1],
         stderr_sum=means["r_sum"][1],
-        components=RateComponents(
-            **{name: means[name][0] for name in _STAT_NAMES[:9]}
-        ),
-        component_stderr=RateComponents(
-            **{name: means[name][1] for name in _STAT_NAMES[:9]}
-        ),
+        components=RateComponents(**{name: means[name][0] for name in _COMPONENT_NAMES}),
+        component_stderr=RateComponents(**{name: means[name][1] for name in _COMPONENT_NAMES}),
     )

@@ -17,11 +17,16 @@ the SINR support bounds; the dispatch below enumerates the four live
 regimes (B1..B4) plus the dead zone (Z). A receiver whose cache holds the
 other class's content ahead of time cancels that stream instead of
 treating it as noise, which swaps every distribution on its side for the
-cancellation variant and raises its support bound.
+cancellation variant (model.seen_kind) and raises its support bound. The
+dispatch hands back the terms it used, so evaluate_subcase reports them as
+components without evaluating them again.
 
 All expectations are integrals of log2(1 + t) against the conditional SINR
 densities, taken in scale coordinates by the package's adaptive
-Gauss–Kronrod rule (quadrature.integrate_log_scaled).
+Gauss–Kronrod rule (quadrature.integrate_log_scaled). The four integral
+functionals are memoised for the life of the process, since sweeps of
+different caching modes revisit the same working points; the common-stream
+term is plain arithmetic over two of them and is not.
 """
 
 from __future__ import annotations
@@ -31,15 +36,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .caching import Subcase
-from .distributions import (
-    SinrDist,
-    coverage,
-    coverage_tail,
-    dist_spec,
-    level_of_s,
-    pdf_s_measure,
-    scale_measure,
-)
+from .distributions import SinrDist, coverage, coverage_tail, dist_spec, scale_measure
+# not called here: bench/tracer.py hooks the name rscache.rates.pdf_s_measure
+from .distributions import pdf_s_measure  # noqa: F401
 from .model import (
     PowerSplit,
     ReceiverClass,
@@ -47,6 +46,7 @@ from .model import (
     SystemParams,
     prelog_factors,
     private_sinr_threshold,
+    seen_kind,
     sinr_bound,
     stream_powers,
 )
@@ -95,18 +95,6 @@ def omegas(params: SystemParams, subcase: Subcase) -> tuple[float, float]:
     )
 
 
-_IIC_VARIANT = {
-    SinrKind.COMMON: SinrKind.COMMON_IIC,
-    SinrKind.PRIVATE: SinrKind.PRIVATE_IIC,
-    SinrKind.PRIVATE_INTERF: SinrKind.PRIVATE_INTERF_IIC,
-}
-
-
-def _variant(kind: SinrKind, iic: bool) -> SinrKind:
-    """The kind a receiver sees: its cancellation variant when it cancels."""
-    return _IIC_VARIANT[kind] if iic else kind
-
-
 def _mean_lograte(
     spec: SinrDist,
     omega: float,
@@ -138,8 +126,8 @@ def _mean_lograte(
     d1, d2, sigma2 = spec.d1, spec.d2, spec.sigma2
 
     def integrand(s: float) -> float:
-        # lograte(omega, level_of_s(spec, s)) for the finite s > 0 that
-        # the quadrature visits, in the same arithmetic order
+        # lograte(omega, t) at the level t(s) whose scale is s, for the
+        # finite s > 0 that the quadrature visits
         t = d1 * s / (sigma2 + d2 * s)
         if t <= 0.0:
             return 0.0
@@ -175,22 +163,9 @@ def common_rate_single(
 ) -> float:
     """E[log2(1 + common SINR) | it clears zeta] for one receiver, pre-log free."""
     powers = stream_powers(params.P, split)
-    spec = dist_spec(_variant(SinrKind.COMMON, iic), cls, powers, params)
+    spec = dist_spec(seen_kind(SinrKind.COMMON, iic), cls, powers, params)
     pi = coverage(spec, params.zeta, params)
     return _mean_lograte(spec, 1.0, params.zeta, spec.theta, pi, params, rtol)
-
-
-def _common_pair(
-    params: SystemParams, split: PowerSplit, iic_at: ReceiverClass | None
-) -> tuple[SinrDist, SinrDist, float, float]:
-    """Center and edge common-stream laws and their decode probabilities."""
-    powers = stream_powers(params.P, split)
-    spec_c, spec_e = (
-        dist_spec(_variant(SinrKind.COMMON, iic_at is cls), cls, powers, params)
-        for cls in (ReceiverClass.CENTER, ReceiverClass.EDGE)
-    )
-    z = params.zeta
-    return spec_c, spec_e, coverage(spec_c, z, params), coverage(spec_e, z, params)
 
 
 @lru_cache(maxsize=4096)
@@ -211,7 +186,12 @@ def common_rate_both(
     kink to infinity.
     """
     z = params.zeta
-    spec_c, spec_e, pi_c, pi_e = _common_pair(params, split, iic_at)
+    powers = stream_powers(params.P, split)
+    spec_c, spec_e = (
+        dist_spec(seen_kind(SinrKind.COMMON, iic_at is cls), cls, powers, params)
+        for cls in (ReceiverClass.CENTER, ReceiverClass.EDGE)
+    )
+    pi_c, pi_e = coverage(spec_c, z, params), coverage(spec_e, z, params)
     if pi_c <= 0.0 or pi_e <= 0.0:
         return 0.0
 
@@ -221,7 +201,7 @@ def common_rate_both(
         d1, d2, sigma2 = inner.d1, inner.d2, inner.sigma2
 
         def integrand(y: float) -> float:
-            t = d1 * y / (sigma2 + d2 * y)  # level_of_s(inner, y)
+            t = d1 * y / (sigma2 + d2 * y)  # the level whose scale is y
             tail = outer_tail(t)
             if tail == 0.0:
                 return 0.0
@@ -235,55 +215,6 @@ def common_rate_both(
     return (half(spec_e, spec_c) + half(spec_c, spec_e)) / (pi_c * pi_e)
 
 
-def _nested_common_rate_both(
-    params: SystemParams,
-    split: PowerSplit,
-    iic_at: ReceiverClass | None,
-    rtol: float,
-) -> float:
-    """Direct two-axis evaluation of common_rate_both, for cross-validation.
-
-    Iterated adaptive quadrature over the joint scale density; the inner
-    integral runs at a tenth of the outer tolerance. Orders of magnitude
-    slower than the production path, so tests sample it sparingly.
-    """
-    z = params.zeta
-    spec_c, spec_e, pi_c, pi_e = _common_pair(params, split, iic_at)
-    if pi_c <= 0.0 or pi_e <= 0.0:
-        return 0.0
-    inner_rtol = rtol * 0.1
-    sig2 = params.sigma2
-
-    def half(outer: SinrDist, inner: SinrDist) -> float:
-        # both axes in scale coordinates; the inner cap min(y, theta_in)
-        # maps to a rational function of the outer scale whose denominator
-        # crosses zero exactly where y reaches the inner bound
-        s0_out = outer._s(z)
-        s0_in = inner._s(z)
-        cross = inner.d1 * outer.d2 - inner.d2 * outer.d1
-
-        def integrand(s_out: float) -> float:
-            m_out = pdf_s_measure(outer, s_out, params)
-            if m_out == 0.0:
-                return 0.0
-            den = inner.d1 * sig2 + cross * s_out
-            s_cap = math.inf if den <= 0.0 else sig2 * outer.d1 * s_out / den
-            if s_cap <= s0_in:
-                return 0.0
-            return m_out * integrate_log_scaled(
-                lambda s: math.log2(1.0 + level_of_s(inner, s))
-                * pdf_s_measure(inner, s, params),
-                s0_in,
-                s_cap,
-                rtol=inner_rtol,
-            )
-
-        return integrate_log_scaled(integrand, s0_out, math.inf, rtol=rtol)
-
-    return (half(spec_e, spec_c) + half(spec_c, spec_e)) / (pi_c * pi_e)
-
-
-@lru_cache(maxsize=4096)
 def common_stream_rate(
     params: SystemParams,
     split: PowerSplit,
@@ -300,7 +231,7 @@ def common_stream_rate(
     """
     powers = stream_powers(params.P, split)
     other = cls.other
-    other_spec = dist_spec(_variant(SinrKind.COMMON, iic_at is other), other, powers, params)
+    other_spec = dist_spec(seen_kind(SinrKind.COMMON, iic_at is other), other, powers, params)
     pi_other = coverage(other_spec, params.zeta, params)
     share = params.u if cls is ReceiverClass.CENTER else 1.0 - params.u
     both = common_rate_both(params, split, iic_at, rtol)
@@ -328,11 +259,11 @@ def private_rate_after_common(
     if powers.own(cls) == 0.0:
         return 0.0
     z = params.zeta
-    spec0 = dist_spec(_variant(SinrKind.COMMON, iic), cls, powers, params)
+    spec0 = dist_spec(seen_kind(SinrKind.COMMON, iic), cls, powers, params)
     if not z < spec0.theta:
         return 0.0
     xi_t = private_sinr_threshold(omega, params.xi)
-    spec = dist_spec(_variant(SinrKind.PRIVATE, iic), cls, powers, params)
+    spec = dist_spec(seen_kind(SinrKind.PRIVATE, iic), cls, powers, params)
     bound = spec.theta
     if xi_t >= bound:
         return 0.0
@@ -363,9 +294,9 @@ def private_rate_with_interference(
     if powers.own(cls) == 0.0:
         return 0.0
     z = params.zeta
-    spec0 = dist_spec(_variant(SinrKind.COMMON, iic), cls, powers, params)
+    spec0 = dist_spec(seen_kind(SinrKind.COMMON, iic), cls, powers, params)
     xi_t = private_sinr_threshold(omega, params.xi)
-    spec = dist_spec(_variant(SinrKind.PRIVATE_INTERF, iic), cls, powers, params)
+    spec = dist_spec(seen_kind(SinrKind.PRIVATE_INTERF, iic), cls, powers, params)
     bound = spec.theta
     if z >= spec0.theta:
         # at or above the ceiling the common decode never happens, so the
@@ -385,11 +316,19 @@ def private_rate_with_interference(
 
 @dataclass(frozen=True)
 class ReceiverRate:
-    """Served rate of one receiver, its regime tag and serving probability."""
+    """Served rate of one receiver, its regime tag and serving probability.
+
+    rs0, rp and rpi are the common-stream, private and interference-route
+    terms the rate was assembled from; a term the branch does not use is
+    zero, which is also what its functional gives there.
+    """
 
     rate: float
     q: float
     branch: str
+    rs0: float = 0.0
+    rp: float = 0.0
+    rpi: float = 0.0
 
 
 def achieved_rate(
@@ -412,8 +351,8 @@ def achieved_rate(
     z = params.zeta
     xi_t = private_sinr_threshold(omega, params.xi)
     self_iic = iic_at is cls
-    spec_0 = dist_spec(_variant(SinrKind.COMMON, self_iic), cls, powers, params)
-    spec_pi = dist_spec(_variant(SinrKind.PRIVATE_INTERF, self_iic), cls, powers, params)
+    spec_0 = dist_spec(seen_kind(SinrKind.COMMON, self_iic), cls, powers, params)
+    spec_pi = dist_spec(seen_kind(SinrKind.PRIVATE_INTERF, self_iic), cls, powers, params)
 
     if z < spec_0.theta:
         after, with_i = gap_thresholds(params, split, cls)
@@ -426,23 +365,20 @@ def achieved_rate(
                 params, split, cls, omega, self_iic, rtol
             )
             ratio = _clamp01(pi_0 / pi_pif) if pi_pif > 0.0 else 0.0
-            return ReceiverRate(
-                rate=ratio * (rs0 + rp) + (1.0 - ratio) * rpi,
-                q=pi_pif,
-                branch="B3",
-            )
+            rate = ratio * (rs0 + rp) + (1.0 - ratio) * rpi
+            return ReceiverRate(rate, pi_pif, "B3", rs0, rp, rpi)
         if xi_t < after:
-            return ReceiverRate(rate=rs0 + rp, q=pi_0, branch="B2")
-        spec_p = dist_spec(_variant(SinrKind.PRIVATE, self_iic), cls, powers, params)
+            return ReceiverRate(rs0 + rp, pi_0, "B2", rs0, rp)
+        spec_p = dist_spec(seen_kind(SinrKind.PRIVATE, self_iic), cls, powers, params)
         pi_p = coverage(spec_p, xi_t, params)
         ratio = _clamp01(pi_p / pi_0) if pi_0 > 0.0 else 0.0
-        return ReceiverRate(rate=rs0 + ratio * rp, q=pi_0, branch="B1")
+        return ReceiverRate(rs0 + ratio * rp, pi_0, "B1", rs0, rp)
 
     if xi_t < spec_pi.theta:
         rpi = private_rate_with_interference(params, split, cls, omega, self_iic, rtol)
         pi_pif = coverage(spec_pi, xi_t, params)
-        return ReceiverRate(rate=rpi, q=pi_pif, branch="B4")
-    return ReceiverRate(rate=0.0, q=0.0, branch="Z")
+        return ReceiverRate(rpi, pi_pif, "B4", rpi=rpi)
+    return ReceiverRate(0.0, 0.0, "Z")
 
 
 def sum_rate(center: ReceiverRate, edge: ReceiverRate) -> float:
@@ -508,30 +444,19 @@ def evaluate_subcase(
     iic_at = subcase.iic_at
     center = achieved_rate(params, split, ReceiverClass.CENTER, w_c, iic_at, rtol)
     edge = achieved_rate(params, split, ReceiverClass.EDGE, w_e, iic_at, rtol)
+    alone_c, alone_e = (
+        common_rate_single(params, split, cls, iic_at is cls, rtol) for cls in ReceiverClass
+    )
     parts = RateComponents(
         r0_both=common_rate_both(params, split, iic_at, rtol),
-        r0_center_only=common_rate_single(
-            params, split, ReceiverClass.CENTER, iic_at is ReceiverClass.CENTER, rtol
-        ),
-        r0_edge_only=common_rate_single(
-            params, split, ReceiverClass.EDGE, iic_at is ReceiverClass.EDGE, rtol
-        ),
-        rs0_center=common_stream_rate(
-            params, split, ReceiverClass.CENTER, w_c, iic_at, rtol
-        ),
-        rs0_edge=common_stream_rate(params, split, ReceiverClass.EDGE, w_e, iic_at, rtol),
-        rp_center=private_rate_after_common(
-            params, split, ReceiverClass.CENTER, w_c, iic_at is ReceiverClass.CENTER, rtol
-        ),
-        rp_edge=private_rate_after_common(
-            params, split, ReceiverClass.EDGE, w_e, iic_at is ReceiverClass.EDGE, rtol
-        ),
-        rpi_center=private_rate_with_interference(
-            params, split, ReceiverClass.CENTER, w_c, iic_at is ReceiverClass.CENTER, rtol
-        ),
-        rpi_edge=private_rate_with_interference(
-            params, split, ReceiverClass.EDGE, w_e, iic_at is ReceiverClass.EDGE, rtol
-        ),
+        r0_center_only=alone_c,
+        r0_edge_only=alone_e,
+        rs0_center=center.rs0,
+        rs0_edge=edge.rs0,
+        rp_center=center.rp,
+        rp_edge=edge.rp,
+        rpi_center=center.rpi,
+        rpi_edge=edge.rpi,
     )
     return RateReport(
         r_center=center.rate,
@@ -563,7 +488,7 @@ def asymptotic_rate(
     iic = iic_at is cls
 
     def bound(kind: SinrKind) -> float:
-        return sinr_bound(_variant(kind, iic), cls, powers)
+        return sinr_bound(seen_kind(kind, iic), cls, powers)
 
     z = params.zeta
     xi_t = private_sinr_threshold(omega, params.xi)

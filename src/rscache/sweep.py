@@ -21,9 +21,22 @@ from .model import PowerSplit, SystemParams
 from .montecarlo import SimConfig, estimate_rates
 from .rates import RateReport, asymptotic_report, evaluate_subcase, omegas
 
-CSV_HEADER = (
-    "var,value,mode,subcase,omega_c,omega_e,iic,method,"
-    "R_c,R_e,R_sum,q_c,q_e,stderr_Rc,stderr_Re,stderr_Rsum"
+# (CSV column, RateReport field) for every numeric column a report fills;
+# the header, the row writer and the row reader all follow this table
+_REPORT_COLUMNS = (
+    ("R_c", "r_center"),
+    ("R_e", "r_edge"),
+    ("R_sum", "r_sum"),
+    ("q_c", "q_center"),
+    ("q_e", "q_edge"),
+    ("stderr_Rc", "stderr_center"),
+    ("stderr_Re", "stderr_edge"),
+    ("stderr_Rsum", "stderr_sum"),
+)
+
+CSV_HEADER = ",".join(
+    ("var", "value", "mode", "subcase", "omega_c", "omega_e", "iic", "method",
+     *(column for column, _ in _REPORT_COLUMNS))
 )
 
 SWEEP_VARIABLES = ("beta", "rho", "u", "P")
@@ -140,14 +153,7 @@ def _row(
         _fmt(w_e),
         subcase.iic_at.value if subcase.iic_at else "none",
         report.method,
-        _fmt(report.r_center),
-        _fmt(report.r_edge),
-        _fmt(report.r_sum),
-        _fmt(report.q_center),
-        _fmt(report.q_edge),
-        _fmt(report.stderr_center),
-        _fmt(report.stderr_edge),
-        _fmt(report.stderr_sum),
+        *(_fmt(getattr(report, name)) for _, name in _REPORT_COLUMNS),
     ]
     return ",".join(cells)
 
@@ -324,17 +330,8 @@ def figure_presets() -> dict[str, tuple[tuple[str, SweepSpec], ...]]:
 
 
 def _report_from_row(row: dict[str, str]) -> RateReport:
-    return RateReport(
-        r_center=float(row["R_c"]),
-        r_edge=float(row["R_e"]),
-        r_sum=float(row["R_sum"]),
-        q_center=float(row["q_c"]),
-        q_edge=float(row["q_e"]),
-        method=row["method"],
-        stderr_center=float(row["stderr_Rc"]),
-        stderr_edge=float(row["stderr_Re"]),
-        stderr_sum=float(row["stderr_Rsum"]),
-    )
+    values = {name: float(row[column]) for column, name in _REPORT_COLUMNS}
+    return RateReport(method=row["method"], **values)
 
 
 def compare_csv(path: str, samples: int) -> CompareSummary:
@@ -347,23 +344,17 @@ def compare_csv(path: str, samples: int) -> CompareSummary:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER.split(","):
             raise ValueError(f"{path} does not carry the sweep CSV header")
+        # keyed by point in first-seen order
         groups: dict[tuple[str, ...], dict[str, RateReport]] = {}
-        order: list[tuple[str, ...]] = []
         for row in reader:
             if None in row.values():
                 raise ValueError(f"{path}: short row near line {reader.line_num}")
-            key = tuple(
-                row[k] for k in ("var", "value", "mode", "subcase", "iic")
-            )
-            if key not in groups:
-                groups[key] = {}
-                order.append(key)
-            groups[key][row["method"]] = _report_from_row(row)
+            key = tuple(row[k] for k in ("var", "value", "mode", "subcase", "iic"))
+            groups.setdefault(key, {})[row["method"]] = _report_from_row(row)
 
     checks: list[QuantityCheck] = []
     worst: dict[str, float] = {}
-    for key in order:
-        pair = groups[key]
+    for key, pair in groups.items():
         if METHOD_ANALYTIC not in pair or METHOD_MC not in pair:
             continue
         label = "{}={} {} iic={}".format(key[0], key[1], key[3], key[4])

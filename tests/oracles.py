@@ -3,7 +3,8 @@
 Each restates a production quantity a second way, so a test can check the
 package against something that does not share its code: the per-draw SINR
 written out kind by kind, the outage region as direct power-split
-inequalities, the SINR density in level coordinates, a plain-interval
+inequalities, the SINR density in level coordinates, the time-shared common
+rate by two-axis integration of the joint density, a plain-interval
 quadrature, and a request-pattern classifier that maps raw popularity ranks
 to the served subcase.
 """
@@ -17,15 +18,23 @@ import numpy as np
 from scipy import integrate
 
 from rscache.caching import Mode, Subcase, Technique
-from rscache.distributions import SinrDist, scale_measure
+from rscache.distributions import SinrDist, coverage, dist_spec, pdf_s_measure, scale_measure
 from rscache.model import (
     PowerSplit,
     ReceiverClass,
     SinrKind,
     StreamPowers,
     SystemParams,
+    seen_kind,
+    stream_powers,
 )
-from rscache.quadrature import _ABS_TOL, _LIMIT, DEFAULT_RTOL, QuadratureError
+from rscache.quadrature import (
+    _ABS_TOL,
+    _LIMIT,
+    DEFAULT_RTOL,
+    QuadratureError,
+    integrate_log_scaled,
+)
 
 
 def _checked(result, rtol: float, message: str) -> float:
@@ -180,6 +189,73 @@ def pdf(spec: SinrDist, t: float, params: SystemParams) -> float:
     if t <= 0.0 or t >= spec.theta:
         return 0.0
     return scale_measure(spec, params)(spec._s(t)) * _s_prime(spec, t)
+
+
+def level_of_s(spec: SinrDist, s: float) -> float:
+    """Inverse of the scale map: the SINR level whose threshold scale is s.
+
+    t(s) = d1 s / (sigma2 + d2 s) involves no cancellation, so levels
+    arbitrarily close to the support bound are produced exactly; s = inf
+    maps to the bound itself.
+    """
+    if s <= 0.0:
+        return 0.0
+    if math.isinf(s):
+        return spec.theta
+    return spec.d1 * s / (spec.sigma2 + spec.d2 * s)
+
+
+def nested_common_rate_both(
+    params: SystemParams,
+    split: PowerSplit,
+    iic_at: ReceiverClass | None,
+    rtol: float,
+) -> float:
+    """Direct two-axis evaluation of rates.common_rate_both.
+
+    Iterated adaptive quadrature over the joint scale density; the inner
+    integral runs at a tenth of the outer tolerance. Orders of magnitude
+    slower than the production path, so tests sample it sparingly.
+    """
+    z = params.zeta
+    powers = stream_powers(params.P, split)
+    spec_c, spec_e = (
+        dist_spec(seen_kind(SinrKind.COMMON, iic_at is cls), cls, powers, params)
+        for cls in (ReceiverClass.CENTER, ReceiverClass.EDGE)
+    )
+    pi_c, pi_e = coverage(spec_c, z, params), coverage(spec_e, z, params)
+    if pi_c <= 0.0 or pi_e <= 0.0:
+        return 0.0
+    inner_rtol = rtol * 0.1
+    sig2 = params.sigma2
+
+    def half(outer: SinrDist, inner: SinrDist) -> float:
+        # both axes in scale coordinates; the inner cap min(y, theta_in)
+        # maps to a rational function of the outer scale whose denominator
+        # crosses zero exactly where y reaches the inner bound
+        s0_out = outer._s(z)
+        s0_in = inner._s(z)
+        cross = inner.d1 * outer.d2 - inner.d2 * outer.d1
+
+        def integrand(s_out: float) -> float:
+            m_out = pdf_s_measure(outer, s_out, params)
+            if m_out == 0.0:
+                return 0.0
+            den = inner.d1 * sig2 + cross * s_out
+            s_cap = math.inf if den <= 0.0 else sig2 * outer.d1 * s_out / den
+            if s_cap <= s0_in:
+                return 0.0
+            return m_out * integrate_log_scaled(
+                lambda s: math.log2(1.0 + level_of_s(inner, s))
+                * pdf_s_measure(inner, s, params),
+                s0_in,
+                s_cap,
+                rtol=inner_rtol,
+            )
+
+        return integrate_log_scaled(integrand, s0_out, math.inf, rtol=rtol)
+
+    return (half(spec_e, spec_c) + half(spec_c, spec_e)) / (pi_c * pi_e)
 
 
 def _classify_side(

@@ -9,6 +9,7 @@ against the scipy.special ufuncs, the second against frozen values.
 """
 
 import math
+from collections import Counter
 
 import mpmath as mp
 import pytest
@@ -16,7 +17,7 @@ import scipy.special
 
 from rscache import quadrature, rates
 from rscache.caching import Mode, parse_subcase_token
-from rscache.distributions import _pdf_bracket, coverage, dist_spec, level_of_s, scale_measure
+from rscache.distributions import _pdf_bracket, coverage, dist_spec, scale_measure
 from rscache.incgamma import reg_lower, reg_lower_diff, reg_upper
 from rscache.model import (
     PowerSplit,
@@ -28,6 +29,8 @@ from rscache.model import (
 from rscache.quadrature import QuadratureError
 from rscache.rates import evaluate_subcase
 from rscache.sweep import MODE_SUBCASES, figure_presets
+
+from oracles import level_of_s
 
 PARAMS = SystemParams()
 
@@ -216,7 +219,6 @@ GRID = tuple(0.02 + 0.96 * i / 11 for i in range(12))
 RATE_CACHES = (
     rates.common_rate_single,
     rates.common_rate_both,
-    rates.common_stream_rate,
     rates.private_rate_after_common,
     rates.private_rate_with_interference,
 )
@@ -248,6 +250,47 @@ def test_served_receivers_get_a_positive_rate():
                 if rep.q_edge > 0.0 and not rep.r_edge > 0.0:
                     bad.append((beta, rho, sub, "edge", rep.q_edge))
     assert bad == []
+
+
+def test_evaluate_subcase_runs_each_receiver_term_once(monkeypatch, cold_rate_caches):
+    # both receivers of all-cc xor/xor sit in B3 at the stock split, where
+    # the dispatch uses all three terms; the components reuse them
+    names = ("common_stream_rate", "private_rate_after_common", "private_rate_with_interference")
+    calls = Counter()
+    for name in names:
+        def counted(params, split, cls, *args, _name=name, _fn=getattr(rates, name)):
+            calls[_name, cls] += 1
+            return _fn(params, split, cls, *args)
+
+        monkeypatch.setattr(rates, name, counted)
+    sub = parse_subcase_token(Mode.ALL_CC, "xor/xor", PARAMS.K)
+    rep = evaluate_subcase(sub, PARAMS, PowerSplit(beta=0.5, rho=0.5))
+    assert (rep.branch_center, rep.branch_edge) == ("B3", "B3")
+    assert calls == {(name, cls): 1 for name in names for cls in ReceiverClass}
+
+
+def test_components_are_the_functionals_bit_for_bit():
+    # a term the receiver's branch does not use is reported as zero, which
+    # must be exactly what its functional gives at that point
+    subs = [parse_subcase_token(m, tok, PARAMS.K) for m in Mode for tok in MODE_SUBCASES[m]]
+    branches = set()
+    rtol = quadrature.DEFAULT_RTOL
+    for beta, rho in ((0.05, 0.5), (0.3, 0.2), (0.5, 0.5), (0.7, 0.8), (0.9, 0.3)):
+        split = PowerSplit(beta=beta, rho=rho)
+        for sub in subs:
+            rep = evaluate_subcase(sub, PARAMS, split)
+            parts = rep.components
+            branches |= {rep.branch_center, rep.branch_edge}
+            for cls, w in zip(ReceiverClass, rates.omegas(PARAMS, sub)):
+                args, iic = (PARAMS, split, cls, w), sub.iic_at is cls
+                want = (
+                    rates.common_stream_rate(*args, sub.iic_at, rtol),
+                    rates.private_rate_after_common(*args, iic, rtol),
+                    rates.private_rate_with_interference(*args, iic, rtol),
+                )
+                got = tuple(getattr(parts, f"{k}_{cls.value}") for k in ("rs0", "rp", "rpi"))
+                assert got == want, (beta, rho, sub.token, cls)
+    assert branches == {"B1", "B2", "B3", "B4", "Z"}
 
 
 def _direct_difference_measure(spec, params):

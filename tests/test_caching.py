@@ -202,16 +202,18 @@ def test_classify_mpc_needs_an_uncached_request():
         classify_subcase(Mode.ALL_MPC, [1, 2, 3, 4, 5], [31, 1, 1, 1, 1], PARAMS, rng)
 
 
-def test_classify_is_exhaustive_over_random_requests():
-    # every classified pattern lands on a token the sweep rosters know
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_classify_is_exhaustive_over_random_requests(gamma):
+    # every classified pattern lands on a token the sweep rosters know,
+    # under uniform and Zipf(1) popularity
     from rscache.sweep import MODE_SUBCASES
 
     rng = np.random.default_rng(4)
     for mode in Mode:
         tokens = set()
         for _ in range(400):
-            c = sample_requests(PARAMS, PARAMS.K, rng)
-            e = sample_requests(PARAMS, PARAMS.K, rng)
+            c = sample_requests(PARAMS, PARAMS.K, rng, gamma)
+            e = sample_requests(PARAMS, PARAMS.K, rng, gamma)
             if not mode.is_cc(ReceiverClass.CENTER) and all(c <= PARAMS.M):
                 continue
             if not mode.is_cc(ReceiverClass.EDGE) and all(e <= PARAMS.M):

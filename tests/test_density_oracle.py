@@ -140,11 +140,13 @@ def _ref_expect(spec, lo, hi, weight=None):
     """Integral of log2(1+t) weight(t) g(t) dt over (lo, min(hi, theta)).
 
     Integrated over x = s r^alpha (r the inner radius of the annulus, the
-    radius of the disk). Every integrand here decays at least like e^-x:
-    the annulus density does, and the disk density is only ever weighted
-    by the edge receiver's tail, which decays faster. The integrand is
-    divided by its starting value, so the absolute tolerance of mp.quad
-    acts as a relative one, and it is cut where it has fallen by e^-45.
+    radius of the disk). The integrand is divided by its starting value, so
+    the absolute tolerance of mp.quad acts as a relative one, and it is cut
+    45 units past x_lo. The cut is only sound for an integrand that decays
+    like e^-x, as the annulus density does; the plain disk density decays
+    by a power law on this axis. So where the cut applies and the integrand
+    there has not fallen below e^-40 of its start, this raises instead of
+    returning a value that is too low.
     """
     alpha, r_in, r_out = _geometry(spec.cls)
     r_alpha = (r_in if spec.cls is ReceiverClass.EDGE else r_out) ** alpha
@@ -159,7 +161,12 @@ def _ref_expect(spec, lo, hi, weight=None):
 
     lift = 1 / f(x_lo)
     pts = [x_lo] + [x_lo + d for d in (1, 4, 12) if x_lo + d < x_hi]
-    pts.append(min(x_hi, x_lo + 45))
+    cut = x_lo + 45
+    if cut < x_hi:
+        left = abs(f(cut) * lift)
+        if not left < mp.exp(-40):
+            raise ValueError(f"integrand at the cut is {mp.nstr(left, 3)} of its start")
+    pts.append(min(x_hi, cut))
     return mp.quad(lambda x: f(x) * lift, pts, method="gauss-legendre") / lift
 
 
@@ -267,19 +274,41 @@ def test_private_rate_with_interference_deep_edge_matches_mpmath():
     assert got == pytest.approx(1.00139693407776, rel=1e-12)
 
 
+def _fig9_cancelled_interference_route():
+    """fig9 at P = 10^5.5, beta = 0.3: the cancelling center's interference route."""
+    name, spec9 = figure_presets()["fig9"][2]
+    params, split = spec9.at(spec9.grid()[11])
+    powers = stream_powers(params.P, split)
+    assert name == "fig9_iic_beta03.csv"
+    assert params.zeta >= sinr_bound(SinrKind.COMMON_IIC, ReceiverClass.CENTER, powers)
+    spec = dist_spec(SinrKind.PRIVATE_INTERF_IIC, ReceiverClass.CENTER, powers, params)
+    return params, split, spec, private_sinr_threshold(1.0, params.xi)
+
+
+def test_ref_expect_refuses_a_disk_integrand_that_has_not_decayed():
+    # unguarded, the x-axis cut read 0.96698 here against 1.11454 (15% low)
+    _, _, spec, xi_t = _fig9_cancelled_interference_route()
+    with mp.workdps(RATE_DPS), pytest.raises(ValueError, match="at the cut"):
+        _ref_expect(spec, xi_t, spec.theta)
+    # the disk half of common_rate_both at fig3 beta = 0.35, weighted by the
+    # tail of a cancelling edge receiver that decays more slowly than e^-x;
+    # unguarded, the common rate built on it read 0.569712 against 0.591217
+    params, split = figure_presets()["fig3"][1][1].at(0.35)
+    powers = stream_powers(params.P, split)
+    c = dist_spec(SinrKind.COMMON, ReceiverClass.CENTER, powers, params)
+    e = dist_spec(SinrKind.COMMON_IIC, ReceiverClass.EDGE, powers, params)
+    with mp.workdps(RATE_DPS), pytest.raises(ValueError, match="at the cut"):
+        _ref_expect(c, params.zeta, c.theta, lambda t: _ref_coverage(e, t))
+
+
 def test_cancelled_interference_route_at_high_power_matches_mpmath():
     # fig9 at P = 10^5.5, beta = 0.3: the cancelling center receiver is
     # served only through the interference route, whose integral runs up
     # to the table bound theta = pc/p0. The disk density decays by a power
     # law in s, so the reference integrates in log s up to where e^-s has
     # underflowed (the x-axis cut of _ref_expect suits the annulus only).
-    name, spec9 = figure_presets()["fig9"][2]
-    params, split = spec9.at(spec9.grid()[11])
+    params, split, spec, xi_t = _fig9_cancelled_interference_route()
     cls = ReceiverClass.CENTER
-    powers = stream_powers(params.P, split)
-    assert params.zeta >= sinr_bound(SinrKind.COMMON_IIC, cls, powers)
-    spec = dist_spec(SinrKind.PRIVATE_INTERF_IIC, cls, powers, params)
-    xi_t = private_sinr_threshold(1.0, params.xi)
     with mp.workdps(40):
         lo = mp.log(_scale(spec, xi_t))
 
@@ -290,5 +319,4 @@ def test_cancelled_interference_route_at_high_power_matches_mpmath():
         pts = [lo] + [mp.mpf(k) for k in range(int(lo) + 1, 8)]
         want = mp.quad(f, pts) / _ref_coverage(spec, xi_t)
     got = private_rate_with_interference(params, split, cls, 1.0, True, 1e-9)
-    assert name == "fig9_iic_beta03.csv"
     assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)

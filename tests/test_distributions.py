@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from rscache.distributions import (
     coverage,
     dist_spec,
-    level_of_s,
     pdf_s_measure,
 )
 from rscache.model import (
@@ -28,7 +27,7 @@ from rscache.model import (
 )
 from rscache.montecarlo import SimConfig, estimate_coverage
 
-from oracles import _s_prime, integrate_interval, outage_region, pdf
+from oracles import _s_prime, integrate_interval, level_of_s, outage_region, pdf
 
 PARAMS = SystemParams()
 SPLIT = PowerSplit(beta=0.5, rho=0.5)

@@ -27,7 +27,6 @@ from rscache.model import (
 )
 from rscache.montecarlo import SimConfig, estimate_rates
 from rscache.rates import (
-    _nested_common_rate_both,
     achieved_rate,
     asymptotic_report,
     common_rate_both,
@@ -39,7 +38,7 @@ from rscache.rates import (
 )
 from rscache.sweep import compare_reports
 
-from oracles import integrate_interval
+from oracles import integrate_interval, nested_common_rate_both
 
 PARAMS = SystemParams()
 SPLIT = PowerSplit(beta=0.5, rho=0.5)
@@ -101,7 +100,7 @@ def test_min_rate_matches_the_two_axis_integration():
     # same quantity through the joint density; slow, so only spot points
     for split, iic_at in ((SPLIT, None), (PowerSplit(0.6, 0.4), ReceiverClass.EDGE)):
         direct = common_rate_both(PARAMS, split, iic_at, 1e-9)
-        nested = _nested_common_rate_both(PARAMS, split, iic_at, 1e-5)
+        nested = nested_common_rate_both(PARAMS, split, iic_at, 1e-5)
         assert direct == pytest.approx(nested, rel=1e-5)
 
 
