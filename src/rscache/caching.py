@@ -101,11 +101,6 @@ class PlacementMap:
             raise ValueError("receiver index out of range")
         return tuple(s for s in self._by_file[f] if receiver in s.group)
 
-    def storage_files(self, receiver: int) -> Fraction:
-        """Occupied cache space in units of whole files (must equal M)."""
-        per_file = Fraction(len(self.cached(1, receiver)), self.cfg.subfiles_per_file)
-        return per_file * self.cfg.N
-
 
 def cc_place(cfg: CodedCacheConfig) -> PlacementMap:
     """Uncoded symmetric placement: file f is split along t-subsets of receivers."""

@@ -107,28 +107,16 @@ def _geometry(
     )
 
 
-def coverage_tail(spec: SinrDist, params: SystemParams) -> Callable[[float], float]:
-    """P[eta > t] for the positioned receiver, as t -> P; see coverage.
+def scale_tail(spec: SinrDist, params: SystemParams) -> Callable[[float], float]:
+    """The coverage at scale s, s -> E_d[exp(-s (1 + d^alpha))]; see coverage.
 
-    The support bound theta, the scale map's d1, d2 and sigma2 and the
-    receiver geometry (_geometry) are bound here once, so an integrand
-    that asks for the tail at every quadrature point pays for them once.
+    The geometry (_geometry) is bound once, for integrands that ask for the
+    tail at every point. Past the underflow point, and at s = inf or NaN, it is 0.
     """
-    theta = spec.theta
-    d1, d2, sigma2 = spec.d1, spec.d2, spec.sigma2
     a, gamma_a, annulus, norm, out_alpha, in_alpha, _, _ = _geometry(spec.cls, params)
 
-    def tail(t: float) -> float:
-        if t <= 0.0:
-            return 1.0
-        if t >= theta:
-            return 0.0
-        # spec._s(t) inline; a nonpositive denominator means s = inf
-        den = d1 - d2 * t
-        if den <= 0.0:
-            return 0.0
-        s = sigma2 * t / den
-        if not math.isfinite(s) or s > _EXP_UNDERFLOW:
+    def tail(s: float) -> float:
+        if not s <= _EXP_UNDERFLOW:
             return 0.0
         if annulus:
             p = reg_lower_diff(a, s * in_alpha, s * out_alpha)
@@ -142,25 +130,23 @@ def coverage_tail(spec: SinrDist, params: SystemParams) -> Callable[[float], flo
 
 def coverage(spec: SinrDist, t: float, params: SystemParams) -> float:
     """P[eta > t] for the positioned receiver, exactly zero for t >= theta."""
-    return coverage_tail(spec, params)(t)
+    if t <= 0.0:
+        return 1.0
+    if t >= spec.theta:
+        return 0.0
+    return scale_tail(spec, params)(spec._s(t))
 
 
 def _pdf_bracket(a: float, s: float, x: float, r2: float, gamma_a: float) -> float:
     """s^-a (s + a) gamma(a, x) - r^2 e^-x, the radius term of the density.
 
     r2 is the squared radius with x = s r^alpha, gamma_a is Gamma(a). For
-    small x the two parts nearly cancel; the difference is expanded as an
-    all-positive series r^2 e^-x (s/a + (s+a) sum_k>=1 x^k / prod(a+j)).
+    small x the two parts nearly cancel. Since r^2 = x^a / s^a and
+    gamma(a + 1, x) = a gamma(a, x) - x^a e^-x, the difference is the
+    all-positive Gamma(a) (s P(a, x) + a P(a + 1, x)) / s^a, used there.
     """
     if x < a + 1.0:
-        term = 1.0 / a
-        total = 0.0
-        for k in range(1, 600):
-            term *= x / (a + k)
-            total += term
-            if term < (total + 1e-30) * 1e-17:
-                break
-        return r2 * math.exp(-x) * (s / a + (s + a) * total)
+        return gamma_a * (s * reg_lower(a, x) + a * reg_lower(a + 1.0, x)) / s**a
     gamma_part = gamma_a * reg_lower(a, x)
     return (s + a) * gamma_part / s**a - r2 * math.exp(-x)
 

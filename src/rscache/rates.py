@@ -21,22 +21,25 @@ cancellation variant (model.seen_kind) and raises its support bound. The
 dispatch hands back the terms it used, so evaluate_subcase reports them as
 components without evaluating them again.
 
-All expectations are integrals of log2(1 + t) against the conditional SINR
-densities, taken in scale coordinates by the package's adaptive
-Gauss–Kronrod rule (quadrature.integrate_log_scaled). The four integral
-functionals are memoised for the life of the process, since sweeps of
-different caching modes revisit the same working points; the common-stream
-term is plain arithmetic over two of them and is not.
+The single-receiver expectations are integrals of log2(1 + t) against the
+conditional SINR densities; the time-shared min-rate integrates the product
+of the two receivers' closed-form tails instead, with no density. Both are
+taken in scale coordinates by the package's adaptive Gauss–Kronrod rule
+(quadrature.integrate_log_scaled). The four integral functionals are
+memoised for the life of the process, since sweeps of different caching
+modes revisit the same working points; the common-stream term is plain
+arithmetic over two of them and is not.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .caching import Subcase
-from .distributions import SinrDist, coverage, coverage_tail, dist_spec, scale_measure
+from .distributions import SinrDist, coverage, dist_spec, scale_measure, scale_tail
 # not called here: bench/tracer.py hooks the name rscache.rates.pdf_s_measure
 from .distributions import pdf_s_measure  # noqa: F401
 from .model import (
@@ -112,7 +115,8 @@ def _mean_lograte(
     quadrature's absolute error floor is scaled by the normaliser, so a
     rate conditioned on a tiny probability is held to its own precision.
     """
-    if norm <= 0.0:
+    if norm < sys.float_info.min:
+        # zero, or so deep in outage that the error floor would underflow
         return 0.0
     theta = spec.theta
     hi = min(hi, theta)
@@ -126,12 +130,13 @@ def _mean_lograte(
     d1, d2, sigma2 = spec.d1, spec.d2, spec.sigma2
 
     def integrand(s: float) -> float:
-        # lograte(omega, t) at the level t(s) whose scale is s, for the
-        # finite s > 0 that the quadrature visits
-        t = d1 * s / (sigma2 + d2 * s)
-        if t <= 0.0:
+        # lograte(omega, t) at the level t(s) whose scale is s; the measure
+        # goes first, since past its underflow point d1 * s may overflow
+        m = measure(s)
+        if m == 0.0:
             return 0.0
-        return omega * math.log2(1.0 + t) * measure(s)
+        t = d1 * s / (sigma2 + d2 * s)
+        return omega * math.log2(1.0 + t) * m
 
     integral = integrate_log_scaled(integrand, s_lo, s_hi, rtol=rtol, scale=min(norm, 1.0))
     return integral / norm
@@ -177,13 +182,18 @@ def common_rate_both(
 ) -> float:
     """E[log2(1 + min of the two common SINRs) | both clear zeta], pre-log free.
 
-    The gains are independent, so splitting on which receiver holds the
-    smaller SINR turns the two-axis integral into two one-axis integrals:
-    the other receiver only enters through its closed-form tail probability
-    at the same level. That tail is exactly zero once the level reaches the
-    other receiver's bound, so each half ends at the scale of that level
-    when it lies inside the support, instead of integrating across the
-    kink to infinity.
+    The gains are independent, so the min clears a level t with the product
+    of the two tails, and integration by parts leaves one integral of it:
+
+      log2(1 + zeta) + int_zeta^inf P_c(t) P_e(t) dt / (1 + t) / (ln 2 pi_c pi_e).
+
+    It runs in the scale s of the receiver with the lower bound, where
+    dt / (1 + t) = slope(s) ds: there its own tail decays exponentially as
+    s -> inf and the partner's level stays inside the partner's support.
+    (In the other receiver's scale the range would end at the lower bound,
+    where that tail vanishes like a root of the distance.) The partner's
+    scale is formed from s directly, not from the level t(s), whose
+    distance to a shared bound cancels at high power.
     """
     z = params.zeta
     powers = stream_powers(params.P, split)
@@ -192,27 +202,28 @@ def common_rate_both(
         for cls in (ReceiverClass.CENTER, ReceiverClass.EDGE)
     )
     pi_c, pi_e = coverage(spec_c, z, params), coverage(spec_e, z, params)
-    if pi_c <= 0.0 or pi_e <= 0.0:
+    norm = pi_c * pi_e
+    if norm < sys.float_info.min:
+        # zero, or so deep in outage that the error floor would underflow
         return 0.0
+    if spec_c.d1 * spec_e.d2 <= spec_e.d1 * spec_c.d2:
+        inner, outer = spec_c, spec_e
+    else:
+        inner, outer = spec_e, spec_c
+    tail_in, tail_out = scale_tail(inner, params), scale_tail(outer, params)
+    d1, d2, sigma2, e1 = inner.d1, inner.d2, inner.sigma2, outer.d1
+    # >= 0 by that choice, and exactly 0 for a partner with the same powers
+    cross = e1 * d2 - outer.d2 * d1
 
-    def half(outer: SinrDist, inner: SinrDist) -> float:
-        measure = scale_measure(inner, params)
-        outer_tail = coverage_tail(outer, params)
-        d1, d2, sigma2 = inner.d1, inner.d2, inner.sigma2
+    def integrand(s: float) -> float:
+        p = tail_in(s)
+        if p == 0.0:
+            return 0.0
+        q = tail_out(sigma2 * d1 * s / (e1 * sigma2 + cross * s))
+        return d1 * sigma2 / ((sigma2 + (d1 + d2) * s) * (sigma2 + d2 * s)) * p * q
 
-        def integrand(y: float) -> float:
-            t = d1 * y / (sigma2 + d2 * y)  # the level whose scale is y
-            tail = outer_tail(t)
-            if tail == 0.0:
-                return 0.0
-            return math.log2(1.0 + t) * tail * measure(y)
-
-        # the comparison is False for the degenerate bounds (inf, or nan
-        # from a 0/0 split), which keep the infinite range
-        hi = inner._s(outer.theta) if outer.theta < inner.theta else math.inf
-        return integrate_log_scaled(integrand, inner._s(z), hi, rtol=rtol, scale=pi_c * pi_e)
-
-    return (half(spec_e, spec_c) + half(spec_c, spec_e)) / (pi_c * pi_e)
+    integral = integrate_log_scaled(integrand, inner._s(z), math.inf, rtol=rtol, scale=norm)
+    return math.log2(1.0 + z) + integral / (math.log(2.0) * norm)
 
 
 def common_stream_rate(

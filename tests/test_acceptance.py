@@ -135,10 +135,15 @@ def test_c4_decode_impossibility_boundaries():
 def test_c5_cache_placement_and_delivery_exact():
     from rscache.caching import cc_delivery_schedule
 
+    def storage_files(layout, receiver):
+        """Occupied cache space in units of whole files (must equal M)."""
+        cfg = layout.cfg
+        return Fraction(len(layout.cached(1, receiver)), cfg.subfiles_per_file) * cfg.N
+
     for cfg in ALL_SMALL:
         layout = cc_place(cfg)
         for receiver in range(1, cfg.K + 1):
-            assert layout.storage_files(receiver) == Fraction(cfg.M)
+            assert storage_files(layout, receiver) == Fraction(cfg.M)
         demand_space = cfg.N ** cfg.K
         if demand_space <= 1024:
             demand_iter = itertools.product(range(1, cfg.N + 1), repeat=cfg.K)

@@ -27,7 +27,7 @@ from rscache.model import (
     stream_powers,
 )
 from rscache.quadrature import QuadratureError
-from rscache.rates import evaluate_subcase
+from rscache.rates import asymptotic_report, evaluate_subcase
 from rscache.sweep import MODE_SUBCASES, figure_presets
 
 from oracles import level_of_s
@@ -347,3 +347,25 @@ def test_no_figure_preset_integral_reaches_the_subdivision_limit(monkeypatch, co
                 for sub in subs:
                     evaluate_subcase(sub, params, split)
     assert hits == []
+
+
+@pytest.mark.parametrize("power", [1e11, 1e12, 1e16, 1e30, 1e50, 1e100])
+def test_high_power_roster_matches_the_limit(power):
+    # past P ~ 1e10 every finite served rate sits within 1e-6 of its
+    # noise-free limit; a cancelling receiver's limit is infinite, and its
+    # finite-P rate must still be a number
+    params = SystemParams(P=power)
+    subs = [parse_subcase_token(m, tok, params.K) for m in Mode for tok in MODE_SUBCASES[m]]
+    bad = []
+    for beta in (0.3, 0.7):
+        split = PowerSplit(beta=beta, rho=0.5)
+        for sub in subs:
+            rep = evaluate_subcase(sub, params, split)
+            limit = asymptotic_report(sub, params, split)
+            for field in ("r_center", "r_edge", "r_sum"):
+                got, want = getattr(rep, field), getattr(limit, field)
+                if not math.isfinite(got) or (
+                    math.isfinite(want) and got != pytest.approx(want, rel=1e-6, abs=0.0)
+                ):
+                    bad.append((beta, sub.token, field, got, want))
+    assert bad == []

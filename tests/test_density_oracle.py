@@ -236,6 +236,26 @@ def test_common_rate_both_ends_at_the_kink_like_mpmath():
     assert got == pytest.approx(0.591217225173, rel=1e-11)
 
 
+@pytest.mark.parametrize(
+    "power,iic_at,want",
+    [
+        (1e9, None, 1.7369562257671506537),
+        (1e10, None, 1.7369645000815383731),
+        (1e9, ReceiverClass.EDGE, 1.7369640800628628379),
+        (1e10, ReceiverClass.EDGE, 1.7369654266075034643),
+        (1e100, None, math.log2(1.0 + 7.0 / 3.0)),
+    ],
+)
+def test_common_rate_both_at_high_power_matches_mpmath(power, iic_at, want):
+    # beta = 0.7, rho = 0.5: the two tails fall to zero within a few ulps of
+    # the common bound 7/3 (4.67 at the cancelling edge), where t's distance
+    # to the bound cancels. References from the tail-product integral at 40
+    # digits, taken in the scale of either receiver; at P = 1e100 the rate is
+    # its noise-free limit log2(1 + 7/3).
+    got = common_rate_both(SystemParams(P=power), PowerSplit(beta=0.7, rho=0.5), iic_at, 1e-9)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_private_rate_after_common_edge_matches_mpmath():
     # the pfr edge stream of mpc-cc efr/pfr: its private threshold sits
     # below the equal-gain point, so the common event (q = 2.9e-13) is the

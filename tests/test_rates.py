@@ -10,8 +10,9 @@ route. The Monte-Carlo estimator then closes the loop end to end.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rscache.caching import Mode, parse_subcase_token
@@ -26,6 +27,7 @@ from rscache.model import (
     stream_powers,
 )
 from rscache.montecarlo import SimConfig, estimate_rates
+from rscache.quadrature import QuadratureError
 from rscache.rates import (
     achieved_rate,
     asymptotic_report,
@@ -216,6 +218,12 @@ def test_branch_formulas_reconstruct_and_all_branches_appear():
     cls=st.sampled_from(ReceiverClass),
     iic=st.sampled_from([None, ReceiverClass.CENTER, ReceiverClass.EDGE]),
 )
+# the cancelling edge receiver's single common rate is conditioned on a
+# subnormal 1.3e-308 here, where the quadrature's error floor underflows
+@example(
+    split=PowerSplit(beta=0.10707827203019357, rho=0.7808177265864169),
+    omega=1.0, cls=ReceiverClass.EDGE, iic=ReceiverClass.EDGE,
+)
 def test_dispatch_is_total_and_sane(split, omega, cls, iic):
     got = achieved_rate(PARAMS, split, cls, omega, iic)
     assert got.branch in ("B1", "B2", "B3", "B4", "Z")
@@ -223,6 +231,25 @@ def test_dispatch_is_total_and_sane(split, omega, cls, iic):
     assert got.rate >= 0.0 and math.isfinite(got.rate)
     if got.branch == "Z":
         assert got.rate == 0.0 and got.q == 0.0
+
+
+def test_dispatch_gives_a_finite_rate_over_a_fine_grid():
+    # a 60 x 60 grid reaches conditioning probabilities below the smallest
+    # normal float, e.g. the cancelling edge at (0.309, 0.973) and (0.973, 0.309)
+    grid = [float(x) for x in np.linspace(0.01, 0.99, 60)]
+    bad = []
+    for beta in grid:
+        for rho in grid:
+            split = PowerSplit(beta=beta, rho=rho)
+            for cls in ReceiverClass:
+                for iic in (None, ReceiverClass.CENTER, ReceiverClass.EDGE):
+                    try:
+                        rate = achieved_rate(PARAMS, split, cls, 1.0, iic).rate
+                    except QuadratureError as exc:
+                        rate = exc
+                    if not (isinstance(rate, float) and math.isfinite(rate)):
+                        bad.append((beta, rho, cls, iic, rate))
+    assert bad == []
 
 
 def test_degenerate_splits_do_not_crash():
