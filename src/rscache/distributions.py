@@ -111,13 +111,16 @@ def scale_tail(spec: SinrDist, params: SystemParams) -> Callable[[float], float]
     """The coverage at scale s, s -> E_d[exp(-s (1 + d^alpha))]; see coverage.
 
     The geometry (_geometry) is bound once, for integrands that ask for the
-    tail at every point. Past the underflow point, and at s = inf or NaN, it is 0.
+    tail at every point. Past the underflow point, and at s = inf or NaN, it is 0;
+    at s = 0 (a level whose scale underflows) it is exactly 1.
     """
     a, gamma_a, annulus, norm, out_alpha, in_alpha, _, _ = _geometry(spec.cls, params)
 
     def tail(s: float) -> float:
         if not s <= _EXP_UNDERFLOW:
             return 0.0
+        if s == 0.0:
+            return 1.0
         if annulus:
             p = reg_lower_diff(a, s * in_alpha, s * out_alpha)
         else:

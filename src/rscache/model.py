@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,6 +100,9 @@ class SystemParams:
             self.r_0**self.alpha
         except OverflowError:
             raise ValueError("r_0 ** alpha must fit a float") from None
+        if not min(self.r_c * self.r_c, self.r_c**self.alpha) >= sys.float_info.min:
+            # the position averages divide by r_c^2 and scale by r_c^alpha
+            raise ValueError("r_c ** 2 and r_c ** alpha must not underflow")
         if self.K < 1 or self.M < 0 or self.N <= 0 or self.F < self.N:
             raise ValueError("need K >= 1, M >= 0, 0 < N <= F")
         if self.M >= self.N:

@@ -21,14 +21,19 @@ cancellation variant (model.seen_kind) and raises its support bound. The
 dispatch hands back the terms it used, so evaluate_subcase reports them as
 components without evaluating them again.
 
-The single-receiver expectations are integrals of log2(1 + t) against the
-conditional SINR densities; the time-shared min-rate integrates the product
-of the two receivers' closed-form tails instead, with no density. Both are
-taken in scale coordinates by the package's adaptive Gauss–Kronrod rule
-(quadrature.integrate_log_scaled). The four integral functionals are
-memoised for the life of the process, since sweeps of different caching
-modes revisit the same working points; the common-stream term is plain
-arithmetic over two of them and is not.
+The single-receiver expectations are closed-form over the fading: at a
+fixed distance the Exp(1) gain clears a level exactly above one threshold,
+and integrating log(1 + SINR) by parts against e^-h leaves the exponential
+integral e^x E1(x) (Abramowitz & Stegun 5.1). What is left is a smooth
+average over the receiver's position, taken by a fixed piecewise G7K15 rule
+in one numpy evaluation and refused (QuadratureError) when its error
+estimate misses the tolerance (_mean_lograte). The time-shared min-rate
+integrates the product of the two receivers' closed-form tails instead,
+with no density, in scale coordinates on the package's adaptive
+Gauss–Kronrod rule (quadrature.integrate_log_scaled). The four integral
+functionals are memoised for the life of the process, since sweeps of
+different caching modes revisit the same working points; the common-stream
+term is plain arithmetic over two of them and is not.
 """
 
 from __future__ import annotations
@@ -38,8 +43,11 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+from scipy.special import exp1
+
 from .caching import Subcase
-from .distributions import SinrDist, coverage, dist_spec, scale_measure, scale_tail
+from .distributions import SinrDist, coverage, dist_spec, scale_tail
 # not called here: bench/tracer.py hooks the name rscache.rates.pdf_s_measure
 from .distributions import pdf_s_measure  # noqa: F401
 from .model import (
@@ -53,7 +61,7 @@ from .model import (
     sinr_bound,
     stream_powers,
 )
-from .quadrature import DEFAULT_RTOL, integrate_log_scaled
+from .quadrature import DEFAULT_RTOL, _check, integrate_log_scaled
 
 
 def lograte(omega: float, t: float) -> float:
@@ -98,6 +106,171 @@ def omegas(params: SystemParams, subcase: Subcase) -> tuple[float, float]:
     )
 
 
+# G7K15 on [-1, 1] (QUADPACK's QK15, Piessens et al. 1983): the Kronrod
+# abscissae and weights, positive half with the centre last, and the
+# embedded 7-point Gauss weights at the same nodes (0 at Kronrod-only ones)
+_XK15 = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WK15 = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG7 = (
+    0.0,
+    0.129484966168869693270611432679082,
+    0.0,
+    0.279705391489276667901467771423780,
+    0.0,
+    0.381830050505118944950369775488975,
+    0.0,
+    0.417959183673469387755102040816327,
+)
+_NODES = np.array([-x for x in _XK15[:-1]] + list(_XK15[::-1]))
+_K15 = np.array(_WK15[:-1] + _WK15[::-1])
+# columns: the K15 weights, and K15 minus G7, whose |sum| times the
+# half-width is a piece's error estimate
+_RULES = np.stack([_K15, _K15 - np.array(_WG7[:-1] + _WG7[::-1])], axis=1)
+
+#: distances where ln(1 + d^alpha) bends, and e-folds y = s (d^alpha -
+#: r_in^alpha) of the fading factor from the inner radius; the rule cuts
+#: the radius range at both and drops what lies past the last e-fold
+#: (a share of about e^-48 of the mass)
+_KNEES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+_EFOLDS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0)
+
+#: from this argument up, e^x E1(x) = int_0^inf e^-v / (x + v) dv is taken
+#: as its 16-node Gauss-Laguerre sum, within 5e-16 of it there; below, from
+#: scipy's exp1, whose continued fraction costs several times as much per
+#: point in the range the position averages visit most
+_PHI_LAGUERRE = 12.0
+# numpy.polynomial.laguerre.laggauss(16)
+_LAGUERRE_NODES = np.array([
+    0.08764941047892776,
+    0.4626963289150804,
+    1.1410577748312265,
+    2.1292836450983805,
+    3.4370866338932067,
+    5.078018614549768,
+    7.070338535048234,
+    9.438314336391938,
+    12.21422336886616,
+    15.441527368781617,
+    19.180156856753136,
+    23.515905693991908,
+    28.57872974288214,
+    34.58339870228662,
+    41.94045264768833,
+    51.70116033954332,
+])
+_LAGUERRE_WEIGHTS = np.array([
+    0.2061517149578049,
+    0.3310578549508783,
+    0.2657957776442144,
+    0.13629693429637874,
+    0.04732892869412563,
+    0.011299900080339598,
+    0.0018490709435263271,
+    0.0002042719153082809,
+    1.4844586873981502e-05,
+    6.828319330871331e-07,
+    1.8810248410797222e-08,
+    2.862350242973897e-10,
+    2.1270790332241214e-12,
+    6.29796700251788e-15,
+    5.050473700035608e-18,
+    4.161462370372851e-22,
+])
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """e^x E1(x) for x > 0, elementwise."""
+    out = np.empty_like(x)
+    near = x < _PHI_LAGUERRE
+    x_near = x[near]
+    out[near] = np.exp(x_near) * exp1(x_near)
+    far = ~near
+    out[far] = (1.0 / (x[far][:, None] + _LAGUERRE_NODES)) @ _LAGUERRE_WEIGHTS
+    return out
+
+
+def _radii(cls: ReceiverClass, params: SystemParams) -> tuple[float, float]:
+    """(r_in, r_out) of the receiver's position law: the edge ring or the centre disk."""
+    if cls is ReceiverClass.EDGE:
+        return params.r_e, params.r_0
+    return 0.0, params.r_c
+
+
+def _pieces(s: float, r_in: float, r_out: float, alpha: float) -> list[float]:
+    """Edges of the rule's pieces over (r_in, r_out): the knees, and the e-folds at scale s."""
+    cuts = [k for k in _KNEES if r_in < k < r_out]
+    if s > 0.0:
+        in_alpha = r_in**alpha
+        for y in _EFOLDS:
+            d = (in_alpha + y / s) ** (1.0 / alpha)
+            if not d < r_out:
+                break
+            if d > r_in:
+                cuts.append(d)
+    cuts.sort()
+    return [r_in, *cuts, r_out]
+
+
+def _fading_average(
+    spec: SinrDist, params: SystemParams, s_lo: float, s_hi: float
+) -> tuple[float, float, float]:
+    """A(s_lo) - A(s_hi), its error estimate and A(s_lo) + A(s_hi).
+
+    A(s) = E_d[e^-sD (phi(D (s + tau1)) - phi(D (s + tau2)))] >= 0, with
+    D = 1 + d^alpha, tau1 = sigma2 / (d1 + d2), tau2 = sigma2 / d2 (no tau2
+    term when nothing interferes), phi(x) = e^x E1(x) and A(inf) = 0. One
+    G7K15 evaluation over the pieces of both scales; the fading factor is
+    formed relative to the inner radius, e^-s D = e^-s D_in e^-y, so no
+    node underflows before the coverage does.
+    """
+    alpha = params.alpha
+    r_in, r_out = _radii(spec.cls, params)
+    in_alpha = r_in**alpha
+    area = r_out * r_out - r_in * r_in
+    rows = []
+    for s, sign in ((s_lo, 1.0), (s_hi, -1.0)):
+        if math.isinf(s):
+            continue
+        edges = _pieces(s, r_in, r_out, alpha)
+        # the e^-s D_in factor over the area of the position law
+        factor = sign * math.exp(-s * (1.0 + in_alpha)) / area
+        rows += [(left, right, s, factor) for left, right in zip(edges[:-1], edges[1:])]
+    left, right, s, factor = np.array(rows).T
+    half = 0.5 * (right - left)
+    d = (left + half)[:, None] + half[:, None] * _NODES
+    d_alpha = d**alpha
+    s = s[:, None]
+    taus = [spec.sigma2 / (spec.d1 + spec.d2)]
+    if spec.d2 > 0.0:
+        taus.append(spec.sigma2 / spec.d2)
+    phi = _phi((1.0 + d_alpha) * (s + np.array(taus)[:, None, None]))
+    f = phi[0] - phi[1] if len(taus) == 2 else phi[0]
+    # times d of the position density 2 d / area; the 2 and the area are in weight
+    f *= np.exp(-s * (d_alpha - in_alpha)) * d
+    pieces, errors = (f @ _RULES).T
+    weight = 2.0 * factor * half
+    size = np.abs(weight)
+    return float(pieces @ weight), float(np.abs(errors) @ size), float(pieces @ size)
+
+
 def _mean_lograte(
     spec: SinrDist,
     omega: float,
@@ -109,11 +282,23 @@ def _mean_lograte(
 ) -> float:
     """(1/norm) * integral of omega*log2(1+t) g(t) dt over (lo, min(hi, theta)).
 
-    Evaluated in scale coordinates, where the integrand is a plain
-    exponential-decay shape at any transmit power (in SINR coordinates the
-    mass hugs the support bound ever harder as power grows). The
-    quadrature's absolute error floor is scaled by the normaliser, so a
-    rate conditioned on a tiny probability is held to its own precision.
+    Closed form over the fading, one fixed rule over the position. At a
+    fixed distance d the level t is reached at the fade h = s(t) D, with
+    D = 1 + d^alpha and s the scale map, so the part of the integral above
+    lo is, by parts,
+
+      ln(1 + lo) e^-s_lo D + e^-s_lo D (phi(D (s_lo + tau1)) - phi(D (s_lo + tau2)))
+
+    with phi(x) = e^x E1(x), tau1 = sigma2/(d1 + d2), tau2 = sigma2/d2. Over
+    the position the first term is ln(1 + lo) times the closed-form tail at
+    s_lo; the second is _fading_average's G7K15 sum. The part above a finite
+    hi is subtracted the same way.
+
+    The rule's error estimate must meet rtol, with the absolute floor
+    scaled by the normaliser as in the adaptive rule, or QuadratureError is
+    raised. The result is a mean of omega log2(1 + t) over (lo, hi) and is
+    held inside that bracket: when hi - lo is a sliver of two near-1
+    coverages (high power) the difference of the two ends keeps no digits.
     """
     if norm < sys.float_info.min:
         # zero, or so deep in outage that the error floor would underflow
@@ -126,20 +311,24 @@ def _mean_lograte(
     if not math.isfinite(s_lo):
         return 0.0
     s_hi = math.inf if hi >= theta else spec._s(hi)
-    measure = scale_measure(spec, params)
-    d1, d2, sigma2 = spec.d1, spec.d2, spec.sigma2
-
-    def integrand(s: float) -> float:
-        # lograte(omega, t) at the level t(s) whose scale is s; the measure
-        # goes first, since past its underflow point d1 * s may overflow
-        m = measure(s)
-        if m == 0.0:
-            return 0.0
-        t = d1 * s / (sigma2 + d2 * s)
-        return omega * math.log2(1.0 + t) * m
-
-    integral = integrate_log_scaled(integrand, s_lo, s_hi, rtol=rtol, scale=min(norm, 1.0))
-    return integral / norm
+    tail = scale_tail(spec, params)
+    integral, error, size = _fading_average(spec, params, s_lo, s_hi)
+    edge = math.log1p(lo) * tail(s_lo)
+    integral += edge
+    size += edge
+    if math.isfinite(s_hi):
+        edge = math.log1p(hi) * tail(s_hi)
+        integral -= edge
+        size += edge
+    # the error is held to the size of the terms: their difference can
+    # cancel (see below), and then it is rounding, not the rule, that errs
+    scale = omega / math.log(2.0)
+    _check(
+        scale * size, scale * error, "the G7K15 error estimate exceeds the tolerance", rtol,
+        "position-averaged E1 rule failed", min(norm, 1.0),
+    )
+    rate = scale * integral / norm
+    return min(max(rate, lograte(omega, lo)), lograte(omega, hi))
 
 
 def gap_thresholds(params: SystemParams, split: PowerSplit, cls: ReceiverClass) -> tuple[float, float]:
@@ -220,9 +409,13 @@ def common_rate_both(
         if p == 0.0:
             return 0.0
         q = tail_out(sigma2 * d1 * s / (e1 * sigma2 + cross * s))
-        return d1 * sigma2 / ((sigma2 + (d1 + d2) * s) * (sigma2 + d2 * s)) * p * q
+        # two factors, since their product underflows for a tiny sigma2
+        return d1 / (sigma2 + (d1 + d2) * s) * (sigma2 / (sigma2 + d2 * s)) * p * q
 
-    integral = integrate_log_scaled(integrand, inner._s(z), math.inf, rtol=rtol, scale=norm)
+    # a scale that underflows to 0 (a subnormal sigma2) starts the log axis
+    # at the least float, where the integrand vanishes like s
+    s_lo = max(inner._s(z), math.ulp(0.0))
+    integral = integrate_log_scaled(integrand, s_lo, math.inf, rtol=rtol, scale=norm)
     return math.log2(1.0 + z) + integral / (math.log(2.0) * norm)
 
 

@@ -4,7 +4,8 @@ Each restates a production quantity a second way, so a test can check the
 package against something that does not share its code: the per-draw SINR
 written out kind by kind, the outage region as direct power-split
 inequalities, the SINR density in level coordinates, the time-shared common
-rate by two-axis integration of the joint density, a plain-interval
+rate by two-axis integration of the joint density, the single-receiver
+rates as adaptive integrals against the density, a plain-interval
 quadrature, and a request-pattern classifier that maps raw popularity ranks
 to the served subcase.
 """
@@ -12,6 +13,7 @@ to the served subcase.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -203,6 +205,42 @@ def level_of_s(spec: SinrDist, s: float) -> float:
     if math.isinf(s):
         return spec.theta
     return spec.d1 * s / (spec.sigma2 + spec.d2 * s)
+
+
+def mean_lograte_by_density(
+    spec: SinrDist,
+    omega: float,
+    lo: float,
+    hi: float,
+    norm: float,
+    params: SystemParams,
+    rtol: float,
+) -> float:
+    """rates._mean_lograte as the adaptive integral of omega log2(1 + t) against the density.
+
+    Taken in scale coordinates over (s(lo), s(min(hi, theta))) against the
+    closed-form scale measure on the package's adaptive rule, with the same
+    guards and the same norm-scaled error floor as the E1 form.
+    """
+    if norm < sys.float_info.min:
+        return 0.0
+    hi = min(hi, spec.theta)
+    if not hi > lo:
+        return 0.0
+    s_lo = spec._s(lo)
+    if not math.isfinite(s_lo):
+        return 0.0
+    s_hi = math.inf if hi >= spec.theta else spec._s(hi)
+    measure = scale_measure(spec, params)
+
+    def integrand(s: float) -> float:
+        m = measure(s)
+        if m == 0.0:
+            return 0.0
+        return omega * math.log2(1.0 + level_of_s(spec, s)) * m
+
+    integral = integrate_log_scaled(integrand, s_lo, s_hi, rtol=rtol, scale=min(norm, 1.0))
+    return integral / norm
 
 
 def nested_common_rate_both(

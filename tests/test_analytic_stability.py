@@ -17,7 +17,7 @@ import scipy.special
 
 from rscache import quadrature, rates
 from rscache.caching import Mode, parse_subcase_token
-from rscache.distributions import _pdf_bracket, coverage, dist_spec, scale_measure
+from rscache.distributions import coverage, dist_spec, scale_tail
 from rscache.incgamma import reg_lower, reg_lower_diff, reg_upper
 from rscache.model import (
     PowerSplit,
@@ -216,22 +216,6 @@ def test_coverage_is_frozen_bit_for_bit(case):
 # -- served receivers and the quadrature behind them -------------------------
 
 GRID = tuple(0.02 + 0.96 * i / 11 for i in range(12))
-RATE_CACHES = (
-    rates.common_rate_single,
-    rates.common_rate_both,
-    rates.private_rate_after_common,
-    rates.private_rate_with_interference,
-)
-
-
-@pytest.fixture
-def cold_rate_caches():
-    """Run with empty rate caches, and drop what the test put in them."""
-    for fn in RATE_CACHES:
-        fn.cache_clear()
-    yield
-    for fn in RATE_CACHES:
-        fn.cache_clear()
 
 
 def test_served_receivers_get_a_positive_rate():
@@ -293,39 +277,42 @@ def test_components_are_the_functionals_bit_for_bit():
     assert branches == {"B1", "B2", "B3", "B4", "Z"}
 
 
-def _direct_difference_measure(spec, params):
-    """The annulus density as the plain difference of its two radius terms.
+def _direct_difference_tail(spec, params):
+    """The annulus tail with its incomplete gammas subtracted directly.
 
-    Both terms are about (s + a) Gamma(a) / s^a once x_in = s r_e^alpha
-    passes a few units, so the difference keeps only rounding noise.
+    P(a, x_out) and P(a, x_in) both round to about 1 once x_in = s r_e^alpha
+    passes a few units, so their difference keeps only rounding noise.
     """
     if spec.cls is not ReceiverClass.EDGE:
-        return scale_measure(spec, params)
+        return scale_tail(spec, params)
     alpha = params.alpha
     a = 2.0 / alpha
     gamma_a = math.gamma(a)
     r_out, r_in = params.r_0, params.r_e
     norm = alpha * (r_out * r_out - r_in * r_in)
 
-    def measure(s):
+    def tail(s):
         if not 0.0 < s <= 745.0:
-            return 0.0
-        bracket = _pdf_bracket(a, s, s * r_out**alpha, r_out * r_out, gamma_a) - _pdf_bracket(
-            a, s, s * r_in**alpha, r_in * r_in, gamma_a
-        )
-        return max(2.0 * math.exp(-s) * bracket / (norm * s), 0.0)
+            return 1.0 if s == 0.0 else 0.0
+        p = reg_lower(a, s * r_out**alpha) - reg_lower(a, s * r_in**alpha)
+        return min(max(2.0 * math.exp(-s) * gamma_a * p / (norm * s**a), 0.0), 1.0)
 
-    return measure
+    return tail
 
 
 def test_noisy_density_fails_the_scaled_error_floor(monkeypatch, cold_rate_caches):
     # the stock edge class is conditioned on q_e = 2.9e-13; an error floor
     # fixed at 1e-15 let QUADPACK's integral of the noise through, one
-    # scaled by q_e refuses it
-    monkeypatch.setattr(rates, "scale_measure", _direct_difference_measure)
+    # scaled by the conditioning probability refuses it. The noise enters
+    # through the edge tail of the min-rate's tail product, the one rate
+    # integrand on the adaptive rule.
+    monkeypatch.setattr(rates, "scale_tail", _direct_difference_tail)
     sub = parse_subcase_token(Mode.ALL_MPC, "efr/efr", PARAMS.K)
+    split = PowerSplit(beta=0.5, rho=0.5)
+    edge = dist_spec(SinrKind.COMMON, ReceiverClass.EDGE, stream_powers(PARAMS.P, split), PARAMS)
+    assert coverage(edge, PARAMS.zeta, PARAMS) == pytest.approx(2.9e-13, rel=0.05)
     with pytest.raises(QuadratureError):
-        evaluate_subcase(sub, PARAMS, PowerSplit(beta=0.5, rho=0.5))
+        evaluate_subcase(sub, PARAMS, split)
 
 
 def test_no_figure_preset_integral_reaches_the_subdivision_limit(monkeypatch, cold_rate_caches):

@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, exit codes, settings precedence."""
 
+import math
 import os
 import subprocess
 import sys
@@ -149,6 +150,44 @@ def test_overflowing_path_loss_exits_1(cls, setting, capsys):
             "--no-mc", "--set", setting]
     assert cli.main(argv) == 1
     assert "must" in capsys.readouterr().err
+
+
+DEGENERATE_SWEEP = [
+    "sweep", "--var", "beta", "--from", "0.3", "--to", "0.7", "--points", "2",
+    "--mode", "all-mpc", "--methods", "analytic",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # a threshold whose scale underflows to 0: the coverage is 1
+        (["coverage", "--kind", "common", "--t", "5e-324", "--no-mc"], 0),
+        # the partner scale of the min-rate underflows; near-infinite SNR
+        (DEGENERATE_SWEEP + ["--set", "sigma2=1e-300"], 0),
+        # the private threshold's scale underflows to 0
+        (DEGENERATE_SWEEP + ["--set", "xi=1e-300"], 0),
+        # the disk's area r_c^2 underflows: rejected as input
+        (DEGENERATE_SWEEP + ["--set", "r_c=1e-200"], 1),
+    ],
+    ids=["tiny-threshold", "tiny-noise", "tiny-xi", "tiny-radius"],
+)
+def test_degenerate_inputs_give_a_number_or_a_documented_exit(argv, code, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return
+    assert "Traceback" not in captured.err
+    cells = (
+        [line.split(",")[8:] for line in out.read_text().splitlines()[1:]]
+        if argv[0] == "sweep"
+        else [captured.out.splitlines()[-1].split()]
+    )
+    assert cells and all(math.isfinite(float(c)) for row in cells for c in row)
 
 
 def test_help_exits_zero(capsys):

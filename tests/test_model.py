@@ -217,6 +217,14 @@ def test_path_loss_that_overflows_a_float_is_rejected(field, value):
         SystemParams(**{field: value})
 
 
+@pytest.mark.parametrize("r_c, alpha", [(1e-200, 4.0), (1e-80, 4.0), (1e-160, 2.5)])
+def test_disk_radius_whose_powers_underflow_is_rejected(r_c, alpha):
+    # the position averages divide by r_c^2 and scale by r_c^alpha
+    with pytest.raises(ValueError, match="must not underflow"):
+        SystemParams(r_c=r_c, alpha=alpha)
+    assert SystemParams(r_c=1e-70, alpha=4.0).r_c == 1e-70
+
+
 def test_zero_power_bound_warns_on_degenerate_ratio():
     powers = stream_powers(0.0, PowerSplit(beta=0.5, rho=0.5))
     with pytest.warns(RuntimeWarning, match="0/0"):

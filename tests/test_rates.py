@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rscache import rates
 from rscache.caching import Mode, parse_subcase_token
 from rscache.distributions import coverage, dist_spec
 from rscache.model import (
@@ -35,10 +36,11 @@ from rscache.rates import (
     common_rate_single,
     common_stream_rate,
     evaluate_subcase,
+    _pieces,
     gap_thresholds,
     sum_rate,
 )
-from rscache.sweep import compare_reports
+from rscache.sweep import MODE_SUBCASES, compare_reports
 
 from oracles import integrate_interval, nested_common_rate_both
 
@@ -288,6 +290,52 @@ def test_results_are_stable_under_tolerance_halving():
     b = evaluate_subcase(sub, PARAMS, SPLIT, rtol=5e-10)
     for x, y in ((a.r_center, b.r_center), (a.r_edge, b.r_edge), (a.r_sum, b.r_sum)):
         assert x == pytest.approx(y, rel=1e-6)
+
+
+def _halved_pieces(*args):
+    """rates._pieces with every piece cut in two."""
+    edges = _pieces(*args)
+    out = edges[:1]
+    for left, right in zip(edges[:-1], edges[1:]):
+        out += [0.5 * (left + right), right]
+    return out
+
+
+def test_fixed_rule_is_stable_under_piece_halving(monkeypatch, cold_rate_caches):
+    # rtol does not refine the single-receiver rates' fixed G7K15 rule, so
+    # this is their order-raising check: twice the pieces, the same rates
+    subs = [parse_subcase_token(m, tok, PARAMS.K) for m in Mode for tok in MODE_SUBCASES[m]]
+    splits = [SPLIT, PowerSplit(beta=0.3, rho=0.2), PowerSplit(beta=0.8, rho=0.8)]
+
+    def reports():
+        return [evaluate_subcase(sub, PARAMS, split) for split in splits for sub in subs]
+
+    base = reports()
+    cold_rate_caches()
+    monkeypatch.setattr(rates, "_pieces", _halved_pieces)
+    for a, b in zip(base, reports()):
+        for x, y in zip(
+            (a.r_center, a.r_edge, a.r_sum, *dataclasses.astuple(a.components)),
+            (b.r_center, b.r_edge, b.r_sum, *dataclasses.astuple(b.components)),
+        ):
+            assert x == pytest.approx(y, rel=1e-12, abs=1e-300)
+
+
+def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch):
+    # rtol still steers the rule's check: a target below its error
+    # estimate is refused; and one piece over the whole disk cannot follow
+    # the fading factor e^-s d^alpha, which the check must see
+    spec = dist_spec(
+        SinrKind.PRIVATE_IIC, ReceiverClass.CENTER, stream_powers(PARAMS.P, SPLIT), PARAMS
+    )
+    args = (spec, 1.0, 1.0, math.inf, coverage(spec, 1.0, PARAMS), PARAMS)
+    assert rates._mean_lograte(*args, 1e-9) > 0.0
+    with pytest.raises(QuadratureError):
+        rates._mean_lograte(*args, 1e-14)
+    monkeypatch.setattr(rates, "_KNEES", ())
+    monkeypatch.setattr(rates, "_EFOLDS", ())
+    with pytest.raises(QuadratureError):
+        rates._mean_lograte(*args, 1e-8)
 
 
 def test_sum_rate_weighting():
