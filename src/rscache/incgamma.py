@@ -4,7 +4,8 @@ Thin scalar wrappers over scipy.special.cython_special.gammainc /
 gammaincc. These are the same C kernels as the scipy.special ufuncs and
 return the same bits, but called on one Python float they skip the ufunc
 dispatch and cost about an eighth as much per call, which matters because
-the rate integrals evaluate them at every quadrature point. The wrappers
+every coverage evaluates them; integrands on whole rules call the ufuncs
+(distributions.scale_tail_array). The wrappers
 add what the coverage formulas rely on: argument checks that reject NaN
 loudly instead of passing it through, exact values at x = 0 and x = inf,
 and plain Python floats out. The range that matters here is a = 2/alpha

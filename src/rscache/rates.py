@@ -21,19 +21,21 @@ cancellation variant (model.seen_kind) and raises its support bound. The
 dispatch hands back the terms it used, so evaluate_subcase reports them as
 components without evaluating them again.
 
-The single-receiver expectations are closed-form over the fading: at a
-fixed distance the Exp(1) gain clears a level exactly above one threshold,
-and integrating log(1 + SINR) by parts against e^-h leaves the exponential
-integral e^x E1(x) (Abramowitz & Stegun 5.1). What is left is a smooth
-average over the receiver's position, taken by a fixed piecewise G7K15 rule
-in one numpy evaluation and refused (QuadratureError) when its error
-estimate misses the tolerance (_mean_lograte). The time-shared min-rate
-integrates the product of the two receivers' closed-form tails instead,
-with no density, in scale coordinates on the package's adaptive
-Gauss–Kronrod rule (quadrature.integrate_log_scaled). The four integral
-functionals are memoised for the life of the process, since sweeps of
-different caching modes revisit the same working points; the common-stream
-term is plain arithmetic over two of them and is not.
+Every integral runs on the one fixed piecewise G7K15 rule of
+quadrature.gauss_kronrod, in one numpy evaluation, and is refused
+(QuadratureError) when its error estimate misses the tolerance; this module
+places the pieces. The single-receiver expectations are closed-form over
+the fading: at a fixed distance the Exp(1) gain clears a level exactly
+above one threshold, and integrating log(1 + SINR) by parts against e^-h
+leaves the exponential integral e^x E1(x) (Abramowitz & Stegun 5.1). What
+is left is a smooth average over the receiver's position (_mean_lograte),
+cut at the knees of ln(1 + d^alpha) and the e-folds of the fading factor.
+The time-shared min-rate integrates the product of the two receivers'
+closed-form tails instead, with no density, in scale coordinates on a
+log-s axis cut at the e-folds of both tails (integrate_log_scaled). The
+four integral functionals are memoised for the life of the process, since
+sweeps of different caching modes revisit the same working points; the
+common-stream term is plain arithmetic over two of them and is not.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.special import exp1
 
 from .caching import Subcase
-from .distributions import SinrDist, coverage, dist_spec, scale_tail
+from .distributions import SinrDist, coverage, dist_spec, scale_tail, scale_tail_array
 # not called here: bench/tracer.py hooks the name rscache.rates.pdf_s_measure
 from .distributions import pdf_s_measure  # noqa: F401
 from .model import (
@@ -61,7 +64,7 @@ from .model import (
     sinr_bound,
     stream_powers,
 )
-from .quadrature import DEFAULT_RTOL, _check, integrate_log_scaled
+from .quadrature import DEFAULT_RTOL, _check, gauss_kronrod
 
 
 def lograte(omega: float, t: float) -> float:
@@ -91,59 +94,18 @@ def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def omega_value(params: SystemParams, index: int) -> float:
-    """Pre-log by index; index 1 never needs a valid coded-cache geometry."""
-    if index == 1:
-        return 1.0
-    return prelog_factors(params.K, params.M, params.N).by_index(index)
-
-
 def omegas(params: SystemParams, subcase: Subcase) -> tuple[float, float]:
-    """(omega_c, omega_e): the pre-logs of a subcase's center and edge streams."""
-    return (
-        omega_value(params, subcase.prelog_index(ReceiverClass.CENTER)),
-        omega_value(params, subcase.prelog_index(ReceiverClass.EDGE)),
-    )
+    """(omega_c, omega_e): the pre-logs of a subcase's center and edge streams.
 
+    The coded-cache factors are built once, and only when a stream needs
+    them: index 1 (EFR) never needs a valid coded-cache geometry.
+    """
+    i_c, i_e = (subcase.prelog_index(cls) for cls in (ReceiverClass.CENTER, ReceiverClass.EDGE))
+    if i_c == i_e == 1:
+        return 1.0, 1.0
+    by_index = prelog_factors(params.K, params.M, params.N).by_index
+    return by_index(i_c), by_index(i_e)
 
-# G7K15 on [-1, 1] (QUADPACK's QK15, Piessens et al. 1983): the Kronrod
-# abscissae and weights, positive half with the centre last, and the
-# embedded 7-point Gauss weights at the same nodes (0 at Kronrod-only ones)
-_XK15 = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-)
-_WK15 = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG7 = (
-    0.0,
-    0.129484966168869693270611432679082,
-    0.0,
-    0.279705391489276667901467771423780,
-    0.0,
-    0.381830050505118944950369775488975,
-    0.0,
-    0.417959183673469387755102040816327,
-)
-_NODES = np.array([-x for x in _XK15[:-1]] + list(_XK15[::-1]))
-_K15 = np.array(_WK15[:-1] + _WK15[::-1])
-# columns: the K15 weights, and K15 minus G7, whose |sum| times the
-# half-width is a piece's error estimate
-_RULES = np.stack([_K15, _K15 - np.array(_WG7[:-1] + _WG7[::-1])], axis=1)
 
 #: distances where ln(1 + d^alpha) bends, and e-folds y = s (d^alpha -
 #: r_in^alpha) of the fading factor from the inner radius; the rule cuts
@@ -254,21 +216,23 @@ def _fading_average(
         factor = sign * math.exp(-s * (1.0 + in_alpha)) / area
         rows += [(left, right, s, factor) for left, right in zip(edges[:-1], edges[1:])]
     left, right, s, factor = np.array(rows).T
-    half = 0.5 * (right - left)
-    d = (left + half)[:, None] + half[:, None] * _NODES
-    d_alpha = d**alpha
     s = s[:, None]
     taus = [spec.sigma2 / (spec.d1 + spec.d2)]
     if spec.d2 > 0.0:
         taus.append(spec.sigma2 / spec.d2)
-    phi = _phi((1.0 + d_alpha) * (s + np.array(taus)[:, None, None]))
-    f = phi[0] - phi[1] if len(taus) == 2 else phi[0]
-    # times d of the position density 2 d / area; the 2 and the area are in weight
-    f *= np.exp(-s * (d_alpha - in_alpha)) * d
-    pieces, errors = (f @ _RULES).T
-    weight = 2.0 * factor * half
+    taus = np.array(taus)[:, None, None]
+
+    def f(d: np.ndarray) -> np.ndarray:
+        d_alpha = d**alpha
+        phi = _phi((1.0 + d_alpha) * (s + taus))
+        out = phi[0] - phi[1] if len(taus) == 2 else phi[0]
+        # times d of the position density 2 d / area; the 2 and the area are in weight
+        return out * (np.exp(-s * (d_alpha - in_alpha)) * d)
+
+    pieces, errors = gauss_kronrod(f, left, right)
+    weight = 2.0 * factor
     size = np.abs(weight)
-    return float(pieces @ weight), float(np.abs(errors) @ size), float(pieces @ size)
+    return float(pieces @ weight), float(errors @ size), float(pieces @ size)
 
 
 def _mean_lograte(
@@ -295,8 +259,7 @@ def _mean_lograte(
     hi is subtracted the same way.
 
     The rule's error estimate must meet rtol, with the absolute floor
-    scaled by the normaliser as in the adaptive rule, or QuadratureError is
-    raised. The result is a mean of omega log2(1 + t) over (lo, hi) and is
+    scaled by the normaliser, or QuadratureError is raised. The result is a mean of omega log2(1 + t) over (lo, hi) and is
     held inside that bracket: when hi - lo is a sliver of two near-1
     coverages (high power) the difference of the two ends keeps no digits.
     """
@@ -323,10 +286,7 @@ def _mean_lograte(
     # the error is held to the size of the terms: their difference can
     # cancel (see below), and then it is rounding, not the rule, that errs
     scale = omega / math.log(2.0)
-    _check(
-        scale * size, scale * error, "the G7K15 error estimate exceeds the tolerance", rtol,
-        "position-averaged E1 rule failed", min(norm, 1.0),
-    )
+    _check(scale * size, scale * error, rtol, "position-averaged E1 rule failed", min(norm, 1.0))
     rate = scale * integral / norm
     return min(max(rate, lograte(omega, lo)), lograte(omega, hi))
 
@@ -360,6 +320,65 @@ def common_rate_single(
     spec = dist_spec(seen_kind(SinrKind.COMMON, iic), cls, powers, params)
     pi = coverage(spec, params.zeta, params)
     return _mean_lograte(spec, 1.0, params.zeta, spec.theta, pi, params, rtol)
+
+
+#: e-folds y of the min-rate's two tails from where its integral starts;
+#: the log-s pieces are cut at each, and the integral ends _TAIL_END
+#: e-folds into the steeper tail (dropping a share of about e^-56). Between
+#: cuts the pieces are at most _TAIL_WIDTH wide: on unit-wide pieces the
+#: error estimate reached 5% of the 1e-9 target at analytic-roster points,
+#: where half-wide ones stay under 0.1% at about the same cost
+_TAIL_EFOLDS = (0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 48.0)
+_TAIL_END = 56.0
+_TAIL_WIDTH = 0.5
+
+
+def _tail_pieces(s_lo: float, fall_in: float, fall_out: float, partner, reach) -> list[float]:
+    """Log-s edges of the min-rate's pieces: cut at both tails' e-folds, then split evenly.
+
+    A tail at scale s is at most e^(-(s - s0) fall) times its value at s0,
+    with fall = 1 + r_in^alpha of its position law. The inner tail runs at
+    s; the partner at partner(s), which reach inverts (inf for a level the
+    partner's scale never reaches).
+    """
+    level = partner(s_lo)
+    cuts = [s_lo + y / fall_in for y in _TAIL_EFOLDS]
+    cuts += [reach(level + y / fall_out) for y in _TAIL_EFOLDS]
+    end = s_lo + _TAIL_END / fall_in
+    partner_end = reach(level + _TAIL_END / fall_out)
+    if s_lo < partner_end < end:
+        end = partner_end
+    knots = sorted({math.log(s_lo), math.log(end), *(math.log(c) for c in cuts if s_lo < c < end)})
+    edges = knots[:1]
+    for left, right in zip(knots[:-1], knots[1:]):
+        n = math.ceil((right - left) / _TAIL_WIDTH)
+        edges += [left + (right - left) * k / n for k in range(1, n)] + [right]
+    return edges
+
+
+def integrate_log_scaled(
+    fn: Callable[[np.ndarray], np.ndarray],
+    edges: list[float],
+    rtol: float = DEFAULT_RTOL,
+    scale: float = 1.0,
+) -> float:
+    """Integral of fn(s) ds over (e^edges[0], e^edges[-1]), a G7K15 piece per two log-s edges.
+
+    fn takes an array of scales. On the log axis the decades of a
+    scale-coordinate integrand become a linear one. ``scale`` is the
+    probability the result will be divided by; the error floor shrinks
+    with it.
+    """
+    edges = np.asarray(edges)
+
+    def scaled(v: np.ndarray) -> np.ndarray:
+        s = np.exp(v)
+        return fn(s) * s
+
+    pieces, errors = gauss_kronrod(scaled, edges[:-1], edges[1:])
+    return _check(
+        float(pieces.sum()), float(errors.sum()), rtol, "log-scaled quadrature failed", scale
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -399,23 +418,30 @@ def common_rate_both(
         inner, outer = spec_c, spec_e
     else:
         inner, outer = spec_e, spec_c
-    tail_in, tail_out = scale_tail(inner, params), scale_tail(outer, params)
+    tail_in, tail_out = scale_tail_array(inner, params), scale_tail_array(outer, params)
     d1, d2, sigma2, e1 = inner.d1, inner.d2, inner.sigma2, outer.d1
     # >= 0 by that choice, and exactly 0 for a partner with the same powers
     cross = e1 * d2 - outer.d2 * d1
 
-    def integrand(s: float) -> float:
-        p = tail_in(s)
-        if p == 0.0:
-            return 0.0
-        q = tail_out(sigma2 * d1 * s / (e1 * sigma2 + cross * s))
+    def partner(s):
+        return sigma2 * d1 * s / (e1 * sigma2 + cross * s)
+
+    def reach(level: float) -> float:
+        # partner's inverse; its scale saturates at sigma2 d1 / cross
+        den = sigma2 * d1 - cross * level
+        return e1 * sigma2 * level / den if den > 0.0 else math.inf
+
+    def integrand(s: np.ndarray) -> np.ndarray:
         # two factors, since their product underflows for a tiny sigma2
-        return d1 / (sigma2 + (d1 + d2) * s) * (sigma2 / (sigma2 + d2 * s)) * p * q
+        slope = d1 / (sigma2 + (d1 + d2) * s) * (sigma2 / (sigma2 + d2 * s))
+        return slope * tail_in(s) * tail_out(partner(s))
 
     # a scale that underflows to 0 (a subnormal sigma2) starts the log axis
     # at the least float, where the integrand vanishes like s
     s_lo = max(inner._s(z), math.ulp(0.0))
-    integral = integrate_log_scaled(integrand, s_lo, math.inf, rtol=rtol, scale=norm)
+    falls = (1.0 + _radii(spec.cls, params)[0] ** params.alpha for spec in (inner, outer))
+    edges = _tail_pieces(s_lo, *falls, partner, reach)
+    integral = integrate_log_scaled(integrand, edges, rtol=rtol, scale=norm)
     return math.log2(1.0 + z) + integral / (math.log(2.0) * norm)
 
 

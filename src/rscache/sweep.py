@@ -140,10 +140,10 @@ def _row(
     spec: SweepSpec,
     value: float,
     subcase: Subcase,
-    params: SystemParams,
+    prelogs: tuple[float, float],
     report: RateReport,
 ) -> str:
-    w_c, w_e = omegas(params, subcase)
+    w_c, w_e = prelogs
     cells = [
         spec.variable,
         _fmt(value),
@@ -164,22 +164,24 @@ def sweep_rows(spec: SweepSpec) -> list[str]:
         parse_subcase_token(spec.mode, token, spec.params.K)
         for token in spec.subcases
     ]
+    # no swept variable changes K, M or N, so neither do the pre-logs
+    prelogs = [omegas(spec.params, subcase) for subcase in subcases]
     rows: list[str] = []
     for point_index, value in enumerate(spec.grid()):
         params, split = spec.at(value)
-        for subcase_index, subcase in enumerate(subcases):
+        for subcase_index, (subcase, w) in enumerate(zip(subcases, prelogs)):
             if METHOD_ANALYTIC in spec.methods:
                 report = evaluate_subcase(subcase, params, split)
-                rows.append(_row(spec, value, subcase, params, report))
+                rows.append(_row(spec, value, subcase, w, report))
             if METHOD_MC in spec.methods:
                 sim = dataclasses.replace(
                     spec.sim, spawn=(point_index, subcase_index)
                 )
                 report = estimate_rates(subcase, params, split, sim)
-                rows.append(_row(spec, value, subcase, params, report))
+                rows.append(_row(spec, value, subcase, w, report))
             if spec.include_asymptotic:
                 report = asymptotic_report(subcase, params, split)
-                rows.append(_row(spec, value, subcase, params, report))
+                rows.append(_row(spec, value, subcase, w, report))
     return rows
 
 

@@ -5,9 +5,9 @@ package against something that does not share its code: the per-draw SINR
 written out kind by kind, the outage region as direct power-split
 inequalities, the SINR density in level coordinates, the time-shared common
 rate by two-axis integration of the joint density, the single-receiver
-rates as adaptive integrals against the density, a plain-interval
-quadrature, and a request-pattern classifier that maps raw popularity ranks
-to the served subcase.
+rates as adaptive integrals against the density, plain-interval and
+log-axis QUADPACK quadratures, and a request-pattern classifier that maps
+raw popularity ranks to the served subcase.
 """
 
 from __future__ import annotations
@@ -30,24 +30,21 @@ from rscache.model import (
     seen_kind,
     stream_powers,
 )
-from rscache.quadrature import (
-    _ABS_TOL,
-    _LIMIT,
-    DEFAULT_RTOL,
-    QuadratureError,
-    integrate_log_scaled,
-)
+from rscache.quadrature import _ABS_TOL, DEFAULT_RTOL, QuadratureError
+
+# QUADPACK's subdivision limit for every oracle integral
+_LIMIT = 200
 
 
-def _checked(result, rtol: float, message: str) -> float:
+def _checked(result, rtol: float, message: str, scale: float = 1.0) -> float:
     """The value of a full-output ``integrate.quad`` result that met its target.
 
     A QUADPACK warning is still a success when the error bound sits under
-    the package's absolute floor, the acceptance rule of the package's own
-    integrator.
+    the package's absolute floor, scaled like the package's by the
+    probability the result will be divided by.
     """
     value, abserr = result[0], result[1]
-    if len(result) > 3 and abserr > max(rtol * abs(value), _ABS_TOL):
+    if len(result) > 3 and abserr > max(rtol * abs(value), _ABS_TOL * scale):
         raise QuadratureError(f"{message}: {result[3]}")
     if not math.isfinite(value):
         raise QuadratureError(f"{message}: non-finite value {value}")
@@ -90,6 +87,34 @@ def integrate_interval(
         with_endpoint_pulled_out, 0.0, math.inf, epsabs=0.0, epsrel=rtol, limit=_LIMIT, full_output=1
     )
     return _checked(res, rtol, "open-bound quadrature failed")
+
+
+def integrate_log_axis(
+    fn: Callable[[float], float],
+    lo: float,
+    hi: float,
+    rtol: float = DEFAULT_RTOL,
+    scale: float = 1.0,
+) -> float:
+    """Integrate fn over (lo, hi), 0 < lo and hi possibly math.inf, in ln s.
+
+    The decades of a scale-coordinate integrand become a linear axis, which
+    QUADPACK then takes as it would any other; ``scale`` is as in _checked.
+    """
+    if hi <= lo:
+        return 0.0
+    log_lo = math.log(lo)
+
+    def scaled(v: float) -> float:
+        log_s = log_lo + v
+        if log_s > 709.0:
+            return 0.0
+        s = math.exp(log_s)
+        return fn(s) * s
+
+    top = math.inf if math.isinf(hi) else math.log(hi / lo)
+    res = integrate.quad(scaled, 0.0, top, epsabs=0.0, epsrel=rtol, limit=_LIMIT, full_output=1)
+    return _checked(res, rtol, "log-axis quadrature failed", scale)
 
 
 def instantaneous_sinr(
@@ -219,8 +244,8 @@ def mean_lograte_by_density(
     """rates._mean_lograte as the adaptive integral of omega log2(1 + t) against the density.
 
     Taken in scale coordinates over (s(lo), s(min(hi, theta))) against the
-    closed-form scale measure on the package's adaptive rule, with the same
-    guards and the same norm-scaled error floor as the E1 form.
+    closed-form scale measure with QUADPACK (integrate_log_axis), with the
+    same guards and the same norm-scaled error floor as the E1 form.
     """
     if norm < sys.float_info.min:
         return 0.0
@@ -239,7 +264,7 @@ def mean_lograte_by_density(
             return 0.0
         return omega * math.log2(1.0 + level_of_s(spec, s)) * m
 
-    integral = integrate_log_scaled(integrand, s_lo, s_hi, rtol=rtol, scale=min(norm, 1.0))
+    integral = integrate_log_axis(integrand, s_lo, s_hi, rtol=rtol, scale=min(norm, 1.0))
     return integral / norm
 
 
@@ -251,7 +276,7 @@ def nested_common_rate_both(
 ) -> float:
     """Direct two-axis evaluation of rates.common_rate_both.
 
-    Iterated adaptive quadrature over the joint scale density; the inner
+    Iterated QUADPACK quadrature over the joint scale density; the inner
     integral runs at a tenth of the outer tolerance. Orders of magnitude
     slower than the production path, so tests sample it sparingly.
     """
@@ -283,7 +308,7 @@ def nested_common_rate_both(
             s_cap = math.inf if den <= 0.0 else sig2 * outer.d1 * s_out / den
             if s_cap <= s0_in:
                 return 0.0
-            return m_out * integrate_log_scaled(
+            return m_out * integrate_log_axis(
                 lambda s: math.log2(1.0 + level_of_s(inner, s))
                 * pdf_s_measure(inner, s, params),
                 s0_in,
@@ -291,7 +316,7 @@ def nested_common_rate_both(
                 rtol=inner_rtol,
             )
 
-        return integrate_log_scaled(integrand, s0_out, math.inf, rtol=rtol)
+        return integrate_log_axis(integrand, s0_out, math.inf, rtol=rtol)
 
     return (half(spec_e, spec_c) + half(spec_c, spec_e)) / (pi_c * pi_e)
 

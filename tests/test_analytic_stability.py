@@ -12,12 +12,13 @@ import math
 from collections import Counter
 
 import mpmath as mp
+import numpy as np
 import pytest
 import scipy.special
 
 from rscache import quadrature, rates
 from rscache.caching import Mode, parse_subcase_token
-from rscache.distributions import coverage, dist_spec, scale_tail
+from rscache.distributions import coverage, dist_spec, scale_tail_array
 from rscache.incgamma import reg_lower, reg_lower_diff, reg_upper
 from rscache.model import (
     PowerSplit,
@@ -278,13 +279,13 @@ def test_components_are_the_functionals_bit_for_bit():
 
 
 def _direct_difference_tail(spec, params):
-    """The annulus tail with its incomplete gammas subtracted directly.
+    """The annulus tail on an array of scales, its incomplete gammas subtracted directly.
 
     P(a, x_out) and P(a, x_in) both round to about 1 once x_in = s r_e^alpha
     passes a few units, so their difference keeps only rounding noise.
     """
     if spec.cls is not ReceiverClass.EDGE:
-        return scale_tail(spec, params)
+        return scale_tail_array(spec, params)
     alpha = params.alpha
     a = 2.0 / alpha
     gamma_a = math.gamma(a)
@@ -292,10 +293,8 @@ def _direct_difference_tail(spec, params):
     norm = alpha * (r_out * r_out - r_in * r_in)
 
     def tail(s):
-        if not 0.0 < s <= 745.0:
-            return 1.0 if s == 0.0 else 0.0
-        p = reg_lower(a, s * r_out**alpha) - reg_lower(a, s * r_in**alpha)
-        return min(max(2.0 * math.exp(-s) * gamma_a * p / (norm * s**a), 0.0), 1.0)
+        p = scipy.special.gammainc(a, s * r_out**alpha) - scipy.special.gammainc(a, s * r_in**alpha)
+        return np.clip(2.0 * np.exp(-s) * gamma_a * p / (norm * s**a), 0.0, 1.0)
 
     return tail
 
@@ -304,28 +303,28 @@ def test_noisy_density_fails_the_scaled_error_floor(monkeypatch, cold_rate_cache
     # the stock edge class is conditioned on q_e = 2.9e-13; an error floor
     # fixed at 1e-15 let QUADPACK's integral of the noise through, one
     # scaled by the conditioning probability refuses it. The noise enters
-    # through the edge tail of the min-rate's tail product, the one rate
-    # integrand on the adaptive rule.
-    monkeypatch.setattr(rates, "scale_tail", _direct_difference_tail)
+    # through the edge tail of the min-rate's tail product.
+    monkeypatch.setattr(rates, "scale_tail_array", _direct_difference_tail)
     sub = parse_subcase_token(Mode.ALL_MPC, "efr/efr", PARAMS.K)
     split = PowerSplit(beta=0.5, rho=0.5)
     edge = dist_spec(SinrKind.COMMON, ReceiverClass.EDGE, stream_powers(PARAMS.P, split), PARAMS)
     assert coverage(edge, PARAMS.zeta, PARAMS) == pytest.approx(2.9e-13, rel=0.05)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match="log-scaled quadrature failed"):
         evaluate_subcase(sub, PARAMS, split)
 
 
-def test_no_figure_preset_integral_reaches_the_subdivision_limit(monkeypatch, cold_rate_caches):
-    hits = []
-    adapt = quadrature._adapt
+def test_no_figure_preset_integral_comes_near_the_tolerance(monkeypatch, cold_rate_caches):
+    # every rate integral of every preset point keeps its error estimate
+    # under a hundredth of what the check allows, so a preset cannot fail
+    # on a point the rule resolves only barely
+    ratios = []
+    check = rates._check
 
-    def counted(fn, *args):
-        res = adapt(fn, *args)
-        if "subdivision limit" in res[2]:
-            hits.append(res[:2])
-        return res
+    def recorded(value, abserr, rtol, message, scale=1.0):
+        ratios.append((abserr / max(rtol * abs(value), quadrature._ABS_TOL * scale), message))
+        return check(value, abserr, rtol, message, scale)
 
-    monkeypatch.setattr(quadrature, "_adapt", counted)
+    monkeypatch.setattr(rates, "_check", recorded)
     for entries in figure_presets().values():
         for _name, spec in entries:
             subs = [parse_subcase_token(spec.mode, tok, spec.params.K) for tok in spec.subcases]
@@ -333,7 +332,10 @@ def test_no_figure_preset_integral_reaches_the_subdivision_limit(monkeypatch, co
                 params, split = spec.at(value)
                 for sub in subs:
                     evaluate_subcase(sub, params, split)
-    assert hits == []
+    assert {message for _, message in ratios} == {
+        "log-scaled quadrature failed", "position-averaged E1 rule failed"
+    }
+    assert max(ratios)[0] <= 1e-2
 
 
 @pytest.mark.parametrize("power", [1e11, 1e12, 1e16, 1e30, 1e50, 1e100])

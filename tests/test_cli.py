@@ -169,8 +169,11 @@ DEGENERATE_SWEEP = [
         (DEGENERATE_SWEEP + ["--set", "xi=1e-300"], 0),
         # the disk's area r_c^2 underflows: rejected as input
         (DEGENERATE_SWEEP + ["--set", "r_c=1e-200"], 1),
+        # the least subnormal noise: the min-rate's slope overflows, a
+        # numerical failure
+        (DEGENERATE_SWEEP + ["--set", "sigma2=5e-324"], 2),
     ],
-    ids=["tiny-threshold", "tiny-noise", "tiny-xi", "tiny-radius"],
+    ids=["tiny-threshold", "tiny-noise", "tiny-xi", "tiny-radius", "least-noise"],
 )
 def test_degenerate_inputs_give_a_number_or_a_documented_exit(argv, code, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -182,6 +185,9 @@ def test_degenerate_inputs_give_a_number_or_a_documented_exit(argv, code, tmp_pa
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         return
     assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.err.startswith("numerical failure: ") and not out.exists()
+        return
     cells = (
         [line.split(",")[8:] for line in out.read_text().splitlines()[1:]]
         if argv[0] == "sweep"

@@ -36,7 +36,7 @@ from rscache.rates import (
     common_rate_both,
     common_rate_single,
     gap_thresholds,
-    omega_value,
+    omegas,
     private_rate_after_common,
     private_rate_with_interference,
 )
@@ -243,6 +243,10 @@ def test_common_rate_both_ends_at_the_kink_like_mpmath():
         (1e10, None, 1.7369645000815383731),
         (1e9, ReceiverClass.EDGE, 1.7369640800628628379),
         (1e10, ReceiverClass.EDGE, 1.7369654266075034643),
+        (1e11, ReceiverClass.EDGE, 1.7369655757955077218),
+        (1e12, None, 1.7369655800804534653),
+        (1e12, ReceiverClass.CENTER, 1.736965581411589441),
+        (1e12, ReceiverClass.EDGE, 1.7369655921676534234),
         (1e100, None, math.log2(1.0 + 7.0 / 3.0)),
     ],
 )
@@ -263,7 +267,7 @@ def test_private_rate_after_common_edge_matches_mpmath():
     powers = _powers(STOCK)
     cls = ReceiverClass.EDGE
     sub = parse_subcase_token(Mode.MPC_CC, "efr/pfr", PARAMS.K)
-    omega = omega_value(PARAMS, sub.prelog_index(cls))
+    _, omega = omegas(PARAMS, sub)
     xi_t = private_sinr_threshold(omega, PARAMS.xi)
     after, _ = gap_thresholds(PARAMS, STOCK, cls)
     assert xi_t < after

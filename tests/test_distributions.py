@@ -8,6 +8,7 @@ coverage at t). The Monte-Carlo oracle then checks coverage itself.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from rscache.distributions import (
     coverage,
     dist_spec,
     pdf_s_measure,
+    scale_tail,
+    scale_tail_array,
 )
 from rscache.model import (
     PowerSplit,
@@ -185,6 +188,20 @@ def test_scale_measure_matches_the_density():
     assert pdf_s_measure(spec, s, PARAMS) == pytest.approx(
         pdf(spec, t, PARAMS) / _s_prime(spec, t), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("cls", list(ReceiverClass))
+def test_array_tail_is_the_scalar_tail(cls):
+    # across both incomplete-gamma branches of the annulus (x_in = a + 1
+    # sits near s = 1e-7 at the stock radii), the underflow point and the
+    # ends s = 0, inf and NaN
+    spec = spec_for(SinrKind.COMMON, cls)
+    s = np.concatenate([np.geomspace(1e-300, 700.0, 301), [0.0, 745.0, 746.0, np.inf, np.nan]])
+    got = scale_tail_array(spec, PARAMS)(s)
+    tail = scale_tail(spec, PARAMS)
+    want = [tail(float(x)) for x in s]
+    assert got.tolist() == pytest.approx(want, rel=1e-13, abs=1e-300)
+    assert got[-5:].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(

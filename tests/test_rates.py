@@ -37,6 +37,7 @@ from rscache.rates import (
     common_stream_rate,
     evaluate_subcase,
     _pieces,
+    _tail_pieces,
     gap_thresholds,
     sum_rate,
 )
@@ -292,18 +293,23 @@ def test_results_are_stable_under_tolerance_halving():
         assert x == pytest.approx(y, rel=1e-6)
 
 
-def _halved_pieces(*args):
-    """rates._pieces with every piece cut in two."""
-    edges = _pieces(*args)
-    out = edges[:1]
-    for left, right in zip(edges[:-1], edges[1:]):
-        out += [0.5 * (left + right), right]
-    return out
+def _halved(pieces):
+    """A piece placement with every piece cut in two."""
+
+    def halved(*args):
+        edges = list(pieces(*args))
+        out = edges[:1]
+        for left, right in zip(edges[:-1], edges[1:]):
+            out += [0.5 * (left + right), right]
+        return out
+
+    return halved
 
 
 def test_fixed_rule_is_stable_under_piece_halving(monkeypatch, cold_rate_caches):
-    # rtol does not refine the single-receiver rates' fixed G7K15 rule, so
-    # this is their order-raising check: twice the pieces, the same rates
+    # rtol does not refine the fixed G7K15 rules, so this is their
+    # order-raising check: twice the pieces, for the single-receiver rates'
+    # position average and the min-rate's log-s axis, the same rates
     subs = [parse_subcase_token(m, tok, PARAMS.K) for m in Mode for tok in MODE_SUBCASES[m]]
     splits = [SPLIT, PowerSplit(beta=0.3, rho=0.2), PowerSplit(beta=0.8, rho=0.8)]
 
@@ -311,8 +317,10 @@ def test_fixed_rule_is_stable_under_piece_halving(monkeypatch, cold_rate_caches)
         return [evaluate_subcase(sub, PARAMS, split) for split in splits for sub in subs]
 
     base = reports()
+    assert any(rep.components.r0_both > 0.0 for rep in base)
     cold_rate_caches()
-    monkeypatch.setattr(rates, "_pieces", _halved_pieces)
+    monkeypatch.setattr(rates, "_pieces", _halved(_pieces))
+    monkeypatch.setattr(rates, "_tail_pieces", _halved(_tail_pieces))
     for a, b in zip(base, reports()):
         for x, y in zip(
             (a.r_center, a.r_edge, a.r_sum, *dataclasses.astuple(a.components)),
@@ -321,10 +329,12 @@ def test_fixed_rule_is_stable_under_piece_halving(monkeypatch, cold_rate_caches)
             assert x == pytest.approx(y, rel=1e-12, abs=1e-300)
 
 
-def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch):
+def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch, cold_rate_caches):
     # rtol still steers the rule's check: a target below its error
     # estimate is refused; and one piece over the whole disk cannot follow
-    # the fading factor e^-s d^alpha, which the check must see
+    # the fading factor e^-s d^alpha, which the check must see. Nor can one
+    # log-s piece from the min-rate's start to its last e-fold follow the
+    # two tails.
     spec = dist_spec(
         SinrKind.PRIVATE_IIC, ReceiverClass.CENTER, stream_powers(PARAMS.P, SPLIT), PARAMS
     )
@@ -336,6 +346,17 @@ def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch):
     monkeypatch.setattr(rates, "_EFOLDS", ())
     with pytest.raises(QuadratureError):
         rates._mean_lograte(*args, 1e-8)
+
+    assert common_rate_both(PARAMS, SPLIT, None, 1e-9) > math.log2(1.0 + PARAMS.zeta)
+    cold_rate_caches()
+
+    def one_piece(*args):
+        edges = _tail_pieces(*args)
+        return [edges[0], edges[-1]]
+
+    monkeypatch.setattr(rates, "_tail_pieces", one_piece)
+    with pytest.raises(QuadratureError, match="log-scaled quadrature failed: error estimate"):
+        common_rate_both(PARAMS, SPLIT, None, 1e-8)
 
 
 def test_sum_rate_weighting():
