@@ -88,6 +88,9 @@ class SystemParams:
         # the negated comparisons also reject NaN
         if not (self.P >= 0 and self.sigma2 > 0):
             raise ValueError("need P >= 0 and sigma2 > 0")
+        if self.sigma2 < sys.float_info.min:
+            # a subnormal noise power underflows the rates' noise scales to 0
+            raise ValueError("sigma2 must not be subnormal (below 2.2250738585072014e-308)")
         if math.isinf(self.P):
             # every SINR bound would be inf/inf; the high-power limit is
             # what the asymptotic rows report

@@ -28,7 +28,6 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import accumulate
 from typing import Any, Callable
 
 import numpy as np
@@ -126,13 +125,10 @@ class ChannelDraw:
     h_c: np.ndarray
     h_e: np.ndarray
 
-    def link_gain(
-        self, cls: ReceiverClass, alpha: float, in_place: bool = False
-    ) -> np.ndarray:
-        """h / (1 + d^alpha), in one buffer; in_place overwrites the distances."""
-        h, d = (self.h_c, self.d_c) if cls is ReceiverClass.CENTER else (self.h_e, self.d_e)
+    def link_gain(self, cls: ReceiverClass, alpha: float) -> np.ndarray:
+        """h / (1 + d^alpha), written over the class's distances."""
+        h, gain = (self.h_c, self.d_c) if cls is ReceiverClass.CENTER else (self.h_e, self.d_e)
         # in-place ** takes the same scalar-exponent path as d**alpha
-        gain = d if in_place else d.copy()
         gain **= alpha
         gain += 1.0
         return np.divide(h, gain, out=gain)
@@ -228,7 +224,7 @@ def estimate_coverage(
     def kernel(index: int) -> int:
         n = sizes[index]
         draw = sample_channels(params, sim.rng(index), n, out=_draw_buffers(n))
-        gain = draw.link_gain(cls, params.alpha, in_place=True)
+        gain = draw.link_gain(cls, params.alpha)
         fading = draw.h_c if cls is ReceiverClass.CENTER else draw.h_e
         eta = _sinr_vec(kind, cls, powers, gain, params.sigma2, fading)
         return int(np.count_nonzero(np.greater(eta, t, out=_mask("one", n))))
@@ -242,11 +238,6 @@ def estimate_coverage(
 # in RateComponents' field order, then the served and sum rates
 _COMPONENT_NAMES = tuple(f.name for f in fields(RateComponents))
 _STAT_NAMES = (*_COMPONENT_NAMES, "r_center", "r_edge", "r_sum")
-
-_TRACE_SINRS = ("sinr_c0", "sinr_e0", "sinr_cp", "sinr_ep", "sinr_cpI", "sinr_epI")
-_TRACE_HEADER = ",".join(
-    ("draw", "d_c", "d_e", "h_c", "h_e", *_TRACE_SINRS, "branch_c", "branch_e")
-)
 
 
 #: draws per step of the gather in _accumulate; its index arrays stay small
@@ -331,12 +322,6 @@ def _streams(subcase: Subcase, params: SystemParams) -> _SubcaseStreams:
     )
 
 
-def _branch_labels(dec, dec_other, priv, interf) -> np.ndarray:
-    common = np.where(dec, np.where(dec_other, "b", "o"), "-")
-    extra = np.where(priv, "p", np.where(interf, "i", ""))
-    return np.char.add(common.astype("U1"), extra.astype("U1"))
-
-
 def _common_stage(
     eta0_c: np.ndarray,
     eta0_e: np.ndarray,
@@ -392,12 +377,12 @@ def _private_stage(
     xi: float,
     w: float,
     side: str,
-) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+) -> tuple[np.ndarray, tuple, tuple]:
     """Add one receiver's private-stream rates to its served rate in place.
 
-    Returns the private decode events (after the common decode, and with
-    the common stream left in the interference) and their statistics. The
-    SINR buffers are overwritten; side names the event masks' buffers.
+    Returns the interference-route event (the common stream left in the
+    interference) and both private routes' statistics. The SINR buffers
+    are overwritten; side names the event masks' buffers.
     """
     n = dec.size
     priv = np.greater(eta_p, xi, out=_mask("priv" + side, n))
@@ -412,62 +397,45 @@ def _private_stage(
     ri *= intf
     served += rp
     served += ri
-    return priv, intf, _accumulate(rp, priv), _accumulate(ri, intf)
+    return intf, _accumulate(rp, priv), _accumulate(ri, intf)
 
 
 def _rate_kernel(
-    subcase: Subcase,
     params: SystemParams,
     split: PowerSplit,
     streams: _SubcaseStreams,
     draw: ChannelDraw,
-    base: int,
-    trace: list[str] | None,
 ) -> np.ndarray:
     powers = stream_powers(params.P, split)
+    sigma2 = params.sigma2
     n = draw.d_c.size
-    # the trace keeps its own copies of the draw and of the SINRs by
-    # column name, so the kernel runs the same with or without it
-    traced: dict[str, np.ndarray] = {}
-    if trace is not None:
-        traced.update(
-            d_c=draw.d_c.copy(), d_e=draw.d_e.copy(), h_c=draw.h_c.copy(), h_e=draw.h_e.copy()
-        )
     # the link gains overwrite the distances; the fading buffers are then
     # dead and take two SINRs at a time, each turned into a rate in place
-    gain_c = draw.link_gain(ReceiverClass.CENTER, params.alpha, in_place=True)
-    gain_e = draw.link_gain(ReceiverClass.EDGE, params.alpha, in_place=True)
+    center, edge = ReceiverClass.CENTER, ReceiverClass.EDGE
+    gain_c = draw.link_gain(center, params.alpha)
+    gain_e = draw.link_gain(edge, params.alpha)
     first, second = draw.h_c, draw.h_e
 
-    def sinr(
-        column: str, kind: SinrKind, cls: ReceiverClass, gain: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        eta = _sinr_vec(kind, cls, powers, gain, params.sigma2, out)
-        if trace is not None:
-            traced[column] = eta.copy()
-        return eta
-
-    center, edge = ReceiverClass.CENTER, ReceiverClass.EDGE
     dec_c, dec_e, served_c, served_e, stats = _common_stage(
-        sinr("sinr_c0", streams.common_c, center, gain_c, first),
-        sinr("sinr_e0", streams.common_e, edge, gain_e, second),
+        _sinr_vec(streams.common_c, center, powers, gain_c, sigma2, first),
+        _sinr_vec(streams.common_e, edge, powers, gain_e, sigma2, second),
         params,
         streams,
     )
-    priv_c, intf_c, acc_rp_c, acc_ri_c = _private_stage(
+    intf_c, acc_rp_c, acc_ri_c = _private_stage(
         served_c,
         dec_c,
-        sinr("sinr_cp", streams.private_c, center, gain_c, first),
-        sinr("sinr_cpI", streams.interf_c, center, gain_c, second),
+        _sinr_vec(streams.private_c, center, powers, gain_c, sigma2, first),
+        _sinr_vec(streams.interf_c, center, powers, gain_c, sigma2, second),
         streams.xi_c,
         streams.w_c,
         "_c",
     )
-    priv_e, intf_e, acc_rp_e, acc_ri_e = _private_stage(
+    intf_e, acc_rp_e, acc_ri_e = _private_stage(
         served_e,
         dec_e,
-        sinr("sinr_ep", streams.private_e, edge, gain_e, first),
-        sinr("sinr_epI", streams.interf_e, edge, gain_e, second),
+        _sinr_vec(streams.private_e, edge, powers, gain_e, sigma2, first),
+        _sinr_vec(streams.interf_e, edge, powers, gain_e, sigma2, second),
         streams.xi_e,
         streams.w_e,
         "_e",
@@ -484,14 +452,6 @@ def _rate_kernel(
     ]
     served_c += served_e
     stats.append(_accumulate(served_c, np.logical_or(eps_c, eps_e, out=_mask("eps", n))))
-
-    if trace is not None:
-        label_c = _branch_labels(dec_c, dec_e, priv_c, intf_c)
-        label_e = _branch_labels(dec_e, dec_c, priv_e, intf_e)
-        cols = [traced[name] for name in ("d_c", "d_e", "h_c", "h_e", *_TRACE_SINRS)]
-        for i in range(n):
-            row = ",".join("%.9g" % col[i] for col in cols)
-            trace.append(f"{base + i},{row},{label_c[i]},{label_e[i]}")
     return np.concatenate(stats)
 
 
@@ -500,7 +460,6 @@ def estimate_rates(
     params: SystemParams,
     split: PowerSplit,
     sim: SimConfig,
-    trace_path: str | None = None,
 ) -> RateReport:
     """Event-counting estimate of every rate quantity for one subcase.
 
@@ -510,17 +469,11 @@ def estimate_rates(
     """
     streams = _streams(subcase, params)
     sizes = sim.chunk_sizes()
-    offsets = [0, *accumulate(sizes)]
-    traces: list[list[str] | None] = [
-        [] if trace_path is not None else None for _ in sizes
-    ]
 
     def kernel(index: int) -> np.ndarray:
         n = sizes[index]
         draw = sample_channels(params, sim.rng(index), n, out=_draw_buffers(n))
-        return _rate_kernel(
-            subcase, params, split, streams, draw, offsets[index], traces[index]
-        )
+        return _rate_kernel(params, split, streams, draw)
 
     partials = _map_chunks(kernel, len(sizes), sim.workers)
 
@@ -528,15 +481,6 @@ def estimate_rates(
     totals = np.array(
         [math.fsum(p[j] for p in partials) for j in range(len(_STAT_NAMES) * 3)]
     ).reshape(len(_STAT_NAMES), 3)
-
-    if trace_path is not None:
-        with open(trace_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(_TRACE_HEADER + "\n")
-            for rows in traces:
-                assert rows is not None
-                fh.write("\n".join(rows))
-                if rows:
-                    fh.write("\n")
 
     by_name = dict(zip(_STAT_NAMES, totals))
     means = {name: _conditional(by_name[name]) for name in _STAT_NAMES}

@@ -7,7 +7,7 @@ at those places and the G7K15 rule (QUADPACK's QK15, Piessens et al. 1983)
 takes every piece in one numpy evaluation of the integrand. There is no
 refinement: the rule's error estimate, the difference between its 15-point
 Kronrod and embedded 7-point Gauss sums, either meets the relative target
-or the result is refused with a QuadratureError (_check).
+DEFAULT_RTOL or the result is refused with a QuadratureError (_check).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+#: the relative target every rate integral's error estimate must meet
 DEFAULT_RTOL = 1e-9
 #: an error estimate below this fraction of the conditioning probability is
 #: still a success: deep-outage tails sit near the double-precision
@@ -84,10 +85,10 @@ def gauss_kronrod(
     return sums * half, np.abs(differences) * half
 
 
-def _check(value: float, abserr: float, rtol: float, message: str, scale: float = 1.0) -> float:
-    """value, unless it is not finite or abserr misses both rtol and the scaled floor."""
+def _check(value: float, abserr: float, message: str, scale: float = 1.0) -> float:
+    """value, unless not finite or abserr misses DEFAULT_RTOL (read per call) and the floor."""
     if not math.isfinite(value):
         raise QuadratureError(f"{message}: non-finite value {value}")
-    if not abserr <= max(rtol * abs(value), _ABS_TOL * scale):
+    if not abserr <= max(DEFAULT_RTOL * abs(value), _ABS_TOL * scale):
         raise QuadratureError(f"{message}: error estimate {abserr:.3g} over the tolerance")
     return value

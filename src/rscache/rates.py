@@ -23,19 +23,20 @@ components without evaluating them again.
 
 Every integral runs on the one fixed piecewise G7K15 rule of
 quadrature.gauss_kronrod, in one numpy evaluation, and is refused
-(QuadratureError) when its error estimate misses the tolerance; this module
-places the pieces. The single-receiver expectations are closed-form over
-the fading: at a fixed distance the Exp(1) gain clears a level exactly
-above one threshold, and integrating log(1 + SINR) by parts against e^-h
-leaves the exponential integral e^x E1(x) (Abramowitz & Stegun 5.1). What
-is left is a smooth average over the receiver's position (_mean_lograte),
-cut at the knees of ln(1 + d^alpha) and the e-folds of the fading factor.
-The time-shared min-rate integrates the product of the two receivers'
-closed-form tails instead, with no density, in scale coordinates on a
-log-s axis cut at the e-folds of both tails (integrate_log_scaled). The
-four integral functionals are memoised for the life of the process, since
-sweeps of different caching modes revisit the same working points; the
-common-stream term is plain arithmetic over two of them and is not.
+(QuadratureError) when its error estimate misses the one fixed relative
+target, 1e-9; this module places the pieces. The single-receiver
+expectations are closed-form over the fading: at a fixed distance the
+Exp(1) gain clears a level exactly above one threshold, and integrating
+log(1 + SINR) by parts against e^-h leaves the exponential integral
+e^x E1(x) (Abramowitz & Stegun 5.1). What is left is a smooth average over
+the receiver's position (_mean_lograte), cut at the knees of
+ln(1 + d^alpha) and the e-folds of the fading factor. The time-shared
+min-rate integrates the product of the two receivers' closed-form tails
+instead, with no density, in scale coordinates on a log-s axis cut at the
+e-folds of both tails (integrate_log_scaled). The four integral functionals
+are memoised for the life of the process, since sweeps of different caching
+modes revisit the same working points; the common-stream term is plain
+arithmetic over two of them and is not.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .model import (
     sinr_bound,
     stream_powers,
 )
-from .quadrature import DEFAULT_RTOL, _check, gauss_kronrod
+from .quadrature import _check, gauss_kronrod
 
 
 def lograte(omega: float, t: float) -> float:
@@ -242,7 +243,6 @@ def _mean_lograte(
     hi: float,
     norm: float,
     params: SystemParams,
-    rtol: float,
 ) -> float:
     """(1/norm) * integral of omega*log2(1+t) g(t) dt over (lo, min(hi, theta)).
 
@@ -258,10 +258,12 @@ def _mean_lograte(
     s_lo; the second is _fading_average's G7K15 sum. The part above a finite
     hi is subtracted the same way.
 
-    The rule's error estimate must meet rtol, with the absolute floor
-    scaled by the normaliser, or QuadratureError is raised. The result is a mean of omega log2(1 + t) over (lo, hi) and is
-    held inside that bracket: when hi - lo is a sliver of two near-1
-    coverages (high power) the difference of the two ends keeps no digits.
+    The rule's error estimate must meet the fixed relative target
+    quadrature.DEFAULT_RTOL (1e-9), with the absolute floor scaled by the
+    normaliser, or QuadratureError is raised. The result is a mean of
+    omega log2(1 + t) over (lo, hi) and is held inside that bracket: when
+    hi - lo is a sliver of two near-1 coverages (high power) the
+    difference of the two ends keeps no digits.
     """
     if norm < sys.float_info.min:
         # zero, or so deep in outage that the error floor would underflow
@@ -286,7 +288,7 @@ def _mean_lograte(
     # the error is held to the size of the terms: their difference can
     # cancel (see below), and then it is rounding, not the rule, that errs
     scale = omega / math.log(2.0)
-    _check(scale * size, scale * error, rtol, "position-averaged E1 rule failed", min(norm, 1.0))
+    _check(scale * size, scale * error, "position-averaged E1 rule failed", min(norm, 1.0))
     rate = scale * integral / norm
     return min(max(rate, lograte(omega, lo)), lograte(omega, hi))
 
@@ -313,13 +315,12 @@ def common_rate_single(
     split: PowerSplit,
     cls: ReceiverClass,
     iic: bool,
-    rtol: float,
 ) -> float:
     """E[log2(1 + common SINR) | it clears zeta] for one receiver, pre-log free."""
     powers = stream_powers(params.P, split)
     spec = dist_spec(seen_kind(SinrKind.COMMON, iic), cls, powers, params)
     pi = coverage(spec, params.zeta, params)
-    return _mean_lograte(spec, 1.0, params.zeta, spec.theta, pi, params, rtol)
+    return _mean_lograte(spec, 1.0, params.zeta, spec.theta, pi, params)
 
 
 #: e-folds y of the min-rate's two tails from where its integral starts;
@@ -359,15 +360,15 @@ def _tail_pieces(s_lo: float, fall_in: float, fall_out: float, partner, reach) -
 def integrate_log_scaled(
     fn: Callable[[np.ndarray], np.ndarray],
     edges: list[float],
-    rtol: float = DEFAULT_RTOL,
     scale: float = 1.0,
 ) -> float:
     """Integral of fn(s) ds over (e^edges[0], e^edges[-1]), a G7K15 piece per two log-s edges.
 
     fn takes an array of scales. On the log axis the decades of a
-    scale-coordinate integrand become a linear one. ``scale`` is the
-    probability the result will be divided by; the error floor shrinks
-    with it.
+    scale-coordinate integrand become a linear one. The error estimate
+    must meet quadrature.DEFAULT_RTOL (1e-9) or the scaled floor: ``scale``
+    is the probability the result will be divided by, and the floor
+    shrinks with it.
     """
     edges = np.asarray(edges)
 
@@ -377,16 +378,13 @@ def integrate_log_scaled(
 
     pieces, errors = gauss_kronrod(scaled, edges[:-1], edges[1:])
     return _check(
-        float(pieces.sum()), float(errors.sum()), rtol, "log-scaled quadrature failed", scale
+        float(pieces.sum()), float(errors.sum()), "log-scaled quadrature failed", scale
     )
 
 
 @lru_cache(maxsize=4096)
 def common_rate_both(
-    params: SystemParams,
-    split: PowerSplit,
-    iic_at: ReceiverClass | None,
-    rtol: float,
+    params: SystemParams, split: PowerSplit, iic_at: ReceiverClass | None
 ) -> float:
     """E[log2(1 + min of the two common SINRs) | both clear zeta], pre-log free.
 
@@ -441,7 +439,7 @@ def common_rate_both(
     s_lo = max(inner._s(z), math.ulp(0.0))
     falls = (1.0 + _radii(spec.cls, params)[0] ** params.alpha for spec in (inner, outer))
     edges = _tail_pieces(s_lo, *falls, partner, reach)
-    integral = integrate_log_scaled(integrand, edges, rtol=rtol, scale=norm)
+    integral = integrate_log_scaled(integrand, edges, scale=norm)
     return math.log2(1.0 + z) + integral / (math.log(2.0) * norm)
 
 
@@ -451,7 +449,6 @@ def common_stream_rate(
     cls: ReceiverClass,
     omega: float,
     iic_at: ReceiverClass | None,
-    rtol: float,
 ) -> float:
     """Common-stream contribution for one receiver, given it decodes.
 
@@ -464,8 +461,8 @@ def common_stream_rate(
     other_spec = dist_spec(seen_kind(SinrKind.COMMON, iic_at is other), other, powers, params)
     pi_other = coverage(other_spec, params.zeta, params)
     share = params.u if cls is ReceiverClass.CENTER else 1.0 - params.u
-    both = common_rate_both(params, split, iic_at, rtol)
-    alone = common_rate_single(params, split, cls, iic_at is cls, rtol)
+    both = common_rate_both(params, split, iic_at)
+    alone = common_rate_single(params, split, cls, iic_at is cls)
     return omega * (pi_other * share * both + (1.0 - pi_other) * alone)
 
 
@@ -476,7 +473,6 @@ def private_rate_after_common(
     cls: ReceiverClass,
     omega: float,
     iic: bool,
-    rtol: float,
 ) -> float:
     """Private-stream rate when the common stream was decoded and removed.
 
@@ -500,9 +496,9 @@ def private_rate_after_common(
     after, _ = gap_thresholds(params, split, cls)
     if xi_t >= after:
         norm = coverage(spec, xi_t, params)
-        return _mean_lograte(spec, omega, xi_t, bound, norm, params, rtol)
+        return _mean_lograte(spec, omega, xi_t, bound, norm, params)
     norm = coverage(spec0, z, params)
-    return _mean_lograte(spec, omega, after, bound, norm, params, rtol)
+    return _mean_lograte(spec, omega, after, bound, norm, params)
 
 
 @lru_cache(maxsize=8192)
@@ -512,7 +508,6 @@ def private_rate_with_interference(
     cls: ReceiverClass,
     omega: float,
     iic: bool,
-    rtol: float,
 ) -> float:
     """Private-stream rate with the common stream left in the interference.
 
@@ -534,14 +529,14 @@ def private_rate_with_interference(
         if xi_t >= bound:
             return 0.0
         norm = coverage(spec, xi_t, params)
-        return _mean_lograte(spec, omega, xi_t, bound, norm, params, rtol)
+        return _mean_lograte(spec, omega, xi_t, bound, norm, params)
     _, with_i = gap_thresholds(params, split, cls)
     if not xi_t < with_i:
         return 0.0
     norm = coverage(spec, xi_t, params) - coverage(spec0, z, params)
     if norm <= 0.0:
         return 0.0
-    return _mean_lograte(spec, omega, xi_t, with_i, norm, params, rtol)
+    return _mean_lograte(spec, omega, xi_t, with_i, norm, params)
 
 
 @dataclass(frozen=True)
@@ -567,7 +562,6 @@ def achieved_rate(
     cls: ReceiverClass,
     omega: float,
     iic_at: ReceiverClass | None = None,
-    rtol: float = DEFAULT_RTOL,
 ) -> ReceiverRate:
     """Served rate of one receiver under the regime dispatch.
 
@@ -587,13 +581,11 @@ def achieved_rate(
     if z < spec_0.theta:
         after, with_i = gap_thresholds(params, split, cls)
         pi_0 = coverage(spec_0, z, params)
-        rs0 = common_stream_rate(params, split, cls, omega, iic_at, rtol)
-        rp = private_rate_after_common(params, split, cls, omega, self_iic, rtol)
+        rs0 = common_stream_rate(params, split, cls, omega, iic_at)
+        rp = private_rate_after_common(params, split, cls, omega, self_iic)
         if xi_t <= with_i:
             pi_pif = coverage(spec_pi, xi_t, params)
-            rpi = private_rate_with_interference(
-                params, split, cls, omega, self_iic, rtol
-            )
+            rpi = private_rate_with_interference(params, split, cls, omega, self_iic)
             ratio = _clamp01(pi_0 / pi_pif) if pi_pif > 0.0 else 0.0
             rate = ratio * (rs0 + rp) + (1.0 - ratio) * rpi
             return ReceiverRate(rate, pi_pif, "B3", rs0, rp, rpi)
@@ -605,7 +597,7 @@ def achieved_rate(
         return ReceiverRate(rs0 + ratio * rp, pi_0, "B1", rs0, rp)
 
     if xi_t < spec_pi.theta:
-        rpi = private_rate_with_interference(params, split, cls, omega, self_iic, rtol)
+        rpi = private_rate_with_interference(params, split, cls, omega, self_iic)
         pi_pif = coverage(spec_pi, xi_t, params)
         return ReceiverRate(rpi, pi_pif, "B4", rpi=rpi)
     return ReceiverRate(0.0, 0.0, "Z")
@@ -663,22 +655,17 @@ class RateReport:
     component_stderr: RateComponents = RateComponents()
 
 
-def evaluate_subcase(
-    subcase: Subcase,
-    params: SystemParams,
-    split: PowerSplit,
-    rtol: float = DEFAULT_RTOL,
-) -> RateReport:
+def evaluate_subcase(subcase: Subcase, params: SystemParams, split: PowerSplit) -> RateReport:
     """Closed-form evaluation of one served configuration."""
     w_c, w_e = omegas(params, subcase)
     iic_at = subcase.iic_at
-    center = achieved_rate(params, split, ReceiverClass.CENTER, w_c, iic_at, rtol)
-    edge = achieved_rate(params, split, ReceiverClass.EDGE, w_e, iic_at, rtol)
+    center = achieved_rate(params, split, ReceiverClass.CENTER, w_c, iic_at)
+    edge = achieved_rate(params, split, ReceiverClass.EDGE, w_e, iic_at)
     alone_c, alone_e = (
-        common_rate_single(params, split, cls, iic_at is cls, rtol) for cls in ReceiverClass
+        common_rate_single(params, split, cls, iic_at is cls) for cls in ReceiverClass
     )
     parts = RateComponents(
-        r0_both=common_rate_both(params, split, iic_at, rtol),
+        r0_both=common_rate_both(params, split, iic_at),
         r0_center_only=alone_c,
         r0_edge_only=alone_e,
         rs0_center=center.rs0,

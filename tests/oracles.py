@@ -2,12 +2,13 @@
 
 Each restates a production quantity a second way, so a test can check the
 package against something that does not share its code: the per-draw SINR
-written out kind by kind, the outage region as direct power-split
-inequalities, the SINR density in level coordinates, the time-shared common
-rate by two-axis integration of the joint density, the single-receiver
-rates as adaptive integrals against the density, plain-interval and
-log-axis QUADPACK quadratures, and a request-pattern classifier that maps
-raw popularity ranks to the served subcase.
+written out kind by kind and the served rates it gives draw by draw, the
+outage region as direct power-split inequalities, the SINR density in level
+coordinates, the time-shared common rate by two-axis integration of the
+joint density, the single-receiver rates as adaptive integrals against the
+density, plain-interval and log-axis QUADPACK quadratures, and a
+request-pattern classifier that maps raw popularity ranks to the served
+subcase.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from rscache.model import (
     SinrKind,
     StreamPowers,
     SystemParams,
+    private_sinr_threshold,
     seen_kind,
     stream_powers,
 )
@@ -155,6 +157,53 @@ def instantaneous_sinr(
     return num / den
 
 
+def served_per_draw(
+    params: SystemParams,
+    split: PowerSplit,
+    draw,
+    omegas: tuple[float, float],
+    iic_at: ReceiverClass | None = None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(served rate, served event) per draw for the center, then the edge receiver.
+
+    Built from the raw distances and fades of ``draw`` alone: the gain
+    h / (1 + d^alpha), each SINR as its literal power ratio, and the decode
+    order. The common stream is decoded against zeta and time-shared (u to
+    the center) at the smaller common rate when both decode. The private
+    stream then counts above its threshold, or, without the common decode,
+    with the common stream left in the interference. The receiver at iic_at
+    has cancelled the other class's stream, which leaves its denominators.
+    """
+    powers = stream_powers(params.P, split)
+    sinrs = []
+    for cls, d, h in (
+        (ReceiverClass.CENTER, draw.d_c, draw.h_c),
+        (ReceiverClass.EDGE, draw.d_e, draw.h_e),
+    ):
+        noise = params.sigma2 / (h / (1.0 + d**params.alpha))
+        pn = powers.own(cls)
+        pk = 0.0 if iic_at is cls else powers.other(cls)
+        sinrs.append(
+            (powers.p0 / (pn + pk + noise), pn / (pk + noise), pn / (powers.p0 + pk + noise))
+        )
+    (c0, cp, ci), (e0, ep, ei) = sinrs
+    dec_c, dec_e = c0 > params.zeta, e0 > params.zeta
+    both = dec_c & dec_e
+    min0 = np.minimum(np.log2(1 + c0), np.log2(1 + e0))
+    out = []
+    for dec, own0, ownp, owni, share, omega in (
+        (dec_c, c0, cp, ci, params.u, omegas[0]),
+        (dec_e, e0, ep, ei, 1.0 - params.u, omegas[1]),
+    ):
+        xi_t = private_sinr_threshold(omega, params.xi)
+        interf = ~dec & (owni > xi_t)
+        r = np.where(dec, np.where(both, share * min0, np.log2(1 + own0)), 0.0)
+        r = r + np.where(dec & (ownp > xi_t), np.log2(1 + ownp), 0.0)
+        r = r + np.where(interf, np.log2(1 + owni), 0.0)
+        out.append((omega * r, dec | interf))
+    return out
+
+
 def outage_region(
     kind: SinrKind, cls: ReceiverClass, t: float, split: PowerSplit
 ) -> bool:
@@ -239,7 +288,7 @@ def mean_lograte_by_density(
     hi: float,
     norm: float,
     params: SystemParams,
-    rtol: float,
+    rtol: float = DEFAULT_RTOL,
 ) -> float:
     """rates._mean_lograte as the adaptive integral of omega log2(1 + t) against the density.
 

@@ -22,13 +22,12 @@ from rscache.model import (
     SystemParams,
     prelog_factors,
     private_sinr_threshold,
-    stream_powers,
 )
 from rscache.montecarlo import SimConfig, estimate_coverage, estimate_rates, sample_channels
 from rscache.rates import asymptotic_report, evaluate_subcase
 from rscache.sweep import MODE_SUBCASES, SweepSpec, compare_reports, run_sweep
 
-from oracles import outage_region
+from oracles import outage_region, served_per_draw
 from test_caching import ALL_SMALL, decodes
 from test_distributions import quantile, spec_for, tail_mass
 
@@ -218,42 +217,10 @@ def test_c8a_center_rate_zero_when_common_power_starved():
     assert report.r_center > 0.0
 
 
-def _served_per_draw(params, split, draw, omega):
-    """Independent per-draw rate tally, shared across technique levels."""
-    powers = stream_powers(params.P, split)
-    xi_t = private_sinr_threshold(omega, params.xi)
-    per_cls = {}
-    for cls in ReceiverClass:
-        gain = draw.link_gain(cls, params.alpha)
-        noise = params.sigma2 / gain
-        pn, pk = powers.own(cls), powers.other(cls)
-        per_cls[cls] = (
-            powers.p0 / (pn + pk + noise),
-            pn / (pk + noise),
-            pn / (powers.p0 + pk + noise),
-        )
-    c0, cp, ci = per_cls[ReceiverClass.CENTER]
-    e0, ep, ei = per_cls[ReceiverClass.EDGE]
-    dec_c, dec_e = c0 > params.zeta, e0 > params.zeta
-    both = dec_c & dec_e
-    min0 = np.minimum(np.log2(1 + c0), np.log2(1 + e0))
-    out = []
-    for dec, own0, ownp, owni, share in (
-        (dec_c, c0, cp, ci, params.u),
-        (dec_e, e0, ep, ei, 1.0 - params.u),
-    ):
-        rs0 = np.where(both, share * min0, np.log2(1 + own0))
-        r = np.where(dec, rs0, 0.0)
-        r = r + np.where(dec & (ownp > xi_t), np.log2(1 + ownp), 0.0)
-        r = r + np.where(~dec & (owni > xi_t), np.log2(1 + owni), 0.0)
-        out.append(omega * r)
-    return out
-
-
 def test_c8b_per_draw_gain_ordering_across_techniques():
     draw = sample_channels(PARAMS, SimConfig(seed=3).rng(0), 50_000)
     w = prelog_factors(PARAMS.K, PARAMS.M, PARAMS.N)
-    rates = [_served_per_draw(PARAMS, SPLIT, draw, omega)
+    rates = [[rate for rate, _ in served_per_draw(PARAMS, SPLIT, draw, (omega, omega))]
              for omega in (w.efr, w.pfr, w.xor)]
     for side in (0, 1):
         efr, pfr, xor = (r[side] for r in rates)

@@ -259,7 +259,6 @@ def test_components_are_the_functionals_bit_for_bit():
     # must be exactly what its functional gives at that point
     subs = [parse_subcase_token(m, tok, PARAMS.K) for m in Mode for tok in MODE_SUBCASES[m]]
     branches = set()
-    rtol = quadrature.DEFAULT_RTOL
     for beta, rho in ((0.05, 0.5), (0.3, 0.2), (0.5, 0.5), (0.7, 0.8), (0.9, 0.3)):
         split = PowerSplit(beta=beta, rho=rho)
         for sub in subs:
@@ -269,9 +268,9 @@ def test_components_are_the_functionals_bit_for_bit():
             for cls, w in zip(ReceiverClass, rates.omegas(PARAMS, sub)):
                 args, iic = (PARAMS, split, cls, w), sub.iic_at is cls
                 want = (
-                    rates.common_stream_rate(*args, sub.iic_at, rtol),
-                    rates.private_rate_after_common(*args, iic, rtol),
-                    rates.private_rate_with_interference(*args, iic, rtol),
+                    rates.common_stream_rate(*args, sub.iic_at),
+                    rates.private_rate_after_common(*args, iic),
+                    rates.private_rate_with_interference(*args, iic),
                 )
                 got = tuple(getattr(parts, f"{k}_{cls.value}") for k in ("rs0", "rp", "rpi"))
                 assert got == want, (beta, rho, sub.token, cls)
@@ -320,9 +319,10 @@ def test_no_figure_preset_integral_comes_near_the_tolerance(monkeypatch, cold_ra
     ratios = []
     check = rates._check
 
-    def recorded(value, abserr, rtol, message, scale=1.0):
-        ratios.append((abserr / max(rtol * abs(value), quadrature._ABS_TOL * scale), message))
-        return check(value, abserr, rtol, message, scale)
+    def recorded(value, abserr, message, scale=1.0):
+        allowed = max(quadrature.DEFAULT_RTOL * abs(value), quadrature._ABS_TOL * scale)
+        ratios.append((abserr / allowed, message))
+        return check(value, abserr, message, scale)
 
     monkeypatch.setattr(rates, "_check", recorded)
     for entries in figure_presets().values():

@@ -169,11 +169,15 @@ DEGENERATE_SWEEP = [
         (DEGENERATE_SWEEP + ["--set", "xi=1e-300"], 0),
         # the disk's area r_c^2 underflows: rejected as input
         (DEGENERATE_SWEEP + ["--set", "r_c=1e-200"], 1),
-        # the least subnormal noise: the min-rate's slope overflows, a
-        # numerical failure
-        (DEGENERATE_SWEEP + ["--set", "sigma2=5e-324"], 2),
+        # a subnormal noise power underflows the noise scales to 0:
+        # rejected as input
+        (DEGENERATE_SWEEP + ["--set", "sigma2=5e-324"], 1),
+        (DEGENERATE_SWEEP + ["--set", "sigma2=1e-310"], 1),
     ],
-    ids=["tiny-threshold", "tiny-noise", "tiny-xi", "tiny-radius", "least-noise"],
+    ids=[
+        "tiny-threshold", "tiny-noise", "tiny-xi", "tiny-radius", "least-noise",
+        "subnormal-noise",
+    ],
 )
 def test_degenerate_inputs_give_a_number_or_a_documented_exit(argv, code, tmp_path, capsys):
     out = tmp_path / "out.csv"

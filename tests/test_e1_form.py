@@ -127,7 +127,7 @@ def test_e1_form_at_high_power_matches_mpmath(power):
     ):
         spec = dist_spec(kind, cls, powers, params)
         norm = coverage(spec, lo, params)
-        got = rates._mean_lograte(spec, omega, lo, math.inf, norm, params, 1e-9)
+        got = rates._mean_lograte(spec, omega, lo, math.inf, norm, params)
         assert got == pytest.approx(_e1_reference(spec, omega, lo, params), rel=1e-13), kind
 
 

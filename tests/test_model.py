@@ -1,6 +1,7 @@
 """Stream powers, SINR bounds and pre-log factors."""
 
 import math
+import sys
 import warnings
 
 import pytest
@@ -223,6 +224,14 @@ def test_disk_radius_whose_powers_underflow_is_rejected(r_c, alpha):
     with pytest.raises(ValueError, match="must not underflow"):
         SystemParams(r_c=r_c, alpha=alpha)
     assert SystemParams(r_c=1e-70, alpha=4.0).r_c == 1e-70
+
+
+@pytest.mark.parametrize("sigma2", [5e-324, 1e-310, sys.float_info.min * (1.0 - 2.0**-52)])
+def test_subnormal_noise_power_is_rejected(sigma2):
+    # the rates' noise scales sigma2 / (d1 + d2) would underflow to 0
+    with pytest.raises(ValueError, match="must not be subnormal"):
+        SystemParams(sigma2=sigma2)
+    assert SystemParams(sigma2=sys.float_info.min).sigma2 == sys.float_info.min
 
 
 def test_zero_power_bound_warns_on_degenerate_ratio():

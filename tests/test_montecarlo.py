@@ -1,4 +1,4 @@
-"""The simulator itself: sampling law, determinism, error scaling, traces."""
+"""The simulator itself: sampling law, determinism, error scaling, per-draw tallies."""
 
 import dataclasses
 import math
@@ -17,7 +17,6 @@ from rscache.model import (
     ReceiverClass,
     SinrKind,
     SystemParams,
-    private_sinr_threshold,
     stream_powers,
 )
 from rscache.montecarlo import (
@@ -26,6 +25,9 @@ from rscache.montecarlo import (
     estimate_rates,
     sample_channels,
 )
+from rscache.rates import omegas
+
+from oracles import served_per_draw
 
 PARAMS = SystemParams()
 SPLIT = PowerSplit(beta=0.5, rho=0.5)
@@ -141,37 +143,28 @@ def test_all_power_to_the_common_stream_kills_private_rates():
     assert rep.r_center > 0.0
 
 
-def test_trace_records_the_decisions(tmp_path):
-    path = tmp_path / "trace.csv"
-    # at the stock power the edge receiver decodes almost never; raise it
-    # so the trace exercises both-decode rows as well
+@pytest.mark.parametrize("sub", [XOR_XOR, PFR_IIC_E, EFR_IIC_C], ids=lambda sub: sub.token)
+def test_rate_estimate_is_the_per_draw_tally(sub):
+    # one chunk at a power where both, one and neither receiver decode the
+    # common stream; the same draw, tallied draw by draw by the oracle
     params = dataclasses.replace(PARAMS, P=1000.0)
-    xi_t = private_sinr_threshold(10.0, params.xi)  # XOR pre-log on each side
-    sim = SimConfig(samples=64, seed=11)
-    estimate_rates(XOR_XOR, params, SPLIT, sim, trace_path=str(path))
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header == [
-        "draw", "d_c", "d_e", "h_c", "h_e",
-        "sinr_c0", "sinr_e0", "sinr_cp", "sinr_ep", "sinr_cpI", "sinr_epI",
-        "branch_c", "branch_e",
-    ]
-    assert len(lines) == 1 + sim.samples
-    seen = set()
-    for line in lines[1:]:
-        cells = line.split(",")
-        c0, e0, cp, ep, cpi, epi = (float(x) for x in cells[5:11])
-        branch_c, branch_e = cells[11], cells[12]
-        # the label must restate the decode comparisons of the numeric columns
-        dec_c, dec_e = c0 > params.zeta, e0 > params.zeta
-        assert branch_c[0] == ("b" if dec_c and dec_e else "o" if dec_c else "-")
-        assert branch_e[0] == ("b" if dec_c and dec_e else "o" if dec_e else "-")
-        tail_c = "p" if dec_c and cp > xi_t else "i" if not dec_c and cpi > xi_t else ""
-        tail_e = "p" if dec_e and ep > xi_t else "i" if not dec_e and epi > xi_t else ""
-        assert branch_c[1:] == tail_c
-        assert branch_e[1:] == tail_e
-        seen.update((branch_c[0], branch_e[0]))
-    assert seen == {"b", "o", "-"}
+    n = 4096
+    sim = SimConfig(samples=n, chunk=n)
+    draw = sample_channels(params, sim.rng(0), n)
+    (rate_c, served_c), (rate_e, served_e) = served_per_draw(
+        params, SPLIT, draw, omegas(params, sub), sub.iic_at
+    )
+    either = served_c | served_e
+    rep = estimate_rates(sub, params, SPLIT, sim)
+    assert rep.components.r0_both > 0.0 and rep.components.r0_center_only > 0.0
+    for got, want in (
+        (rep.r_center, rate_c[served_c].mean()),
+        (rep.r_edge, rate_e[served_e].mean()),
+        (rep.r_sum, (rate_c + rate_e)[either].mean()),
+        (rep.q_center, served_c.mean()),
+        (rep.q_edge, served_e.mean()),
+    ):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_estimates_track_the_analytic_probabilities():
@@ -222,14 +215,6 @@ def test_warm_rate_estimate_allocates_no_draw_sized_array():
         tracemalloc.stop()
     # one float64 array of the draw count is 8 n bytes
     assert peak < 8 * n
-
-
-def test_trace_leaves_the_estimate_unchanged(tmp_path):
-    sim = SimConfig(samples=3_000, seed=23, chunk=1_024)
-    for sub in (XOR_XOR, PFR_IIC_E, EFR_IIC_C):
-        plain = estimate_rates(sub, PARAMS, SPLIT, sim)
-        traced = estimate_rates(sub, PARAMS, SPLIT, sim, trace_path=str(tmp_path / "t.csv"))
-        _assert_same_report(traced, plain)
 
 
 def test_interleaved_estimates_equal_estimates_run_alone():

@@ -1,5 +1,6 @@
 """The package's public surface is the one the README documents."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -17,3 +18,12 @@ def test_every_exported_name_is_documented():
 def test_every_exported_name_exists():
     for name in rscache.__all__:
         assert hasattr(rscache, name), name
+
+
+def test_rate_entry_points_take_what_the_library_example_passes():
+    # README's Library example calls these with exactly these arguments
+    for fn, names in (
+        (rscache.evaluate_subcase, ["subcase", "params", "split"]),
+        (rscache.estimate_rates, ["subcase", "params", "split", "sim"]),
+    ):
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__

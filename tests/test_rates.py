@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rscache import rates
+from rscache import quadrature, rates
 from rscache.caching import Mode, parse_subcase_token
 from rscache.distributions import coverage, dist_spec
 from rscache.model import (
@@ -96,7 +96,7 @@ def min_rate_by_ccdf_identity(params, split, iic_at, rtol=1e-10):
     ],
 )
 def test_min_rate_matches_the_ccdf_identity(split, iic_at):
-    direct = common_rate_both(PARAMS, split, iic_at, 1e-9)
+    direct = common_rate_both(PARAMS, split, iic_at)
     identity = min_rate_by_ccdf_identity(PARAMS, split, iic_at)
     assert direct == pytest.approx(identity, rel=1e-7)
 
@@ -104,20 +104,20 @@ def test_min_rate_matches_the_ccdf_identity(split, iic_at):
 def test_min_rate_matches_the_two_axis_integration():
     # same quantity through the joint density; slow, so only spot points
     for split, iic_at in ((SPLIT, None), (PowerSplit(0.6, 0.4), ReceiverClass.EDGE)):
-        direct = common_rate_both(PARAMS, split, iic_at, 1e-9)
+        direct = common_rate_both(PARAMS, split, iic_at)
         nested = nested_common_rate_both(PARAMS, split, iic_at, 1e-5)
         assert direct == pytest.approx(nested, rel=1e-5)
 
 
 def test_min_rate_sits_between_its_almost_sure_bounds():
     bound = sinr_bound(SinrKind.COMMON, ReceiverClass.CENTER, stream_powers(PARAMS.P, SPLIT))
-    got = common_rate_both(PARAMS, SPLIT, None, 1e-9)
+    got = common_rate_both(PARAMS, SPLIT, None)
     assert math.log2(1.0 + PARAMS.zeta) <= got <= math.log2(1.0 + bound)
 
 
 def test_single_receiver_common_rate_bounds():
     for cls in ReceiverClass:
-        got = common_rate_single(PARAMS, SPLIT, cls, False, 1e-9)
+        got = common_rate_single(PARAMS, SPLIT, cls, False)
         bound = sinr_bound(SinrKind.COMMON, cls, stream_powers(PARAMS.P, SPLIT))
         assert math.log2(1.0 + PARAMS.zeta) <= got <= math.log2(1.0 + bound)
 
@@ -174,12 +174,12 @@ def _branch_reconstruction(params, split, cls, omega, iic_at):
     pi_0 = coverage(dist_spec(kind_0, cls, powers, params), params.zeta, params)
     pi_p = coverage(dist_spec(kind_p, cls, powers, params), xi_t, params)
     pi_pif = coverage(dist_spec(kind_pi, cls, powers, params), xi_t, params)
-    rs0 = common_stream_rate(params, split, cls, omega, iic_at, 1e-9)
+    rs0 = common_stream_rate(params, split, cls, omega, iic_at)
     got = achieved_rate(params, split, cls, omega, iic_at)
     if got.branch in ("B1", "B2", "B3"):
         from rscache.rates import private_rate_after_common, private_rate_with_interference
 
-        rp = private_rate_after_common(params, split, cls, omega, self_iic, 1e-9)
+        rp = private_rate_after_common(params, split, cls, omega, self_iic)
         if got.branch == "B1":
             want = rs0 + (pi_p / pi_0 if pi_0 > 0 else 0.0) * rp
             assert got.q == pytest.approx(pi_0, rel=1e-12)
@@ -187,14 +187,14 @@ def _branch_reconstruction(params, split, cls, omega, iic_at):
             want = rs0 + rp
             assert got.q == pytest.approx(pi_0, rel=1e-12)
         else:
-            rpi = private_rate_with_interference(params, split, cls, omega, self_iic, 1e-9)
+            rpi = private_rate_with_interference(params, split, cls, omega, self_iic)
             share = min(1.0, pi_0 / pi_pif) if pi_pif > 0 else 0.0
             want = share * (rs0 + rp) + (1.0 - share) * rpi
             assert got.q == pytest.approx(pi_pif, rel=1e-12)
     elif got.branch == "B4":
         from rscache.rates import private_rate_with_interference
 
-        want = private_rate_with_interference(params, split, cls, omega, self_iic, 1e-9)
+        want = private_rate_with_interference(params, split, cls, omega, self_iic)
         assert got.q == pytest.approx(pi_pif, rel=1e-12)
     else:
         want = 0.0
@@ -285,14 +285,6 @@ def test_decode_ceiling_exactly_at_threshold_keeps_the_interference_route():
     assert rep.q_center == pytest.approx(0.1585322992, rel=1e-8)
 
 
-def test_results_are_stable_under_tolerance_halving():
-    sub = parse_subcase_token(Mode.ALL_CC, "xor/xor", PARAMS.K)
-    a = evaluate_subcase(sub, PARAMS, SPLIT, rtol=1e-9)
-    b = evaluate_subcase(sub, PARAMS, SPLIT, rtol=5e-10)
-    for x, y in ((a.r_center, b.r_center), (a.r_edge, b.r_edge), (a.r_sum, b.r_sum)):
-        assert x == pytest.approx(y, rel=1e-6)
-
-
 def _halved(pieces):
     """A piece placement with every piece cut in two."""
 
@@ -307,7 +299,7 @@ def _halved(pieces):
 
 
 def test_fixed_rule_is_stable_under_piece_halving(monkeypatch, cold_rate_caches):
-    # rtol does not refine the fixed G7K15 rules, so this is their
+    # the fixed G7K15 rules have no tolerance to refine, so this is their
     # order-raising check: twice the pieces, for the single-receiver rates'
     # position average and the min-rate's log-s axis, the same rates
     subs = [parse_subcase_token(m, tok, PARAMS.K) for m in Mode for tok in MODE_SUBCASES[m]]
@@ -330,25 +322,26 @@ def test_fixed_rule_is_stable_under_piece_halving(monkeypatch, cold_rate_caches)
 
 
 def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch, cold_rate_caches):
-    # rtol still steers the rule's check: a target below its error
-    # estimate is refused; and one piece over the whole disk cannot follow
-    # the fading factor e^-s d^alpha, which the check must see. Nor can one
-    # log-s piece from the min-rate's start to its last e-fold follow the
-    # two tails.
+    # the check reads quadrature.DEFAULT_RTOL at each call: a target below
+    # the rule's error estimate is refused; and one piece over the whole
+    # disk cannot follow the fading factor e^-s d^alpha, which the check
+    # must see, even at a target of 1e-8. Nor can one log-s piece from the
+    # min-rate's start to its last e-fold follow the two tails.
     spec = dist_spec(
         SinrKind.PRIVATE_IIC, ReceiverClass.CENTER, stream_powers(PARAMS.P, SPLIT), PARAMS
     )
     args = (spec, 1.0, 1.0, math.inf, coverage(spec, 1.0, PARAMS), PARAMS)
-    assert rates._mean_lograte(*args, 1e-9) > 0.0
+    assert rates._mean_lograte(*args) > 0.0
+    assert common_rate_both(PARAMS, SPLIT, None) > math.log2(1.0 + PARAMS.zeta)
+    cold_rate_caches()
+    monkeypatch.setattr(quadrature, "DEFAULT_RTOL", 1e-14)
     with pytest.raises(QuadratureError):
-        rates._mean_lograte(*args, 1e-14)
+        rates._mean_lograte(*args)
+    monkeypatch.setattr(quadrature, "DEFAULT_RTOL", 1e-8)
     monkeypatch.setattr(rates, "_KNEES", ())
     monkeypatch.setattr(rates, "_EFOLDS", ())
     with pytest.raises(QuadratureError):
-        rates._mean_lograte(*args, 1e-8)
-
-    assert common_rate_both(PARAMS, SPLIT, None, 1e-9) > math.log2(1.0 + PARAMS.zeta)
-    cold_rate_caches()
+        rates._mean_lograte(*args)
 
     def one_piece(*args):
         edges = _tail_pieces(*args)
@@ -356,7 +349,7 @@ def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch, cold
 
     monkeypatch.setattr(rates, "_tail_pieces", one_piece)
     with pytest.raises(QuadratureError, match="log-scaled quadrature failed: error estimate"):
-        common_rate_both(PARAMS, SPLIT, None, 1e-8)
+        common_rate_both(PARAMS, SPLIT, None)
 
 
 def test_sum_rate_weighting():
@@ -379,8 +372,8 @@ def test_all_common_share_to_center_empties_the_edge_min_term():
         params.zeta,
         params,
     )
-    single = common_rate_single(params, SPLIT, ReceiverClass.EDGE, False, 1e-9)
-    got = common_stream_rate(params, SPLIT, ReceiverClass.EDGE, w, None, 1e-9)
+    single = common_rate_single(params, SPLIT, ReceiverClass.EDGE, False)
+    got = common_stream_rate(params, SPLIT, ReceiverClass.EDGE, w, None)
     assert got == pytest.approx(w * (1.0 - pi_c) * single, rel=1e-9)
 
 
