@@ -10,7 +10,9 @@ substituted per subcase.
 Determinism contract: draws come from counter-based Philox streams keyed
 per fixed-size chunk, and chunk partials are reduced in chunk order, so a
 given (seed, samples, chunk) produces a bit-identical report at any
-worker count.
+worker count. estimate_point samples each chunk once and forms its link
+gains once, then runs every subcase's rate kernel on them; each subcase
+gets the report estimate_rates gives it alone on the same SimConfig.
 
 Memory: once warm, the kernel allocates no draw-sized array. Each thread
 keeps a workspace of named draw-sized buffers, 7 float64 and 11 bool
@@ -28,7 +30,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -52,8 +54,9 @@ class SimConfig:
 
     chunk is part of the reproducibility key: changing it changes which
     Philox stream produces which draw. workers only changes scheduling.
-    spawn prefixes the per-chunk stream keys so that sweeps can give every
-    grid point an independent deterministic stream family.
+    spawn prefixes the per-chunk stream keys. A sweep sets it to (point,),
+    so every grid point has its own stream family and all of a point's
+    subcases share its draw.
     """
 
     samples: int = 100_000
@@ -402,19 +405,21 @@ def _private_stage(
 
 def _rate_kernel(
     params: SystemParams,
-    split: PowerSplit,
+    powers: StreamPowers,
     streams: _SubcaseStreams,
-    draw: ChannelDraw,
+    gain_c: np.ndarray,
+    gain_e: np.ndarray,
 ) -> np.ndarray:
-    powers = stream_powers(params.P, split)
+    """One subcase's statistics over one chunk's link gains.
+
+    The gains are only read, so every subcase of a point runs on the same
+    ones. The draw's fading buffers (h_c, h_e) are dead once the gains are
+    formed and take two SINRs at a time, each turned into a rate in place.
+    """
     sigma2 = params.sigma2
-    n = draw.d_c.size
-    # the link gains overwrite the distances; the fading buffers are then
-    # dead and take two SINRs at a time, each turned into a rate in place
+    n = gain_c.size
     center, edge = ReceiverClass.CENTER, ReceiverClass.EDGE
-    gain_c = draw.link_gain(center, params.alpha)
-    gain_e = draw.link_gain(edge, params.alpha)
-    first, second = draw.h_c, draw.h_e
+    first, second = _floats("h_c", n), _floats("h_e", n)
 
     dec_c, dec_e, served_c, served_e, stats = _common_stage(
         _sinr_vec(streams.common_c, center, powers, gain_c, sigma2, first),
@@ -455,28 +460,8 @@ def _rate_kernel(
     return np.concatenate(stats)
 
 
-def estimate_rates(
-    subcase: Subcase,
-    params: SystemParams,
-    split: PowerSplit,
-    sim: SimConfig,
-) -> RateReport:
-    """Event-counting estimate of every rate quantity for one subcase.
-
-    Per-receiver rates and the decomposition fields are conditional means
-    over their defining events; empty events report 0. The sum rate is the
-    mean of the total served rate given at least one receiver is served.
-    """
-    streams = _streams(subcase, params)
-    sizes = sim.chunk_sizes()
-
-    def kernel(index: int) -> np.ndarray:
-        n = sizes[index]
-        draw = sample_channels(params, sim.rng(index), n, out=_draw_buffers(n))
-        return _rate_kernel(params, split, streams, draw)
-
-    partials = _map_chunks(kernel, len(sizes), sim.workers)
-
+def _report(partials: list[np.ndarray], samples: int) -> RateReport:
+    """The RateReport of one subcase from its per-chunk statistics."""
     # chunk-order exact reduction: identical totals at any worker count
     totals = np.array(
         [math.fsum(p[j] for p in partials) for j in range(len(_STAT_NAMES) * 3)]
@@ -484,8 +469,8 @@ def estimate_rates(
 
     by_name = dict(zip(_STAT_NAMES, totals))
     means = {name: _conditional(by_name[name]) for name in _STAT_NAMES}
-    q_c = by_name["r_center"][2] / sim.samples
-    q_e = by_name["r_edge"][2] / sim.samples
+    q_c = by_name["r_center"][2] / samples
+    q_e = by_name["r_edge"][2] / samples
     return RateReport(
         r_center=means["r_center"][0],
         r_edge=means["r_edge"][0],
@@ -499,3 +484,48 @@ def estimate_rates(
         components=RateComponents(**{name: means[name][0] for name in _COMPONENT_NAMES}),
         component_stderr=RateComponents(**{name: means[name][1] for name in _COMPONENT_NAMES}),
     )
+
+
+def estimate_point(
+    params: SystemParams,
+    split: PowerSplit,
+    subcases: Sequence[Subcase],
+    sim: SimConfig,
+) -> list[RateReport]:
+    """estimate_rates of every subcase, all on one shared draw.
+
+    Each chunk is sampled and turned into link gains once; every subcase's
+    rate kernel then runs on those gains. Report j is bit for bit
+    estimate_rates(subcases[j], params, split, sim).
+    """
+    powers = stream_powers(params.P, split)
+    streams = [_streams(subcase, params) for subcase in subcases]
+    sizes = sim.chunk_sizes()
+
+    def kernel(index: int) -> list[np.ndarray]:
+        n = sizes[index]
+        draw = sample_channels(params, sim.rng(index), n, out=_draw_buffers(n))
+        gain_c = draw.link_gain(ReceiverClass.CENTER, params.alpha)
+        gain_e = draw.link_gain(ReceiverClass.EDGE, params.alpha)
+        return [_rate_kernel(params, powers, s, gain_c, gain_e) for s in streams]
+
+    partials = _map_chunks(kernel, len(sizes), sim.workers)
+    return [
+        _report([chunk[j] for chunk in partials], sim.samples)
+        for j in range(len(streams))
+    ]
+
+
+def estimate_rates(
+    subcase: Subcase,
+    params: SystemParams,
+    split: PowerSplit,
+    sim: SimConfig,
+) -> RateReport:
+    """Event-counting estimate of every rate quantity for one subcase.
+
+    Per-receiver rates and the decomposition fields are conditional means
+    over their defining events; empty events report 0. The sum rate is the
+    mean of the total served rate given at least one receiver is served.
+    """
+    return estimate_point(params, split, (subcase,), sim)[0]

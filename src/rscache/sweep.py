@@ -18,7 +18,9 @@ import numpy as np
 
 from .caching import Mode, Subcase, parse_subcase_token
 from .model import PowerSplit, SystemParams
-from .montecarlo import SimConfig, estimate_rates
+# estimate_rates is this module's name for the one-subcase simulator, kept
+# for code that hooks the simulator here (bench/tracer.py)
+from .montecarlo import SimConfig, estimate_point, estimate_rates  # noqa: F401
 from .rates import RateReport, asymptotic_report, evaluate_subcase, omegas
 
 # (CSV column, RateReport field) for every numeric column a report fills;
@@ -169,16 +171,16 @@ def sweep_rows(spec: SweepSpec) -> list[str]:
     rows: list[str] = []
     for point_index, value in enumerate(spec.grid()):
         params, split = spec.at(value)
+        if METHOD_MC in spec.methods:
+            # one draw per point, shared by all of its subcases
+            sim = dataclasses.replace(spec.sim, spawn=(point_index,))
+            simulated = estimate_point(params, split, subcases, sim)
         for subcase_index, (subcase, w) in enumerate(zip(subcases, prelogs)):
             if METHOD_ANALYTIC in spec.methods:
                 report = evaluate_subcase(subcase, params, split)
                 rows.append(_row(spec, value, subcase, w, report))
             if METHOD_MC in spec.methods:
-                sim = dataclasses.replace(
-                    spec.sim, spawn=(point_index, subcase_index)
-                )
-                report = estimate_rates(subcase, params, split, sim)
-                rows.append(_row(spec, value, subcase, w, report))
+                rows.append(_row(spec, value, subcase, w, simulated[subcase_index]))
             if spec.include_asymptotic:
                 report = asymptotic_report(subcase, params, split)
                 rows.append(_row(spec, value, subcase, w, report))

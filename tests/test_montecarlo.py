@@ -22,10 +22,12 @@ from rscache.model import (
 from rscache.montecarlo import (
     SimConfig,
     estimate_coverage,
+    estimate_point,
     estimate_rates,
     sample_channels,
 )
-from rscache.rates import omegas
+from rscache.rates import evaluate_subcase, omegas
+from rscache.sweep import MODE_SUBCASES, SweepSpec, figure_presets, sweep_rows
 
 from oracles import served_per_draw
 
@@ -170,8 +172,6 @@ def test_rate_estimate_is_the_per_draw_tally(sub):
 def test_estimates_track_the_analytic_probabilities():
     sim = SimConfig(samples=300_000, seed=12)
     rep = estimate_rates(XOR_XOR, PARAMS, SPLIT, sim)
-    from rscache.rates import evaluate_subcase
-
     truth = evaluate_subcase(XOR_XOR, PARAMS, SPLIT)
     for got, want in ((rep.q_center, truth.q_center), (rep.q_edge, truth.q_edge)):
         se = math.sqrt(max(want * (1.0 - want), 1e-12) / sim.samples)
@@ -245,3 +245,60 @@ def test_interleaved_estimates_equal_estimates_run_alone():
             assert got == want
         else:
             _assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk", [131_072, 7_000], ids=["one-chunk", "chunked"])
+def test_point_estimate_is_each_subcase_estimated_alone(mode, workers, chunk):
+    # every subcase of a roster on one shared draw gives, bit for bit, the
+    # report of that subcase run on its own
+    subcases = [parse_subcase_token(mode, token, PARAMS.K) for token in MODE_SUBCASES[mode]]
+    split = PowerSplit(beta=0.4, rho=0.3)
+    sim = SimConfig(samples=30_000, seed=30, chunk=chunk, workers=workers)
+    reports = estimate_point(PARAMS, split, subcases, sim)
+    assert len(reports) == len(subcases)
+    for sub, got in zip(subcases, reports):
+        _assert_same_report(got, estimate_rates(sub, PARAMS, split, sim))
+
+
+def test_sweep_keys_every_point_by_its_index_alone():
+    # the stream key of a simulated row is (seed, point, chunk): the row is
+    # estimate_rates of its subcase with spawn=(point,), whatever the subcase
+    sim = SimConfig(samples=20_000, seed=31, chunk=8_192)
+    spec = SweepSpec(
+        variable="beta", start=0.3, stop=0.7, points=2, mode=Mode.ALL_CC,
+        methods=("monte-carlo",), sim=sim,
+    )
+    rows = iter(sweep_rows(spec))
+    for point, value in enumerate(spec.grid()):
+        params, split = spec.at(value)
+        for token in spec.subcases:
+            sub = parse_subcase_token(spec.mode, token, params.K)
+            rep = estimate_rates(sub, params, split, dataclasses.replace(sim, spawn=(point,)))
+            want = [
+                "%.9g" % x
+                for x in (
+                    rep.r_center, rep.r_edge, rep.r_sum, rep.q_center, rep.q_edge,
+                    rep.stderr_center, rep.stderr_edge, rep.stderr_sum,
+                )
+            ]
+            assert next(rows).split(",")[8:] == want, (point, token)
+    assert next(rows, None) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_served_rate_z_scores_are_standard_at_high_power():
+    # stock fig9 at P = 10^7.5, efr/pfr: the centre's served rate doubles
+    # only on the rare draws where the edge misses the common stream, so a
+    # run that misses them reports a low mean with a small stderr
+    _, spec = figure_presets()["fig9"][0]
+    params, split = spec.at(spec.grid()[15])
+    sub = parse_subcase_token(spec.mode, "efr/pfr", params.K)
+    truth = evaluate_subcase(sub, params, split).r_center
+    z = []
+    for seed in range(1000, 1200):
+        rep = estimate_rates(sub, params, split, SimConfig(samples=100_000, seed=seed))
+        z.append((rep.r_center - truth) / rep.stderr_center)
+    assert sum(abs(x) > 3.0 for x in z) <= 2
+    assert 0.8 <= np.std(z, ddof=1) <= 1.25
