@@ -11,17 +11,21 @@ Determinism contract: draws come from counter-based Philox streams keyed
 per fixed-size chunk, and chunk partials are reduced in chunk order, so a
 given (seed, samples, chunk) produces a bit-identical report at any
 worker count. estimate_point samples each chunk once and forms its link
-gains once, then runs every subcase's rate kernel on them; each subcase
-gets the report estimate_rates gives it alone on the same SimConfig.
+gains once, then groups the subcases by cancellation variant: a variant's
+six SINRs, decode events and log-rates are formed once and weighted by
+each member's pre-logs. Each subcase gets the report estimate_rates gives
+it alone on the same SimConfig.
 
 Memory: once warm, the kernel allocates no draw-sized array. Each thread
-keeps a workspace of named draw-sized buffers, 7 float64 and 11 bool
-(about 9 MB at the default 131 072-draw chunk, 7 MB at 100 000 draws),
-that grows on demand and lasts across chunks and across estimate calls;
-the draws, link gains, SINRs, rates and event masks are all written into
-it. With two or more workers the pool threads, and so their buffers, last
-only for one call. Buffer reuse never changes a value: every array is
-filled by the same operations in the same order as a fresh one would be.
+keeps a workspace of named draw-sized buffers, 11 float64 and 6 bool plus
+an event pair per receiver and distinct private-rate threshold (at most
+18 bool over a roster of the three pre-logs: about 11 MB at 100 000 draws,
+14 MB at the default 131 072-draw chunk), that grows on demand and lasts
+across chunks and across estimate calls; the draws, link gains, SINRs,
+rates and event masks are all written into it. With two or more workers
+the pool threads, and so their buffers, last only for one call. Buffer
+reuse never changes a value: every array is filled by the same operations
+in the same order as a fresh one would be.
 """
 
 from __future__ import annotations
@@ -237,7 +241,7 @@ def estimate_coverage(
     return p, math.sqrt(p * (1.0 - p) / sim.samples)
 
 
-# the statistics _rate_kernel accumulates, in its order: the components
+# the statistics each subcase accumulates, in this order: the components
 # in RateComponents' field order, then the served and sum rates
 _COMPONENT_NAMES = tuple(f.name for f in fields(RateComponents))
 _STAT_NAMES = (*_COMPONENT_NAMES, "r_center", "r_edge", "r_sum")
@@ -248,11 +252,14 @@ _STAT_NAMES = (*_COMPONENT_NAMES, "r_center", "r_edge", "r_sum")
 _GATHER_BLOCK = 8192
 
 
-def _accumulate(values: np.ndarray, mask: np.ndarray) -> tuple[float, float, float]:
-    """Sum, sum of squares and count of values where mask holds.
+def _accumulate(
+    values: np.ndarray, mask: np.ndarray, scale: float = 1.0
+) -> tuple[float, float, float]:
+    """Sum, sum of squares and count of values * scale where mask holds.
 
-    The hits are gathered in order into one contiguous workspace array, so
-    the pairwise sums see exactly values[mask].
+    The hits are gathered in order into one contiguous workspace array and
+    scaled there, so the pairwise sums see exactly (values * scale)[mask]:
+    an elementwise product commutes with the gather.
     """
     hit = _floats("hit", values.size)
     count = 0
@@ -263,6 +270,8 @@ def _accumulate(values: np.ndarray, mask: np.ndarray) -> tuple[float, float, flo
         )
         count += index.size
     hit = hit[:count]
+    if scale != 1.0:
+        hit *= scale
     total = float(hit.sum())
     return total, float(np.multiply(hit, hit, out=hit).sum()), float(count)
 
@@ -273,13 +282,10 @@ def _and_not(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.logical_and(a, out, out=out)
 
 
-def _log_rate(eta: np.ndarray, w: float) -> np.ndarray:
-    """w * log2(1 + eta), computed in eta's own buffer."""
+def _log_rate(eta: np.ndarray) -> np.ndarray:
+    """log2(1 + eta), computed in eta's own buffer."""
     eta += 1.0
-    np.log2(eta, out=eta)
-    if w != 1.0:
-        eta *= w
-    return eta
+    return np.log2(eta, out=eta)
 
 
 def _conditional(total: np.ndarray) -> tuple[float, float]:
@@ -292,172 +298,169 @@ def _conditional(total: np.ndarray) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class _SubcaseStreams:
-    """Per-receiver SINR kinds and thresholds realized by one subcase."""
+class _Variant:
+    """The subcases of one cancellation variant and the thresholds they use.
 
-    common_c: SinrKind
-    common_e: SinrKind
-    private_c: SinrKind
-    private_e: SinrKind
-    interf_c: SinrKind
-    interf_e: SinrKind
-    w_c: float
-    w_e: float
-    xi_c: float
-    xi_e: float
-
-
-def _streams(subcase: Subcase, params: SystemParams) -> _SubcaseStreams:
-    w_c, w_e = omegas(params, subcase)
-    iic_c = subcase.iic_at is ReceiverClass.CENTER
-    iic_e = subcase.iic_at is ReceiverClass.EDGE
-    return _SubcaseStreams(
-        common_c=seen_kind(SinrKind.COMMON, iic_c),
-        common_e=seen_kind(SinrKind.COMMON, iic_e),
-        private_c=seen_kind(SinrKind.PRIVATE, iic_c),
-        private_e=seen_kind(SinrKind.PRIVATE, iic_e),
-        interf_c=seen_kind(SinrKind.PRIVATE_INTERF, iic_c),
-        interf_e=seen_kind(SinrKind.PRIVATE_INTERF, iic_e),
-        w_c=w_c,
-        w_e=w_e,
-        xi_c=private_sinr_threshold(w_c, params.xi),
-        xi_e=private_sinr_threshold(w_e, params.xi),
-    )
-
-
-def _common_stage(
-    eta0_c: np.ndarray,
-    eta0_e: np.ndarray,
-    params: SystemParams,
-    streams: _SubcaseStreams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
-    """Common-stream decode events and rates of both receivers.
-
-    Returns the two decode events, each receiver's served rate so far (its
-    common-stream share, zero where it does not decode) and the first five
-    statistics. The SINR buffers are overwritten.
+    slots are the subcases' positions in estimate_point's list; picks index
+    each subcase's private-rate thresholds in xi_c and xi_e, which hold the
+    variant's distinct thresholds per receiver in first-seen order.
     """
-    n = eta0_c.size
+
+    iic_at: ReceiverClass | None
+    slots: tuple[int, ...]
+    omegas: tuple[tuple[float, float], ...]
+    picks: tuple[tuple[int, int], ...]
+    xi_c: tuple[float, ...]
+    xi_e: tuple[float, ...]
+
+
+def _variants(subcases: Sequence[Subcase], params: SystemParams) -> list[_Variant]:
+    """The subcases grouped by iic_at, groups and members in first-seen order."""
+    groups: dict[ReceiverClass | None, list[int]] = {}
+    for slot, subcase in enumerate(subcases):
+        groups.setdefault(subcase.iic_at, []).append(slot)
+    variants = []
+    for iic_at, slots in groups.items():
+        ws = [omegas(params, subcases[slot]) for slot in slots]
+        xis = [tuple(private_sinr_threshold(w, params.xi) for w in pair) for pair in ws]
+        xi_c, xi_e = (tuple(dict.fromkeys(side)) for side in zip(*xis))
+        picks = tuple((xi_c.index(a), xi_e.index(b)) for a, b in xis)
+        variants.append(_Variant(iic_at, tuple(slots), tuple(ws), picks, xi_c, xi_e))
+    return variants
+
+
+def _route_masks(
+    eta_p: np.ndarray, eta_i: np.ndarray, dec: np.ndarray, xi: float, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The private route's event (own decode, private SINR above xi) and the
+    interference route's (no decode, SINR with the common stream above xi)."""
+    n = dec.size
+    priv = np.greater(eta_p, xi, out=_mask("priv" + name, n))
+    np.logical_and(dec, priv, out=priv)
+    above = np.greater(eta_i, xi, out=_mask("one", n))
+    return priv, _and_not(above, dec, _mask("intf" + name, n))
+
+
+def _served(
+    base: np.ndarray,
+    dec: np.ndarray,
+    routes: tuple[tuple[np.ndarray, np.ndarray], ...],
+    w: float,
+    out: np.ndarray,
+) -> tuple[np.ndarray, list]:
+    """One receiver's served rate at pre-log w, written into out.
+
+    base is the unweighted common-stream share; routes pairs each private
+    route's log-rate with its event. Returns the served rate and the
+    statistics of the common share and of each route. Every rate term is
+    finite and >= +0, so adding rate * event gives the same bits as adding
+    only where the event holds.
+    """
+    served = np.multiply(base, w, out=out)
+    stats = [_accumulate(base, dec, w)]
+    served *= dec
+    for rate, event in routes:
+        term = np.multiply(rate, w, out=_floats("hit", rate.size))
+        term *= event
+        served += term
+        stats.append(_accumulate(rate, event, w))
+    return served, stats
+
+
+def _variant_kernel(
+    params: SystemParams,
+    powers: StreamPowers,
+    variant: _Variant,
+    gain_c: np.ndarray,
+    gain_e: np.ndarray,
+) -> list[np.ndarray]:
+    """The statistics of each of a variant's subcases over one chunk's gains.
+
+    The six SINRs, the decode events, the log-rates and the common-stream
+    statistics depend on the subcase only through its variant, so they are
+    formed once here; each subcase then only weights them by its pre-logs.
+    The gains are only read, so every variant of a point runs on the same
+    ones. The draw's fading buffers (h_c, h_e) are dead once the gains are
+    formed and hold two of the SINRs, each turned into a rate in place.
+    """
+    sigma2 = params.sigma2
+    n = gain_c.size
+    center, edge = ReceiverClass.CENTER, ReceiverClass.EDGE
+
+    def sinr(kind: SinrKind, cls: ReceiverClass, name: str) -> np.ndarray:
+        gain = gain_c if cls is center else gain_e
+        seen = seen_kind(kind, variant.iic_at is cls)
+        return _sinr_vec(seen, cls, powers, gain, sigma2, _floats(name, n))
+
+    eta0_c = sinr(SinrKind.COMMON, center, "h_c")
+    eta0_e = sinr(SinrKind.COMMON, edge, "h_e")
     dec_c = np.greater(eta0_c, params.zeta, out=_mask("dec_c", n))
     dec_e = np.greater(eta0_e, params.zeta, out=_mask("dec_e", n))
     both = np.logical_and(dec_c, dec_e, out=_mask("both", n))
     one = _mask("one", n)
-    log0_c = _log_rate(eta0_c, 1.0)
-    log0_e = _log_rate(eta0_e, 1.0)
+    log0_c = _log_rate(eta0_c)
+    log0_e = _log_rate(eta0_e)
     min0 = np.minimum(log0_c, log0_e, out=_floats("min0", n))
-    stats = [
+    head = [
         _accumulate(min0, both),
         _accumulate(log0_c, _and_not(dec_c, dec_e, one)),
         _accumulate(log0_e, _and_not(dec_e, dec_c, one)),
     ]
 
-    # common-stream contribution given own decode: time-shared min rate if
-    # the partner decoded too, otherwise the full slot at the own SINR.
+    # unweighted common-stream share given own decode: time-shared min rate
+    # if the partner decoded too, otherwise the full slot at the own SINR.
     # Every rate is finite and >= +0, so x * mask + y * ~mask picks x or y
     # bit for bit; the common SINR buffers are dead after this and take
     # the masked terms.
     alone = np.invert(both, out=one)
-    rs0_c = np.multiply(params.u, min0, out=_floats("rs0_c", n))
-    rs0_c *= both
-    rs0_c += np.multiply(log0_c, alone, out=log0_c)
-    rs0_c *= streams.w_c
-    rs0_e = np.multiply(1.0 - params.u, min0, out=min0)
-    rs0_e *= both
-    rs0_e += np.multiply(log0_e, alone, out=log0_e)
-    rs0_e *= streams.w_e
-    stats += [_accumulate(rs0_c, dec_c), _accumulate(rs0_e, dec_e)]
+    base_c = np.multiply(params.u, min0, out=_floats("base_c", n))
+    base_c *= both
+    base_c += np.multiply(log0_c, alone, out=log0_c)
+    base_e = np.multiply(1.0 - params.u, min0, out=min0)
+    base_e *= both
+    base_e += np.multiply(log0_e, alone, out=log0_e)
 
-    rs0_c *= dec_c
-    rs0_e *= dec_e
-    return dec_c, dec_e, rs0_c, rs0_e, stats
-
-
-def _private_stage(
-    served: np.ndarray,
-    dec: np.ndarray,
-    eta_p: np.ndarray,
-    eta_i: np.ndarray,
-    xi: float,
-    w: float,
-    side: str,
-) -> tuple[np.ndarray, tuple, tuple]:
-    """Add one receiver's private-stream rates to its served rate in place.
-
-    Returns the interference-route event (the common stream left in the
-    interference) and both private routes' statistics. The SINR buffers
-    are overwritten; side names the event masks' buffers.
-    """
-    n = dec.size
-    priv = np.greater(eta_p, xi, out=_mask("priv" + side, n))
-    np.logical_and(dec, priv, out=priv)
-    above = np.greater(eta_i, xi, out=_mask("one", n))
-    intf = _and_not(above, dec, _mask("intf" + side, n))
-    rp = _log_rate(eta_p, w)
-    ri = _log_rate(eta_i, w)
-    # every rate term is finite and >= +0, so adding rate * event gives the
-    # same bits as adding only where the event holds
-    rp *= priv
-    ri *= intf
-    served += rp
-    served += ri
-    return intf, _accumulate(rp, priv), _accumulate(ri, intf)
-
-
-def _rate_kernel(
-    params: SystemParams,
-    powers: StreamPowers,
-    streams: _SubcaseStreams,
-    gain_c: np.ndarray,
-    gain_e: np.ndarray,
-) -> np.ndarray:
-    """One subcase's statistics over one chunk's link gains.
-
-    The gains are only read, so every subcase of a point runs on the same
-    ones. The draw's fading buffers (h_c, h_e) are dead once the gains are
-    formed and take two SINRs at a time, each turned into a rate in place.
-    """
-    sigma2 = params.sigma2
-    n = gain_c.size
-    center, edge = ReceiverClass.CENTER, ReceiverClass.EDGE
-    first, second = _floats("h_c", n), _floats("h_e", n)
-
-    dec_c, dec_e, served_c, served_e, stats = _common_stage(
-        _sinr_vec(streams.common_c, center, powers, gain_c, sigma2, first),
-        _sinr_vec(streams.common_e, edge, powers, gain_e, sigma2, second),
-        params,
-        streams,
+    # the private-stream events are taken on the SINRs, one pair per
+    # distinct threshold, before the SINRs become log-rates in place
+    rates_c = (
+        sinr(SinrKind.PRIVATE, center, "h_c"),
+        sinr(SinrKind.PRIVATE_INTERF, center, "h_e"),
     )
-    intf_c, acc_rp_c, acc_ri_c = _private_stage(
-        served_c,
-        dec_c,
-        _sinr_vec(streams.private_c, center, powers, gain_c, sigma2, first),
-        _sinr_vec(streams.interf_c, center, powers, gain_c, sigma2, second),
-        streams.xi_c,
-        streams.w_c,
-        "_c",
+    rates_e = (
+        sinr(SinrKind.PRIVATE, edge, "eta_pe"),
+        sinr(SinrKind.PRIVATE_INTERF, edge, "eta_ie"),
     )
-    intf_e, acc_rp_e, acc_ri_e = _private_stage(
-        served_e,
-        dec_e,
-        _sinr_vec(streams.private_e, edge, powers, gain_e, sigma2, first),
-        _sinr_vec(streams.interf_e, edge, powers, gain_e, sigma2, second),
-        streams.xi_e,
-        streams.w_e,
-        "_e",
-    )
-    eps_c = np.logical_or(dec_c, intf_c, out=_mask("eps_c", n))
-    eps_e = np.logical_or(dec_e, intf_e, out=_mask("eps_e", n))
-    stats += [
-        acc_rp_c,
-        acc_rp_e,
-        acc_ri_c,
-        acc_ri_e,
-        _accumulate(served_c, eps_c),
-        _accumulate(served_e, eps_e),
-    ]
-    served_c += served_e
-    stats.append(_accumulate(served_c, np.logical_or(eps_c, eps_e, out=_mask("eps", n))))
-    return np.concatenate(stats)
+    events_c = [_route_masks(*rates_c, dec_c, xi, f"_c{k}") for k, xi in enumerate(variant.xi_c)]
+    events_e = [_route_masks(*rates_e, dec_e, xi, f"_e{k}") for k, xi in enumerate(variant.xi_e)]
+    for eta in (*rates_c, *rates_e):
+        _log_rate(eta)
+
+    out = []
+    for (w_c, w_e), (k_c, k_e) in zip(variant.omegas, variant.picks):
+        (priv_c, intf_c), (priv_e, intf_e) = events_c[k_c], events_e[k_e]
+        served_c, (rs0_c, rp_c, ri_c) = _served(
+            base_c, dec_c, tuple(zip(rates_c, (priv_c, intf_c))), w_c, _floats("served_c", n)
+        )
+        served_e, (rs0_e, rp_e, ri_e) = _served(
+            base_e, dec_e, tuple(zip(rates_e, (priv_e, intf_e))), w_e, _floats("served_e", n)
+        )
+        eps_c = np.logical_or(dec_c, intf_c, out=_mask("eps_c", n))
+        eps_e = np.logical_or(dec_e, intf_e, out=_mask("eps_e", n))
+        stats = [
+            *head,
+            rs0_c,
+            rs0_e,
+            rp_c,
+            rp_e,
+            ri_c,
+            ri_e,
+            _accumulate(served_c, eps_c),
+            _accumulate(served_e, eps_e),
+        ]
+        served_c += served_e
+        stats.append(_accumulate(served_c, np.logical_or(eps_c, eps_e, out=one)))
+        out.append(np.concatenate(stats))
+    return out
 
 
 def _report(partials: list[np.ndarray], samples: int) -> RateReport:
@@ -494,12 +497,13 @@ def estimate_point(
 ) -> list[RateReport]:
     """estimate_rates of every subcase, all on one shared draw.
 
-    Each chunk is sampled and turned into link gains once; every subcase's
-    rate kernel then runs on those gains. Report j is bit for bit
+    Each chunk is sampled and turned into link gains once; the subcases are
+    grouped by cancellation variant, and each variant's kernel forms its
+    SINRs once and then every member's statistics. Report j is bit for bit
     estimate_rates(subcases[j], params, split, sim).
     """
     powers = stream_powers(params.P, split)
-    streams = [_streams(subcase, params) for subcase in subcases]
+    variants = _variants(subcases, params)
     sizes = sim.chunk_sizes()
 
     def kernel(index: int) -> list[np.ndarray]:
@@ -507,12 +511,18 @@ def estimate_point(
         draw = sample_channels(params, sim.rng(index), n, out=_draw_buffers(n))
         gain_c = draw.link_gain(ReceiverClass.CENTER, params.alpha)
         gain_e = draw.link_gain(ReceiverClass.EDGE, params.alpha)
-        return [_rate_kernel(params, powers, s, gain_c, gain_e) for s in streams]
+        stats: list = [None] * len(subcases)
+        for variant in variants:
+            for slot, got in zip(
+                variant.slots, _variant_kernel(params, powers, variant, gain_c, gain_e)
+            ):
+                stats[slot] = got
+        return stats
 
     partials = _map_chunks(kernel, len(sizes), sim.workers)
     return [
         _report([chunk[j] for chunk in partials], sim.samples)
-        for j in range(len(streams))
+        for j in range(len(subcases))
     ]
 
 

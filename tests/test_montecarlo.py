@@ -146,28 +146,49 @@ def test_all_power_to_the_common_stream_kills_private_rates():
     assert rep.r_center > 0.0
 
 
-@pytest.mark.parametrize("sub", [XOR_XOR, PFR_IIC_E, EFR_IIC_C], ids=lambda sub: sub.token)
-def test_rate_estimate_is_the_per_draw_tally(sub):
+def _roster(mode):
+    return tuple(parse_subcase_token(mode, token, PARAMS.K) for token in MODE_SUBCASES[mode])
+
+
+def _assert_same_report(got, want):
+    for field in dataclasses.fields(want):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+@pytest.mark.parametrize(
+    "subcases",
+    [(XOR_XOR,), (PFR_IIC_E,), (EFR_IIC_C,), _roster(Mode.CC_MPC), _roster(Mode.MPC_CC)],
+    ids=lambda subs: subs[0].token if len(subs) == 1 else subs[0].mode.value,
+)
+def test_rate_estimate_is_the_per_draw_tally(subcases):
     # one chunk at a power where both, one and neither receiver decode the
-    # common stream; the same draw, tallied draw by draw by the oracle
+    # common stream; the same draw, tallied draw by draw by the oracle. A
+    # whole roster mixes two cancellation variants and pre-logs at 1 and
+    # below, all estimated together on the one draw
     params = dataclasses.replace(PARAMS, P=1000.0)
     n = 4096
     sim = SimConfig(samples=n, chunk=n)
     draw = sample_channels(params, sim.rng(0), n)
-    (rate_c, served_c), (rate_e, served_e) = served_per_draw(
-        params, SPLIT, draw, omegas(params, sub), sub.iic_at
-    )
-    either = served_c | served_e
-    rep = estimate_rates(sub, params, SPLIT, sim)
-    assert rep.components.r0_both > 0.0 and rep.components.r0_center_only > 0.0
-    for got, want in (
-        (rep.r_center, rate_c[served_c].mean()),
-        (rep.r_edge, rate_e[served_e].mean()),
-        (rep.r_sum, (rate_c + rate_e)[either].mean()),
-        (rep.q_center, served_c.mean()),
-        (rep.q_edge, served_e.mean()),
-    ):
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    reports = estimate_point(params, SPLIT, subcases, sim)
+    for sub, rep in zip(subcases, reports, strict=True):
+        (rate_c, served_c), (rate_e, served_e) = served_per_draw(
+            params, SPLIT, draw, omegas(params, sub), sub.iic_at
+        )
+        either = served_c | served_e
+        assert rep.components.r0_both > 0.0 and rep.components.r0_center_only > 0.0
+        for got, want in (
+            (rep.r_center, rate_c[served_c].mean()),
+            (rep.r_edge, rate_e[served_e].mean()),
+            (rep.r_sum, (rate_c + rate_e)[either].mean()),
+            (rep.q_center, served_c.mean()),
+            (rep.q_edge, served_e.mean()),
+        ):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), sub.token
+    # the subcases' order only orders the reports
+    order = np.random.default_rng(0).permutation(len(subcases))
+    permuted = estimate_point(params, SPLIT, [subcases[i] for i in order], sim)
+    for i, got in zip(order, permuted, strict=True):
+        _assert_same_report(got, reports[i])
 
 
 def test_estimates_track_the_analytic_probabilities():
@@ -199,23 +220,20 @@ def _fresh_thread(call):
         return pool.submit(call).result()
 
 
-def _assert_same_report(got, want):
-    for field in dataclasses.fields(want):
-        assert getattr(got, field.name) == getattr(want, field.name), field.name
-
-
 def test_warm_rate_estimate_allocates_no_draw_sized_array():
     n = 100_000
     sim = SimConfig(samples=n, seed=21)
-    estimate_rates(XOR_XOR, PARAMS, SPLIT, sim)  # warm the workspace
-    tracemalloc.start()
-    try:
-        estimate_rates(XOR_XOR, PARAMS, SPLIT, dataclasses.replace(sim, seed=22))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one float64 array of the draw count is 8 n bytes
-    assert peak < 8 * n
+    # one subcase, then whole rosters of one and of two cancellation variants
+    for subcases in ((XOR_XOR,), _roster(Mode.ALL_CC), _roster(Mode.MPC_CC)):
+        estimate_point(PARAMS, SPLIT, subcases, sim)  # warm the workspace
+        tracemalloc.start()
+        try:
+            estimate_point(PARAMS, SPLIT, subcases, dataclasses.replace(sim, seed=22))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 array of the draw count is 8 n bytes
+        assert peak < 8 * n, subcases[0].mode
 
 
 def test_interleaved_estimates_equal_estimates_run_alone():
@@ -254,7 +272,7 @@ def test_interleaved_estimates_equal_estimates_run_alone():
 def test_point_estimate_is_each_subcase_estimated_alone(mode, workers, chunk):
     # every subcase of a roster on one shared draw gives, bit for bit, the
     # report of that subcase run on its own
-    subcases = [parse_subcase_token(mode, token, PARAMS.K) for token in MODE_SUBCASES[mode]]
+    subcases = _roster(mode)
     split = PowerSplit(beta=0.4, rho=0.3)
     sim = SimConfig(samples=30_000, seed=30, chunk=chunk, workers=workers)
     reports = estimate_point(PARAMS, split, subcases, sim)
