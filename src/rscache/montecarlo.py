@@ -344,14 +344,15 @@ def _route_masks(
 def _served(
     base: np.ndarray,
     dec: np.ndarray,
-    routes: tuple[tuple[np.ndarray, np.ndarray], ...],
+    rates: tuple[np.ndarray, np.ndarray],
+    events: tuple[np.ndarray, np.ndarray],
     w: float,
     out: np.ndarray,
 ) -> tuple[np.ndarray, list]:
     """One receiver's served rate at pre-log w, written into out.
 
-    base is the unweighted common-stream share; routes pairs each private
-    route's log-rate with its event. Returns the served rate and the
+    base is the unweighted common-stream share, rates and events the two
+    private routes' log-rates and events. Returns the served rate and the
     statistics of the common share and of each route. Every rate term is
     finite and >= +0, so adding rate * event gives the same bits as adding
     only where the event holds.
@@ -359,7 +360,7 @@ def _served(
     served = np.multiply(base, w, out=out)
     stats = [_accumulate(base, dec, w)]
     served *= dec
-    for rate, event in routes:
+    for rate, event in zip(rates, events):
         term = np.multiply(rate, w, out=_floats("hit", rate.size))
         term *= event
         served += term
@@ -381,7 +382,7 @@ def _variant_kernel(
     formed once here; each subcase then only weights them by its pre-logs.
     The gains are only read, so every variant of a point runs on the same
     ones. The draw's fading buffers (h_c, h_e) are dead once the gains are
-    formed and hold two of the SINRs, each turned into a rate in place.
+    formed and take two SINRs at a time, each turned into a rate in place.
     """
     sigma2 = params.sigma2
     n = gain_c.size
@@ -437,15 +438,14 @@ def _variant_kernel(
 
     out = []
     for (w_c, w_e), (k_c, k_e) in zip(variant.omegas, variant.picks):
-        (priv_c, intf_c), (priv_e, intf_e) = events_c[k_c], events_e[k_e]
         served_c, (rs0_c, rp_c, ri_c) = _served(
-            base_c, dec_c, tuple(zip(rates_c, (priv_c, intf_c))), w_c, _floats("served_c", n)
+            base_c, dec_c, rates_c, events_c[k_c], w_c, _floats("served_c", n)
         )
         served_e, (rs0_e, rp_e, ri_e) = _served(
-            base_e, dec_e, tuple(zip(rates_e, (priv_e, intf_e))), w_e, _floats("served_e", n)
+            base_e, dec_e, rates_e, events_e[k_e], w_e, _floats("served_e", n)
         )
-        eps_c = np.logical_or(dec_c, intf_c, out=_mask("eps_c", n))
-        eps_e = np.logical_or(dec_e, intf_e, out=_mask("eps_e", n))
+        eps_c = np.logical_or(dec_c, events_c[k_c][1], out=_mask("eps_c", n))
+        eps_e = np.logical_or(dec_e, events_e[k_e][1], out=_mask("eps_e", n))
         stats = [
             *head,
             rs0_c,
