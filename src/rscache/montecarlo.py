@@ -12,20 +12,22 @@ per fixed-size chunk, and chunk partials are reduced in chunk order, so a
 given (seed, samples, chunk) produces a bit-identical report at any
 worker count. estimate_point samples each chunk once and forms its link
 gains once, then groups the subcases by cancellation variant: a variant's
-six SINRs, decode events and log-rates are formed once and weighted by
-each member's pre-logs. Each subcase gets the report estimate_rates gives
-it alone on the same SimConfig.
+six SINRs, decode events and log-rates are formed once, each receiver's
+served rate and its statistics once per distinct pre-log of that
+receiver, and each member only adds its two served rates. Each subcase
+gets the report estimate_rates gives it alone on the same SimConfig.
 
 Memory: once warm, the kernel allocates no draw-sized array. Each thread
-keeps a workspace of named draw-sized buffers, 11 float64 and 6 bool plus
-an event pair per receiver and distinct private-rate threshold (at most
-18 bool over a roster of the three pre-logs: about 11 MB at 100 000 draws,
-14 MB at the default 131 072-draw chunk), that grows on demand and lasts
-across chunks and across estimate calls; the draws, link gains, SINRs,
-rates and event masks are all written into it. With two or more workers
-the pool threads, and so their buffers, last only for one call. Buffer
-reuse never changes a value: every array is filled by the same operations
-in the same order as a fresh one would be.
+keeps a workspace of named draw-sized buffers, 9 float64 plus one per
+distinct edge pre-log, and 4 bool plus an event pair per receiver and
+distinct pre-log (at most 12 float64 and 16 bool over a roster of the
+three pre-logs: about 11 MB at 100 000 draws, 15 MB at the default
+131 072-draw chunk), that grows on demand and lasts across chunks and
+across estimate calls; the draws, link gains, SINRs, rates and event
+masks are all written into it. With two or more workers the pool
+threads, and so their buffers, last only for one call. Buffer reuse never
+changes a value: every array is filled by the same operations in the same
+order as a fresh one would be.
 """
 
 from __future__ import annotations
@@ -299,19 +301,18 @@ def _conditional(total: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _Variant:
-    """The subcases of one cancellation variant and the thresholds they use.
+    """The subcases of one cancellation variant and the pre-logs they use.
 
-    slots are the subcases' positions in estimate_point's list; picks index
-    each subcase's private-rate thresholds in xi_c and xi_e, which hold the
-    variant's distinct thresholds per receiver in first-seen order.
+    slots are the subcases' positions in estimate_point's list; ws_c and
+    ws_e hold the variant's distinct pre-logs per receiver in first-seen
+    order, and picks index each subcase's pair in them.
     """
 
     iic_at: ReceiverClass | None
     slots: tuple[int, ...]
-    omegas: tuple[tuple[float, float], ...]
+    ws_c: tuple[float, ...]
+    ws_e: tuple[float, ...]
     picks: tuple[tuple[int, int], ...]
-    xi_c: tuple[float, ...]
-    xi_e: tuple[float, ...]
 
 
 def _variants(subcases: Sequence[Subcase], params: SystemParams) -> list[_Variant]:
@@ -322,10 +323,9 @@ def _variants(subcases: Sequence[Subcase], params: SystemParams) -> list[_Varian
     variants = []
     for iic_at, slots in groups.items():
         ws = [omegas(params, subcases[slot]) for slot in slots]
-        xis = [tuple(private_sinr_threshold(w, params.xi) for w in pair) for pair in ws]
-        xi_c, xi_e = (tuple(dict.fromkeys(side)) for side in zip(*xis))
-        picks = tuple((xi_c.index(a), xi_e.index(b)) for a, b in xis)
-        variants.append(_Variant(iic_at, tuple(slots), tuple(ws), picks, xi_c, xi_e))
+        ws_c, ws_e = (tuple(dict.fromkeys(side)) for side in zip(*ws))
+        picks = tuple((ws_c.index(w_c), ws_e.index(w_e)) for w_c, w_e in ws)
+        variants.append(_Variant(iic_at, tuple(slots), ws_c, ws_e, picks))
     return variants
 
 
@@ -348,24 +348,27 @@ def _served(
     events: tuple[np.ndarray, np.ndarray],
     w: float,
     out: np.ndarray,
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray, list]:
     """One receiver's served rate at pre-log w, written into out.
 
-    base is the unweighted common-stream share, rates and events the two
-    private routes' log-rates and events. Returns the served rate and the
-    statistics of the common share and of each route. Every rate term is
-    finite and >= +0, so adding rate * event gives the same bits as adding
-    only where the event holds.
+    base is the unweighted common-stream share, +0 where dec does not hold,
+    rates and events the two private routes' log-rates and events. Returns the served rate, the
+    served event (own decode or the interference route), which is written
+    over the interference route's event, and the statistics of the common
+    share, of each route and of the served rate. Every rate term is finite
+    and >= +0, so adding rate * event gives the same bits as adding only
+    where the event holds.
     """
     served = np.multiply(base, w, out=out)
     stats = [_accumulate(base, dec, w)]
-    served *= dec
     for rate, event in zip(rates, events):
         term = np.multiply(rate, w, out=_floats("hit", rate.size))
         term *= event
         served += term
         stats.append(_accumulate(rate, event, w))
-    return served, stats
+    eps = np.logical_or(dec, events[1], out=events[1])
+    stats.append(_accumulate(served, eps))
+    return served, eps, stats
 
 
 def _variant_kernel(
@@ -379,7 +382,10 @@ def _variant_kernel(
 
     The six SINRs, the decode events, the log-rates and the common-stream
     statistics depend on the subcase only through its variant, so they are
-    formed once here; each subcase then only weights them by its pre-logs.
+    formed once here. A receiver's served rate, its route statistics and
+    its served-rate statistic depend on it only through that receiver's
+    pre-log, so they are formed once per distinct pre-log; each subcase
+    then only adds its two served rates and takes the sum's statistic.
     The gains are only read, so every variant of a point runs on the same
     ones. The draw's fading buffers (h_c, h_e) are dead once the gains are
     formed and take two SINRs at a time, each turned into a rate in place.
@@ -408,21 +414,20 @@ def _variant_kernel(
         _accumulate(log0_e, _and_not(dec_e, dec_c, one)),
     ]
 
-    # unweighted common-stream share given own decode: time-shared min rate
-    # if the partner decoded too, otherwise the full slot at the own SINR.
-    # Every rate is finite and >= +0, so x * mask + y * ~mask picks x or y
-    # bit for bit; the common SINR buffers are dead after this and take
-    # the masked terms.
-    alone = np.invert(both, out=one)
+    # unweighted common-stream share, +0 where the receiver does not
+    # decode: time-shared min rate if the partner decoded too, otherwise
+    # the full slot at the own SINR. Every rate is finite and >= +0, so
+    # x * mask + y * other_mask picks x, y or +0 bit for bit; the common
+    # SINR buffers are dead after this and take the masked terms.
     base_c = np.multiply(params.u, min0, out=_floats("base_c", n))
     base_c *= both
-    base_c += np.multiply(log0_c, alone, out=log0_c)
+    base_c += np.multiply(log0_c, _and_not(dec_c, dec_e, one), out=log0_c)
     base_e = np.multiply(1.0 - params.u, min0, out=min0)
     base_e *= both
-    base_e += np.multiply(log0_e, alone, out=log0_e)
+    base_e += np.multiply(log0_e, _and_not(dec_e, dec_c, one), out=log0_e)
 
     # the private-stream events are taken on the SINRs, one pair per
-    # distinct threshold, before the SINRs become log-rates in place
+    # distinct pre-log, before the SINRs become log-rates in place
     rates_c = (
         sinr(SinrKind.PRIVATE, center, "h_c"),
         sinr(SinrKind.PRIVATE_INTERF, center, "h_e"),
@@ -431,35 +436,37 @@ def _variant_kernel(
         sinr(SinrKind.PRIVATE, edge, "eta_pe"),
         sinr(SinrKind.PRIVATE_INTERF, edge, "eta_ie"),
     )
-    events_c = [_route_masks(*rates_c, dec_c, xi, f"_c{k}") for k, xi in enumerate(variant.xi_c)]
-    events_e = [_route_masks(*rates_e, dec_e, xi, f"_e{k}") for k, xi in enumerate(variant.xi_e)]
+    xi = params.xi
+    events_c = [
+        _route_masks(*rates_c, dec_c, private_sinr_threshold(w, xi), f"_c{k}")
+        for k, w in enumerate(variant.ws_c)
+    ]
+    events_e = [
+        _route_masks(*rates_e, dec_e, private_sinr_threshold(w, xi), f"_e{k}")
+        for k, w in enumerate(variant.ws_e)
+    ]
     for eta in (*rates_c, *rates_e):
         _log_rate(eta)
 
-    out = []
-    for (w_c, w_e), (k_c, k_e) in zip(variant.omegas, variant.picks):
-        served_c, (rs0_c, rp_c, ri_c) = _served(
-            base_c, dec_c, rates_c, events_c[k_c], w_c, _floats("served_c", n)
-        )
-        served_e, (rs0_e, rp_e, ri_e) = _served(
-            base_e, dec_e, rates_e, events_e[k_e], w_e, _floats("served_e", n)
-        )
-        eps_c = np.logical_or(dec_c, events_c[k_c][1], out=_mask("eps_c", n))
-        eps_e = np.logical_or(dec_e, events_e[k_e][1], out=_mask("eps_e", n))
-        stats = [
-            *head,
-            rs0_c,
-            rs0_e,
-            rp_c,
-            rp_e,
-            ri_c,
-            ri_e,
-            _accumulate(served_c, eps_c),
-            _accumulate(served_e, eps_e),
-        ]
-        served_c += served_e
-        stats.append(_accumulate(served_c, np.logical_or(eps_c, eps_e, out=one)))
-        out.append(np.concatenate(stats))
+    # the edge side goes first and keeps its served rates; after its last
+    # pass the edge log-rates are dead and take the center's served rate
+    # and the sum
+    edge_side = [
+        _served(base_e, dec_e, rates_e, events, w, _floats(f"served_e{k}", n))
+        for k, (w, events) in enumerate(zip(variant.ws_e, events_e))
+    ]
+    out: list = [None] * len(variant.picks)
+    for k, (w, events) in enumerate(zip(variant.ws_c, events_c)):
+        served_c, eps_c, stats_c = _served(base_c, dec_c, rates_c, events, w, rates_e[0])
+        for j, (k_c, k_e) in enumerate(variant.picks):
+            if k_c != k:
+                continue
+            served_e, eps_e, stats_e = edge_side[k_e]
+            total = np.add(served_c, served_e, out=rates_e[1])
+            r_sum = _accumulate(total, np.logical_or(eps_c, eps_e, out=one))
+            # rs0, rp, ri and the served rate, center before edge, then the sum
+            paired = [stat for pair in zip(stats_c, stats_e) for stat in pair]
+            out[j] = np.concatenate([*head, *paired, r_sum])
     return out
 
 
@@ -499,7 +506,8 @@ def estimate_point(
 
     Each chunk is sampled and turned into link gains once; the subcases are
     grouped by cancellation variant, and each variant's kernel forms its
-    SINRs once and then every member's statistics. Report j is bit for bit
+    SINRs once, each receiver's served rate once per pre-log, and then
+    every member's statistics. Report j is bit for bit
     estimate_rates(subcases[j], params, split, sim).
     """
     powers = stream_powers(params.P, split)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rscache import montecarlo
 from rscache.caching import Mode, parse_subcase_token
 from rscache.distributions import coverage, dist_spec
 from rscache.model import (
@@ -157,14 +158,22 @@ def _assert_same_report(got, want):
 
 @pytest.mark.parametrize(
     "subcases",
-    [(XOR_XOR,), (PFR_IIC_E,), (EFR_IIC_C,), _roster(Mode.CC_MPC), _roster(Mode.MPC_CC)],
+    [
+        (XOR_XOR,),
+        (PFR_IIC_E,),
+        (EFR_IIC_C,),
+        _roster(Mode.CC_MPC),
+        _roster(Mode.MPC_CC),
+        _roster(Mode.ALL_CC),
+    ],
     ids=lambda subs: subs[0].token if len(subs) == 1 else subs[0].mode.value,
 )
 def test_rate_estimate_is_the_per_draw_tally(subcases):
     # one chunk at a power where both, one and neither receiver decode the
     # common stream; the same draw, tallied draw by draw by the oracle. A
     # whole roster mixes two cancellation variants and pre-logs at 1 and
-    # below, all estimated together on the one draw
+    # below, all estimated together on the one draw; all-cc repeats every
+    # pre-log on both sides
     params = dataclasses.replace(PARAMS, P=1000.0)
     n = 4096
     sim = SimConfig(samples=n, chunk=n)
@@ -189,6 +198,28 @@ def test_rate_estimate_is_the_per_draw_tally(subcases):
     permuted = estimate_point(params, SPLIT, [subcases[i] for i in order], sim)
     for i, got in zip(order, permuted, strict=True):
         _assert_same_report(got, reports[i])
+
+
+def test_each_receiver_pre_log_is_served_once_per_chunk(monkeypatch):
+    # a receiver's served rate depends on the subcase only through its
+    # cancellation variant and that receiver's pre-log, so one chunk makes
+    # one served-rate pass per distinct (variant, receiver, pre-log)
+    calls = []
+    served = montecarlo._served
+
+    def counted(*args):
+        calls.append(args)
+        return served(*args)
+
+    monkeypatch.setattr(montecarlo, "_served", counted)
+    sim = SimConfig(samples=1_000, chunk=1_000)
+    passes = {}
+    for mode in Mode:
+        calls.clear()
+        estimate_point(PARAMS, SPLIT, _roster(mode), sim)
+        passes[mode] = len(calls)
+    assert passes == {Mode.ALL_CC: 6, Mode.CC_MPC: 7, Mode.MPC_CC: 7, Mode.ALL_MPC: 2}
+    assert sum(passes.values()) == 22
 
 
 def test_estimates_track_the_analytic_probabilities():
@@ -223,8 +254,11 @@ def _fresh_thread(call):
 def test_warm_rate_estimate_allocates_no_draw_sized_array():
     n = 100_000
     sim = SimConfig(samples=n, seed=21)
-    # one subcase, then whole rosters of one and of two cancellation variants
-    for subcases in ((XOR_XOR,), _roster(Mode.ALL_CC), _roster(Mode.MPC_CC)):
+    # one subcase, then whole rosters of one and of two cancellation
+    # variants, with repeated pre-logs on both sides, at the edge only and
+    # at the center only
+    rosters = ((XOR_XOR,), *(_roster(mode) for mode in (Mode.ALL_CC, Mode.CC_MPC, Mode.MPC_CC)))
+    for subcases in rosters:
         estimate_point(PARAMS, SPLIT, subcases, sim)  # warm the workspace
         tracemalloc.start()
         try:
