@@ -11,11 +11,12 @@ Determinism contract: draws come from counter-based Philox streams keyed
 per fixed-size chunk, and chunk partials are reduced in chunk order, so a
 given (seed, samples, chunk) produces a bit-identical report at any
 worker count. estimate_point samples each chunk once and forms its link
-gains once, then groups the subcases by cancellation variant: a variant's
-six SINRs, decode events and log-rates are formed once, each receiver's
-served rate and its statistics once per distinct pre-log of that
-receiver, and each member only adds its two served rates. Each subcase
-gets the report estimate_rates gives it alone on the same SimConfig.
+gains once, then groups the subcases by cancellation variant. A variant's
+kernel runs each step once per receiver: its SINRs, decode event,
+log-rates and common share once per variant, its route events and served
+rate with their statistics once per distinct pre-log, and each member
+only adds its two served rates. Each subcase gets the report
+estimate_rates gives it alone on the same SimConfig.
 
 Memory: once warm, the kernel allocates no draw-sized array. Each thread
 keeps a workspace of named draw-sized buffers, 9 float64 plus one per
@@ -299,46 +300,15 @@ def _conditional(total: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / c)
 
 
-@dataclass(frozen=True)
-class _Variant:
-    """The subcases of one cancellation variant and the pre-logs they use.
-
-    slots are the subcases' positions in estimate_point's list; ws_c and
-    ws_e hold the variant's distinct pre-logs per receiver in first-seen
-    order, and picks index each subcase's pair in them.
-    """
-
-    iic_at: ReceiverClass | None
-    slots: tuple[int, ...]
-    ws_c: tuple[float, ...]
-    ws_e: tuple[float, ...]
-    picks: tuple[tuple[int, int], ...]
-
-
-def _variants(subcases: Sequence[Subcase], params: SystemParams) -> list[_Variant]:
-    """The subcases grouped by iic_at, groups and members in first-seen order."""
-    groups: dict[ReceiverClass | None, list[int]] = {}
+def _variants(
+    subcases: Sequence[Subcase], params: SystemParams
+) -> dict[ReceiverClass | None, list[tuple[int, float, float]]]:
+    """Each variant's (slot, w_c, w_e) members: a subcase's position in
+    estimate_point's list and its pre-logs, keyed by iic_at, in first-seen order."""
+    variants: dict[ReceiverClass | None, list[tuple[int, float, float]]] = {}
     for slot, subcase in enumerate(subcases):
-        groups.setdefault(subcase.iic_at, []).append(slot)
-    variants = []
-    for iic_at, slots in groups.items():
-        ws = [omegas(params, subcases[slot]) for slot in slots]
-        ws_c, ws_e = (tuple(dict.fromkeys(side)) for side in zip(*ws))
-        picks = tuple((ws_c.index(w_c), ws_e.index(w_e)) for w_c, w_e in ws)
-        variants.append(_Variant(iic_at, tuple(slots), ws_c, ws_e, picks))
+        variants.setdefault(subcase.iic_at, []).append((slot, *omegas(params, subcase)))
     return variants
-
-
-def _route_masks(
-    eta_p: np.ndarray, eta_i: np.ndarray, dec: np.ndarray, xi: float, name: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The private route's event (own decode, private SINR above xi) and the
-    interference route's (no decode, SINR with the common stream above xi)."""
-    n = dec.size
-    priv = np.greater(eta_p, xi, out=_mask("priv" + name, n))
-    np.logical_and(dec, priv, out=priv)
-    above = np.greater(eta_i, xi, out=_mask("one", n))
-    return priv, _and_not(above, dec, _mask("intf" + name, n))
 
 
 def _served(
@@ -371,102 +341,105 @@ def _served(
     return served, eps, stats
 
 
+#: each receiver's tag in buffer names and the buffers of its common SINR,
+#: its common share and its private and interference SINRs. The draw's
+#: fading buffers are dead once the gains are formed; the edge's share
+#: overwrites min0, and the center's private SINRs take the fading buffers
+#: once both shares are formed.
+_BUFFERS = {
+    ReceiverClass.CENTER: ("c", "h_c", "base_c", ("h_c", "h_e")),
+    ReceiverClass.EDGE: ("e", "h_e", "min0", ("eta_pe", "eta_ie")),
+}
+
+
 def _variant_kernel(
     params: SystemParams,
     powers: StreamPowers,
-    variant: _Variant,
-    gain_c: np.ndarray,
-    gain_e: np.ndarray,
-) -> list[np.ndarray]:
-    """The statistics of each of a variant's subcases over one chunk's gains.
+    iic_at: ReceiverClass | None,
+    members: Sequence[tuple[int, float, float]],
+    gains: dict[ReceiverClass, np.ndarray],
+) -> dict[int, np.ndarray]:
+    """The statistics of a variant's members over one chunk's gains, by slot.
 
-    The six SINRs, the decode events, the log-rates and the common-stream
-    statistics depend on the subcase only through its variant, so they are
-    formed once here. A receiver's served rate, its route statistics and
-    its served-rate statistic depend on it only through that receiver's
-    pre-log, so they are formed once per distinct pre-log; each subcase
-    then only adds its two served rates and takes the sum's statistic.
-    The gains are only read, so every variant of a point runs on the same
-    ones. The draw's fading buffers (h_c, h_e) are dead once the gains are
-    formed and take two SINRs at a time, each turned into a rate in place.
+    Each step runs once per receiver. Its SINRs, decode event, log-rates
+    and common share depend on the subcase only through the variant, its
+    route events, served rate and their statistics only through the
+    receiver's pre-log, so each is formed once per variant or per distinct
+    pre-log; each member then only adds its two served rates and takes the
+    sum's statistic. The gains are only read, so every variant of a point
+    runs on the same ones.
     """
-    sigma2 = params.sigma2
-    n = gain_c.size
-    center, edge = ReceiverClass.CENTER, ReceiverClass.EDGE
+    n = gains[ReceiverClass.CENTER].size
+    center, edge = _BUFFERS
+    one = _mask("one", n)
+    # each receiver's distinct pre-logs, in first-seen order
+    ws = dict(zip(_BUFFERS, [dict.fromkeys(side) for side in zip(*members)][1:]))
 
     def sinr(kind: SinrKind, cls: ReceiverClass, name: str) -> np.ndarray:
-        gain = gain_c if cls is center else gain_e
-        seen = seen_kind(kind, variant.iic_at is cls)
-        return _sinr_vec(seen, cls, powers, gain, sigma2, _floats(name, n))
+        seen = seen_kind(kind, iic_at is cls)
+        return _sinr_vec(seen, cls, powers, gains[cls], params.sigma2, _floats(name, n))
 
-    eta0_c = sinr(SinrKind.COMMON, center, "h_c")
-    eta0_e = sinr(SinrKind.COMMON, edge, "h_e")
-    dec_c = np.greater(eta0_c, params.zeta, out=_mask("dec_c", n))
-    dec_e = np.greater(eta0_e, params.zeta, out=_mask("dec_e", n))
-    both = np.logical_and(dec_c, dec_e, out=_mask("both", n))
-    one = _mask("one", n)
-    log0_c = _log_rate(eta0_c)
-    log0_e = _log_rate(eta0_e)
-    min0 = np.minimum(log0_c, log0_e, out=_floats("min0", n))
-    head = [
-        _accumulate(min0, both),
-        _accumulate(log0_c, _and_not(dec_c, dec_e, one)),
-        _accumulate(log0_e, _and_not(dec_e, dec_c, one)),
-    ]
+    # the decode event is taken on the common SINR before it becomes a
+    # log-rate in place
+    log0, dec = {}, {}
+    for cls, (tag, name, _, _) in _BUFFERS.items():
+        log0[cls] = sinr(SinrKind.COMMON, cls, name)
+        dec[cls] = np.greater(log0[cls], params.zeta, out=_mask("dec_" + tag, n))
+        _log_rate(log0[cls])
+    both = np.logical_and(dec[center], dec[edge], out=_mask("both", n))
+    min0 = np.minimum(log0[center], log0[edge], out=_floats("min0", n))
+    head = [_accumulate(min0, both)]
 
     # unweighted common-stream share, +0 where the receiver does not
     # decode: time-shared min rate if the partner decoded too, otherwise
     # the full slot at the own SINR. Every rate is finite and >= +0, so
-    # x * mask + y * other_mask picks x, y or +0 bit for bit; the common
-    # SINR buffers are dead after this and take the masked terms.
-    base_c = np.multiply(params.u, min0, out=_floats("base_c", n))
-    base_c *= both
-    base_c += np.multiply(log0_c, _and_not(dec_c, dec_e, one), out=log0_c)
-    base_e = np.multiply(1.0 - params.u, min0, out=min0)
-    base_e *= both
-    base_e += np.multiply(log0_e, _and_not(dec_e, dec_c, one), out=log0_e)
+    # x * mask + y * other_mask picks x, y or +0 bit for bit; the own
+    # log-rate is dead after this and takes the masked term.
+    base = {}
+    for cls, (_, _, name, _) in _BUFFERS.items():
+        alone = _and_not(dec[cls], dec[cls.other], one)
+        head.append(_accumulate(log0[cls], alone))
+        share = params.u if cls is center else 1.0 - params.u
+        base[cls] = np.multiply(share, min0, out=_floats(name, n))
+        base[cls] *= both
+        base[cls] += np.multiply(log0[cls], alone, out=log0[cls])
 
-    # the private-stream events are taken on the SINRs, one pair per
-    # distinct pre-log, before the SINRs become log-rates in place
-    rates_c = (
-        sinr(SinrKind.PRIVATE, center, "h_c"),
-        sinr(SinrKind.PRIVATE_INTERF, center, "h_e"),
-    )
-    rates_e = (
-        sinr(SinrKind.PRIVATE, edge, "eta_pe"),
-        sinr(SinrKind.PRIVATE_INTERF, edge, "eta_ie"),
-    )
-    xi = params.xi
-    events_c = [
-        _route_masks(*rates_c, dec_c, private_sinr_threshold(w, xi), f"_c{k}")
-        for k, w in enumerate(variant.ws_c)
-    ]
-    events_e = [
-        _route_masks(*rates_e, dec_e, private_sinr_threshold(w, xi), f"_e{k}")
-        for k, w in enumerate(variant.ws_e)
-    ]
-    for eta in (*rates_c, *rates_e):
-        _log_rate(eta)
+    # the route events are taken on the private SINRs, one pair per
+    # distinct pre-log, before the SINRs become log-rates in place: own
+    # decode and private SINR above the threshold, or no decode and the
+    # SINR against the common stream above it
+    rates, events = {}, {}
+    for cls, (tag, _, _, (name_p, name_i)) in _BUFFERS.items():
+        eta_p, eta_i = rates[cls] = (
+            sinr(SinrKind.PRIVATE, cls, name_p), sinr(SinrKind.PRIVATE_INTERF, cls, name_i)
+        )
+        events[cls] = {}
+        for k, w in enumerate(ws[cls]):
+            xi_w = private_sinr_threshold(w, params.xi)
+            priv = np.greater(eta_p, xi_w, out=_mask(f"priv_{tag}{k}", n))
+            np.logical_and(dec[cls], priv, out=priv)
+            above = np.greater(eta_i, xi_w, out=one)
+            events[cls][w] = priv, _and_not(above, dec[cls], _mask(f"intf_{tag}{k}", n))
+        for eta in rates[cls]:
+            _log_rate(eta)
+
+    def served(cls: ReceiverClass, w: float, out: np.ndarray) -> tuple:
+        return _served(base[cls], dec[cls], rates[cls], events[cls][w], w, out)
 
     # the edge side goes first and keeps its served rates; after its last
     # pass the edge log-rates are dead and take the center's served rate
     # and the sum
-    edge_side = [
-        _served(base_e, dec_e, rates_e, events, w, _floats(f"served_e{k}", n))
-        for k, (w, events) in enumerate(zip(variant.ws_e, events_e))
-    ]
-    out: list = [None] * len(variant.picks)
-    for k, (w, events) in enumerate(zip(variant.ws_c, events_c)):
-        served_c, eps_c, stats_c = _served(base_c, dec_c, rates_c, events, w, rates_e[0])
-        for j, (k_c, k_e) in enumerate(variant.picks):
-            if k_c != k:
-                continue
-            served_e, eps_e, stats_e = edge_side[k_e]
-            total = np.add(served_c, served_e, out=rates_e[1])
+    edge_side = {w: served(edge, w, _floats(f"served_e{k}", n)) for k, w in enumerate(ws[edge])}
+    out = {}
+    for w_c in ws[center]:
+        served_c, eps_c, stats_c = served(center, w_c, rates[edge][0])
+        for slot, _, w_e in (member for member in members if member[1] == w_c):
+            served_e, eps_e, stats_e = edge_side[w_e]
+            total = np.add(served_c, served_e, out=rates[edge][1])
             r_sum = _accumulate(total, np.logical_or(eps_c, eps_e, out=one))
             # rs0, rp, ri and the served rate, center before edge, then the sum
             paired = [stat for pair in zip(stats_c, stats_e) for stat in pair]
-            out[j] = np.concatenate([*head, *paired, r_sum])
+            out[slot] = np.concatenate([*head, *paired, r_sum])
     return out
 
 
@@ -505,8 +478,8 @@ def estimate_point(
     """estimate_rates of every subcase, all on one shared draw.
 
     Each chunk is sampled and turned into link gains once; the subcases are
-    grouped by cancellation variant, and each variant's kernel forms its
-    SINRs once, each receiver's served rate once per pre-log, and then
+    grouped by cancellation variant, and each variant's kernel forms each
+    receiver's SINRs once, its served rate once per pre-log, and then
     every member's statistics. Report j is bit for bit
     estimate_rates(subcases[j], params, split, sim).
     """
@@ -514,17 +487,13 @@ def estimate_point(
     variants = _variants(subcases, params)
     sizes = sim.chunk_sizes()
 
-    def kernel(index: int) -> list[np.ndarray]:
+    def kernel(index: int) -> dict[int, np.ndarray]:
         n = sizes[index]
         draw = sample_channels(params, sim.rng(index), n, out=_draw_buffers(n))
-        gain_c = draw.link_gain(ReceiverClass.CENTER, params.alpha)
-        gain_e = draw.link_gain(ReceiverClass.EDGE, params.alpha)
-        stats: list = [None] * len(subcases)
-        for variant in variants:
-            for slot, got in zip(
-                variant.slots, _variant_kernel(params, powers, variant, gain_c, gain_e)
-            ):
-                stats[slot] = got
+        gains = {cls: draw.link_gain(cls, params.alpha) for cls in _BUFFERS}
+        stats: dict[int, np.ndarray] = {}
+        for iic_at, members in variants.items():
+            stats.update(_variant_kernel(params, powers, iic_at, members, gains))
         return stats
 
     partials = _map_chunks(kernel, len(sizes), sim.workers)

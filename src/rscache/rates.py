@@ -188,8 +188,8 @@ def _pieces(s: float, r_in: float, r_out: float, alpha: float) -> list[float]:
                 break
             if d > r_in:
                 cuts.append(d)
-    cuts.sort()
-    return [r_in, *cuts, r_out]
+    # an e-fold can land on a knee, which must not leave a zero-width piece
+    return [r_in, *sorted(set(cuts)), r_out]
 
 
 def _fading_average(

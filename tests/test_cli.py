@@ -173,10 +173,15 @@ DEGENERATE_SWEEP = [
         # rejected as input
         (DEGENERATE_SWEEP + ["--set", "sigma2=5e-324"], 1),
         (DEGENERATE_SWEEP + ["--set", "sigma2=1e-310"], 1),
+        # all power to the center's private stream at 0 dB SNR: an e-fold
+        # of the position average lands on a knee (d = 1)
+        (["sweep", "--var", "rho", "--from", "0.1", "--to", "0.9", "--points", "2",
+          "--mode", "all-mpc", "--methods", "analytic",
+          "--set", "beta=1", "--set", "P=1e-5", "--set", "sigma2=1e-5"], 0),
     ],
     ids=[
         "tiny-threshold", "tiny-noise", "tiny-xi", "tiny-radius", "least-noise",
-        "subnormal-noise",
+        "subnormal-noise", "efold-on-knee",
     ],
 )
 def test_degenerate_inputs_give_a_number_or_a_documented_exit(argv, code, tmp_path, capsys):

@@ -151,6 +151,10 @@ def _roster(mode):
     return tuple(parse_subcase_token(mode, token, PARAMS.K) for token in MODE_SUBCASES[mode])
 
 
+#: every mode's roster in one list: all three cancellation variants
+_UNION = tuple(sub for mode in Mode for sub in _roster(mode))
+
+
 def _assert_same_report(got, want):
     for field in dataclasses.fields(want):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
@@ -220,6 +224,10 @@ def test_each_receiver_pre_log_is_served_once_per_chunk(monkeypatch):
         passes[mode] = len(calls)
     assert passes == {Mode.ALL_CC: 6, Mode.CC_MPC: 7, Mode.MPC_CC: 7, Mode.ALL_MPC: 2}
     assert sum(passes.values()) == 22
+    # one call over every roster makes each pass once across the modes
+    calls.clear()
+    estimate_point(PARAMS, SPLIT, _UNION, sim)
+    assert len(calls) == 12
 
 
 def test_estimates_track_the_analytic_probabilities():
@@ -300,13 +308,15 @@ def test_interleaved_estimates_equal_estimates_run_alone():
             _assert_same_report(got, want)
 
 
-@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize(
+    "subcases", [*map(_roster, Mode), _UNION], ids=[*(mode.value for mode in Mode), "union"]
+)
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk", [131_072, 7_000], ids=["one-chunk", "chunked"])
-def test_point_estimate_is_each_subcase_estimated_alone(mode, workers, chunk):
-    # every subcase of a roster on one shared draw gives, bit for bit, the
+def test_point_estimate_is_each_subcase_estimated_alone(subcases, workers, chunk):
+    # every subcase of a roster, or of all four in one call over the three
+    # cancellation variants, on one shared draw gives, bit for bit, the
     # report of that subcase run on its own
-    subcases = _roster(mode)
     split = PowerSplit(beta=0.4, rho=0.3)
     sim = SimConfig(samples=30_000, seed=30, chunk=chunk, workers=workers)
     reports = estimate_point(PARAMS, split, subcases, sim)

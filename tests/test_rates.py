@@ -298,6 +298,17 @@ def _halved(pieces):
     return halved
 
 
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+def test_pieces_strictly_increase_when_an_efold_lands_on_a_knee(alpha):
+    # from r_in = 0, scale s = y / k^alpha puts the e-fold y at the knee k
+    # (exactly so at alpha = 4, s = y = 0.5, k = 1); a zero-width piece
+    # there is an input error to the quadrature
+    for k in rates._KNEES:
+        for y in rates._EFOLDS:
+            edges = _pieces(y / k**alpha, 0.0, 2.0 * rates._KNEES[-1], alpha)
+            assert all(a < b for a, b in zip(edges, edges[1:])), (k, y)
+
+
 def test_fixed_rule_is_stable_under_piece_halving(monkeypatch, cold_rate_caches):
     # the fixed G7K15 rules have no tolerance to refine, so this is their
     # order-raising check: twice the pieces, for the single-receiver rates'
