@@ -10,7 +10,7 @@ from .caching import Mode, parse_subcase_token
 from .model import PowerSplit, SystemParams
 from .montecarlo import SimConfig, estimate_rates
 from .rates import evaluate_subcase
-from .sweep import SweepSpec, compare_csv, figure_presets, run_sweep
+from .sweep import SweepSpec, compare_csv, figure_presets, run_sweep, run_sweeps
 
 __all__ = [
     "Mode",
@@ -24,6 +24,7 @@ __all__ = [
     "figure_presets",
     "parse_subcase_token",
     "run_sweep",
+    "run_sweeps",
 ]
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ from .sweep import (
     compare_csv,
     figure_presets,
     run_sweep,
+    run_sweeps,
 )
 
 EXIT_OK = 0
@@ -239,12 +240,14 @@ def _cmd_figure(args) -> int:
     # the preset's simulation config takes the place of the defaults
     sim_values = {k: v for k, v in _resolve(args).items() if k in _SIM_KEYS}
     os.makedirs(args.out_dir, exist_ok=True)
+    pairs = []
     for fname, spec in entries:
         spec = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, **sim_values))
         if args.methods:
             spec = dataclasses.replace(spec, methods=_METHOD_CHOICES[args.methods])
-        path = os.path.join(args.out_dir, fname)
-        rows = run_sweep(spec, path)
+        pairs.append((spec, os.path.join(args.out_dir, fname)))
+    # the preset's files share one draw per point
+    for (spec, path), rows in zip(pairs, run_sweeps(pairs)):
         print(f"wrote {path}: {rows} data rows")
         if spec.include_asymptotic:
             for token in spec.subcases:

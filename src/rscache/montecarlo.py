@@ -10,12 +10,14 @@ substituted per subcase.
 Determinism contract: draws come from counter-based Philox streams keyed
 per fixed-size chunk, and chunk partials are reduced in chunk order, so a
 given (seed, samples, chunk) produces a bit-identical report at any
-worker count. estimate_point samples each chunk once and forms its link
-gains once, then groups the subcases by cancellation variant. A variant's
-kernel runs each step once per receiver: its SINRs, decode event,
-log-rates and common share once per variant, its route events and served
-rate with their statistics once per distinct pre-log, and each member
-only adds its two served rates. Each subcase gets the report
+worker count. A draw depends only on draw_inputs (r_c, r_e, r_0, alpha),
+so estimate_points samples each chunk once and forms its link gains once
+for several working points, then runs one kernel per variant, a distinct
+(params, split, iic_at). A variant's kernel runs each step once per
+receiver: its SINRs, decode event, log-rates and common share once per
+variant, its route events and served rate with their statistics once per
+distinct pre-log, and each distinct pre-log pair only adds its two served
+rates, shared by every subcase that has it. Each subcase gets the report
 estimate_rates gives it alone on the same SimConfig.
 
 Memory: once warm, the kernel allocates no draw-sized array. Each thread
@@ -25,7 +27,8 @@ distinct pre-log (at most 12 float64 and 16 bool over a roster of the
 three pre-logs: about 11 MB at 100 000 draws, 15 MB at the default
 131 072-draw chunk), that grows on demand and lasts across chunks and
 across estimate calls; the draws, link gains, SINRs, rates and event
-masks are all written into it. With two or more workers the pool
+masks are all written into it; the variants of a chunk take turns with
+the same buffers. With two or more workers the pool
 threads, and so their buffers, last only for one call. Buffer reuse never
 changes a value: every array is filled by the same operations in the same
 order as a fresh one would be.
@@ -300,15 +303,31 @@ def _conditional(total: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / c)
 
 
-def _variants(
-    subcases: Sequence[Subcase], params: SystemParams
-) -> dict[ReceiverClass | None, list[tuple[int, float, float]]]:
-    """Each variant's (slot, w_c, w_e) members: a subcase's position in
-    estimate_point's list and its pre-logs, keyed by iic_at, in first-seen order."""
-    variants: dict[ReceiverClass | None, list[tuple[int, float, float]]] = {}
-    for slot, subcase in enumerate(subcases):
-        variants.setdefault(subcase.iic_at, []).append((slot, *omegas(params, subcase)))
-    return variants
+def draw_inputs(params: SystemParams) -> tuple[float, ...]:
+    """The only parameters a draw and its link gains depend on."""
+    return params.r_c, params.r_e, params.r_0, params.alpha
+
+
+#: a working point and its subcases
+Job = tuple[SystemParams, PowerSplit, Sequence[Subcase]]
+
+
+def _variants(jobs: Sequence[Job]) -> tuple[dict[tuple, list], list[list[int]]]:
+    """Each variant's (slot, w_c, w_e) members, and every job's subcases' slots.
+
+    A variant is a distinct (params, split, iic_at); its members are its
+    distinct pre-log pairs, in first-seen order. Subcases that agree on
+    variant and pre-logs share a slot.
+    """
+    keys: dict[tuple, int] = {}
+    slots = [
+        [keys.setdefault((p, split, sub.iic_at, *omegas(p, sub)), len(keys)) for sub in subs]
+        for p, split, subs in jobs
+    ]
+    variants: dict[tuple, list] = {}
+    for (p, split, iic_at, w_c, w_e), slot in keys.items():
+        variants.setdefault((p, split, iic_at), []).append((slot, w_c, w_e))
+    return variants, slots
 
 
 def _served(
@@ -469,22 +488,18 @@ def _report(partials: list[np.ndarray], samples: int) -> RateReport:
     )
 
 
-def estimate_point(
-    params: SystemParams,
-    split: PowerSplit,
-    subcases: Sequence[Subcase],
-    sim: SimConfig,
-) -> list[RateReport]:
-    """estimate_rates of every subcase, all on one shared draw.
+def estimate_points(jobs: Sequence[Job], sim: SimConfig) -> list[list[RateReport]]:
+    """estimate_point of every (params, split, subcases) job, all on one shared draw.
 
-    Each chunk is sampled and turned into link gains once; the subcases are
-    grouped by cancellation variant, and each variant's kernel forms each
-    receiver's SINRs once, its served rate once per pre-log, and then
-    every member's statistics. Report j is bit for bit
-    estimate_rates(subcases[j], params, split, sim).
+    The jobs must agree on draw_inputs. Each chunk is sampled and turned
+    into link gains once, each variant's kernel runs once, and subcases
+    that share a slot share its statistics. Report [i][j] is bit for bit
+    estimate_rates(jobs[i][2][j], jobs[i][0], jobs[i][1], sim).
     """
-    powers = stream_powers(params.P, split)
-    variants = _variants(subcases, params)
+    params = jobs[0][0]
+    if any(draw_inputs(job[0]) != draw_inputs(params) for job in jobs):
+        raise ValueError("jobs on one draw must share r_c, r_e, r_0 and alpha")
+    variants, slots = _variants(jobs)
     sizes = sim.chunk_sizes()
 
     def kernel(index: int) -> dict[int, np.ndarray]:
@@ -492,15 +507,21 @@ def estimate_point(
         draw = sample_channels(params, sim.rng(index), n, out=_draw_buffers(n))
         gains = {cls: draw.link_gain(cls, params.alpha) for cls in _BUFFERS}
         stats: dict[int, np.ndarray] = {}
-        for iic_at, members in variants.items():
-            stats.update(_variant_kernel(params, powers, iic_at, members, gains))
+        for (p, split, iic_at), members in variants.items():
+            powers = stream_powers(p.P, split)
+            stats.update(_variant_kernel(p, powers, iic_at, members, gains))
         return stats
 
     partials = _map_chunks(kernel, len(sizes), sim.workers)
-    return [
-        _report([chunk[j] for chunk in partials], sim.samples)
-        for j in range(len(subcases))
-    ]
+    reports = {slot: _report([c[slot] for c in partials], sim.samples) for slot in partials[0]}
+    return [[reports[slot] for slot in row] for row in slots]
+
+
+def estimate_point(
+    params: SystemParams, split: PowerSplit, subcases: Sequence[Subcase], sim: SimConfig
+) -> list[RateReport]:
+    """estimate_rates of every subcase, all on one shared draw (estimate_points' one job)."""
+    return estimate_points([(params, split, subcases)], sim)[0]
 
 
 def estimate_rates(

@@ -422,7 +422,11 @@ def common_rate_both(
     cross = e1 * d2 - outer.d2 * d1
 
     def partner(s):
-        return sigma2 * d1 * s / (e1 * sigma2 + cross * s)
+        if e1 * sigma2 >= sys.float_info.min:
+            return sigma2 * d1 * s / (e1 * sigma2 + cross * s)
+        # the same ratio without the underflowing product; d1 s / e1 when
+        # cross is 0
+        return d1 / (e1 / s + cross / sigma2)
 
     def reach(level: float) -> float:
         # partner's inverse; its scale saturates at sigma2 d1 / cross

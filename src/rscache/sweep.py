@@ -5,6 +5,10 @@ requested methods and writes one CSV row per (point, subcase, method).
 The CSV is the stable interface: 9-significant-digit values, LF line
 endings, and a fixed header, so a pinned (seed, spec) reproduces the file
 byte for byte at any worker count.
+
+run_sweeps writes several; run_sweep is its one-spec case. Specs that
+share a grid, a SimConfig and the draw's inputs share each point's draw,
+and each file still gets the bytes its spec writes alone.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +25,7 @@ from .caching import Mode, Subcase, parse_subcase_token
 from .model import PowerSplit, SystemParams
 # estimate_rates is this module's name for the one-subcase simulator, kept
 # for code that hooks the simulator here (bench/tracer.py)
-from .montecarlo import SimConfig, estimate_point, estimate_rates  # noqa: F401
+from .montecarlo import SimConfig, draw_inputs, estimate_points, estimate_rates  # noqa: F401
 from .rates import RateReport, asymptotic_report, evaluate_subcase, omegas
 
 # (CSV column, RateReport field) for every numeric column a report fills;
@@ -160,41 +165,62 @@ def _row(
     return ",".join(cells)
 
 
-def sweep_rows(spec: SweepSpec) -> list[str]:
-    """All data rows of one sweep, in the pinned (point, subcase, method) order."""
+def _rows(specs: Sequence[SweepSpec]) -> list[list[str]]:
+    """Each spec's data rows, in the pinned (point, subcase, method) order.
+
+    The specs share a grid and each point's draw, over all their simulated subcases.
+    """
     subcases = [
-        parse_subcase_token(spec.mode, token, spec.params.K)
-        for token in spec.subcases
+        [parse_subcase_token(spec.mode, token, spec.params.K) for token in spec.subcases]
+        for spec in specs
     ]
     # no swept variable changes K, M or N, so neither do the pre-logs
-    prelogs = [omegas(spec.params, subcase) for subcase in subcases]
-    rows: list[str] = []
-    for point_index, value in enumerate(spec.grid()):
-        params, split = spec.at(value)
-        if METHOD_MC in spec.methods:
-            # one draw per point, shared by all of its subcases
-            sim = dataclasses.replace(spec.sim, spawn=(point_index,))
-            simulated = estimate_point(params, split, subcases, sim)
-        for subcase_index, (subcase, w) in enumerate(zip(subcases, prelogs)):
-            if METHOD_ANALYTIC in spec.methods:
-                report = evaluate_subcase(subcase, params, split)
-                rows.append(_row(spec, value, subcase, w, report))
-            if METHOD_MC in spec.methods:
-                rows.append(_row(spec, value, subcase, w, simulated[subcase_index]))
-            if spec.include_asymptotic:
-                report = asymptotic_report(subcase, params, split)
-                rows.append(_row(spec, value, subcase, w, report))
+    prelogs = [[omegas(spec.params, sub) for sub in subs] for spec, subs in zip(specs, subcases)]
+    rows: list[list[str]] = [[] for _ in specs]
+    mc = [i for i, spec in enumerate(specs) if METHOD_MC in spec.methods]
+    for point_index, value in enumerate(specs[0].grid()):
+        points = [spec.at(value) for spec in specs]
+        jobs = {i: (*points[i], subcases[i]) for i in mc}
+        # one draw per point, shared by all of its simulated subcases
+        sim = dataclasses.replace(specs[0].sim, spawn=(point_index,))
+        simulated = dict(zip(jobs, estimate_points(list(jobs.values()), sim))) if jobs else {}
+        for i, (spec, (params, split)) in enumerate(zip(specs, points)):
+            for subcase_index, (subcase, w) in enumerate(zip(subcases[i], prelogs[i])):
+                if METHOD_ANALYTIC in spec.methods:
+                    report = evaluate_subcase(subcase, params, split)
+                    rows[i].append(_row(spec, value, subcase, w, report))
+                if METHOD_MC in spec.methods:
+                    rows[i].append(_row(spec, value, subcase, w, simulated[i][subcase_index]))
+                if spec.include_asymptotic:
+                    report = asymptotic_report(subcase, params, split)
+                    rows[i].append(_row(spec, value, subcase, w, report))
     return rows
+
+
+def run_sweeps(pairs: Sequence[tuple[SweepSpec, str]]) -> list[int]:
+    """Write each (spec, path) sweep CSV; returns each file's number of data rows.
+
+    Specs that agree on the swept variable, the grid, the SimConfig and
+    draw_inputs run together, sampling each point once for all of them.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for index, (spec, _) in enumerate(pairs):
+        key = (spec.variable, spec.start, spec.stop, spec.points, spec.log_scale, spec.sim)
+        groups.setdefault(key + draw_inputs(spec.params), []).append(index)
+    counts = [0] * len(pairs)
+    for members in groups.values():
+        for index, rows in zip(members, _rows([pairs[i][0] for i in members])):
+            with open(pairs[index][1], "w", encoding="ascii", newline="") as fh:
+                fh.write(CSV_HEADER + "\n")
+                for row in rows:
+                    fh.write(row + "\n")
+            counts[index] = len(rows)
+    return counts
 
 
 def run_sweep(spec: SweepSpec, out_path: str) -> int:
     """Write the sweep CSV; returns the number of data rows."""
-    rows = sweep_rows(spec)
-    with open(out_path, "w", encoding="ascii", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-    return len(rows)
+    return run_sweeps([(spec, out_path)])[0]
 
 
 @dataclass(frozen=True)

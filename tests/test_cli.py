@@ -178,10 +178,17 @@ DEGENERATE_SWEEP = [
         (["sweep", "--var", "rho", "--from", "0.1", "--to", "0.9", "--points", "2",
           "--mode", "all-mpc", "--methods", "analytic",
           "--set", "beta=1", "--set", "P=1e-5", "--set", "sigma2=1e-5"], 0),
+        # equal common powers (cross = 0) with e1 sigma2 underflowing to 0:
+        # the min-rate's partner scale at the least scale was 0 / 0
+        (["sweep", "--var", "beta", "--from", "0.8", "--to", "0.84", "--points", "2",
+          "--mode", "all-mpc", "--methods", "analytic",
+          "--set", "P=4.8e-251", "--set", "sigma2=4.4e-89", "--set", "alpha=4.10",
+          "--set", "r_c=1.4e45", "--set", "r_e=3.9e45", "--set", "r_0=3.8e46",
+          "--set", "zeta=2.3e-276", "--set", "xi=2.6e-184", "--set", "rho=0"], 0),
     ],
     ids=[
         "tiny-threshold", "tiny-noise", "tiny-xi", "tiny-radius", "least-noise",
-        "subnormal-noise", "efold-on-knee",
+        "subnormal-noise", "efold-on-knee", "partner-underflow",
     ],
 )
 def test_degenerate_inputs_give_a_number_or_a_documented_exit(argv, code, tmp_path, capsys):

@@ -29,7 +29,7 @@ from rscache.montecarlo import (
     sample_channels,
 )
 from rscache.rates import evaluate_subcase, omegas
-from rscache.sweep import MODE_SUBCASES, SweepSpec, figure_presets, sweep_rows
+from rscache.sweep import MODE_SUBCASES, SweepSpec, figure_presets, run_sweep
 
 from oracles import served_per_draw
 
@@ -388,7 +388,7 @@ def test_frozen_simulator_bits(case):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
 
 
-def test_sweep_keys_every_point_by_its_index_alone():
+def test_sweep_keys_every_point_by_its_index_alone(tmp_path):
     # the stream key of a simulated row is (seed, point, chunk): the row is
     # estimate_rates of its subcase with spawn=(point,), whatever the subcase
     sim = SimConfig(samples=20_000, seed=31, chunk=8_192)
@@ -396,7 +396,9 @@ def test_sweep_keys_every_point_by_its_index_alone():
         variable="beta", start=0.3, stop=0.7, points=2, mode=Mode.ALL_CC,
         methods=("monte-carlo",), sim=sim,
     )
-    rows = iter(sweep_rows(spec))
+    path = tmp_path / "sweep.csv"
+    run_sweep(spec, str(path))
+    rows = iter(path.read_text().splitlines()[1:])
     for point, value in enumerate(spec.grid()):
         params, split = spec.at(value)
         for token in spec.subcases:
