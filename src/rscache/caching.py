@@ -173,20 +173,11 @@ class Subcase:
     center: Technique
     edge: Technique
     iic_at: ReceiverClass | None
-    scheduled_center: int
-    scheduled_edge: int
 
     def __post_init__(self) -> None:
-        for cls, tech, count in (
-            (ReceiverClass.CENTER, self.center, self.scheduled_center),
-            (ReceiverClass.EDGE, self.edge, self.scheduled_edge),
-        ):
-            if not self.mode.is_cc(cls):
-                if tech is not Technique.EFR or count != 1:
-                    raise ValueError("an MPC class always unicasts one whole file")
-            else:
-                if (tech is Technique.XOR) != (count > 1):
-                    raise ValueError("XOR serves the whole class, unicast serves one")
+        for cls, tech in ((ReceiverClass.CENTER, self.center), (ReceiverClass.EDGE, self.edge)):
+            if not self.mode.is_cc(cls) and tech is not Technique.EFR:
+                raise ValueError("an MPC class always unicasts one whole file")
         if self.iic_at is not None:
             if self.mode.is_cc(self.iic_at):
                 raise ValueError("only an MPC-placement receiver can cache-cancel")
@@ -207,12 +198,12 @@ class Subcase:
         return (self.center if cls is ReceiverClass.CENTER else self.edge).value
 
 
-def make_subcase(
-    mode: Mode, center: str, edge: str, iic: str | None = None, K: int = 1
-) -> Subcase:
+def make_subcase(mode: Mode, center: str, edge: str, iic: str | None = None) -> Subcase:
     """Convenience constructor from technique names ('efr', 'pfr', 'xor')."""
-    c = Technique[center.upper()]
-    e = Technique[edge.upper()]
+    try:
+        c, e = Technique[center.upper()], Technique[edge.upper()]
+    except KeyError as exc:
+        raise ValueError(f"unknown delivery technique {exc.args[0].lower()!r}") from None
     iic_at = None
     if iic in ("center", "c", "iic-c"):
         iic_at = ReceiverClass.CENTER
@@ -220,21 +211,14 @@ def make_subcase(
         iic_at = ReceiverClass.EDGE
     elif iic not in (None, "", "none"):
         raise ValueError(f"unknown IIC tag {iic!r}")
-    return Subcase(
-        mode=mode,
-        center=c,
-        edge=e,
-        iic_at=iic_at,
-        scheduled_center=K if c is Technique.XOR else 1,
-        scheduled_edge=K if e is Technique.XOR else 1,
-    )
+    return Subcase(mode=mode, center=c, edge=e, iic_at=iic_at)
 
 
-def parse_subcase_token(mode: Mode, token: str, K: int) -> Subcase:
+def parse_subcase_token(mode: Mode, token: str) -> Subcase:
     """Invert ``Subcase.token``: e.g. 'xor/efr+iic-e'."""
     body, _, tag = token.partition("+")
     try:
         c, e = body.split("/")
     except ValueError:
         raise ValueError(f"malformed subcase token {token!r}") from None
-    return make_subcase(mode, c, e, tag or None, K=K)
+    return make_subcase(mode, c, e, tag or None)

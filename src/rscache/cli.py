@@ -17,6 +17,7 @@ import dataclasses
 import math
 import os
 import sys
+import typing
 import warnings
 
 from .caching import CodedCacheConfig, Mode, cc_delivery_schedule, cc_place, parse_subcase_token
@@ -43,11 +44,15 @@ EXIT_MISMATCH = 3
 
 SEED_ENV = "RSCACHE_SEED"
 
-_PARAM_FLOAT = ("P", "sigma2", "alpha", "r_c", "r_e", "r_0", "zeta", "xi", "u")
-_PARAM_INT = ("K", "M", "N", "F")
-_SPLIT_KEYS = ("beta", "rho")
-_SIM_KEYS = ("samples", "seed", "chunk", "workers")
-_ALL_KEYS = _PARAM_FLOAT + _PARAM_INT + _SPLIT_KEYS + _SIM_KEYS
+#: the keys --set and config files accept are the int and float fields of
+#: these: key -> (its dataclass, the field's type)
+_SETTINGS = (SystemParams, PowerSplit, SimConfig)
+_KEYS = {
+    name: (cls, kind)
+    for cls in _SETTINGS
+    for name, kind in typing.get_type_hints(cls).items()
+    if kind in (int, float)
+}
 
 _METHOD_CHOICES = {
     "analytic": (METHOD_ANALYTIC,),
@@ -78,7 +83,7 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{num}: expected 'key = value'")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in _ALL_KEYS:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{num}: unknown key {key!r}")
             values[key] = text
     return values
@@ -86,9 +91,7 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _coerce(key: str, text: str) -> float | int:
     try:
-        if key in _PARAM_INT or key in _SIM_KEYS:
-            return int(text)
-        return float(text)
+        return _KEYS[key][1](text)
     except ValueError:
         raise ValueError(f"{key} needs a numeric value, got {text!r}") from None
 
@@ -110,7 +113,7 @@ def _resolve(args) -> dict[str, float | int]:
         if "=" not in item:
             raise ValueError(f"--set needs key=value, got {item!r}")
         key, text = (part.strip() for part in item.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"--set: unknown key {key!r}")
         values[key] = _coerce(key, text)
     for key in ("seed", "samples", "workers"):
@@ -123,12 +126,9 @@ def _resolve(args) -> dict[str, float | int]:
 def _settings(args) -> tuple[SystemParams, PowerSplit, SimConfig]:
     """Resolved parameters, power split and simulation config of one run."""
     values = _resolve(args)
-    params = SystemParams(**{k: v for k, v in values.items() if k in _PARAM_FLOAT + _PARAM_INT})
-    split = PowerSplit(
-        beta=values.get("beta", 0.5), rho=values.get("rho", 0.5)
+    return tuple(
+        cls(**{k: v for k, v in values.items() if _KEYS[k][0] is cls}) for cls in _SETTINGS
     )
-    sim = SimConfig(**{k: v for k, v in values.items() if k in _SIM_KEYS})
-    return params, split, sim
 
 
 def _cmd_sweep(args) -> int:
@@ -238,7 +238,7 @@ def _cmd_placement(args) -> int:
 def _cmd_figure(args) -> int:
     entries = figure_presets()[args.name]
     # the preset's simulation config takes the place of the defaults
-    sim_values = {k: v for k, v in _resolve(args).items() if k in _SIM_KEYS}
+    sim_values = _resolve(args)
     os.makedirs(args.out_dir, exist_ok=True)
     pairs = []
     for fname, spec in entries:
@@ -251,7 +251,7 @@ def _cmd_figure(args) -> int:
         print(f"wrote {path}: {rows} data rows")
         if spec.include_asymptotic:
             for token in spec.subcases:
-                subcase = parse_subcase_token(spec.mode, token, spec.params.K)
+                subcase = parse_subcase_token(spec.mode, token)
                 limit = asymptotic_report(subcase, spec.params, spec.split).r_sum
                 label = "unbounded" if math.isinf(limit) else f"bounded at {limit:.9g}"
                 print(f"  asymptotic sum rate for {token}: {label}")
@@ -264,6 +264,10 @@ def _add_settings_flags(sub: argparse.ArgumentParser) -> None:
         "--set", action="append", metavar="KEY=VALUE",
         help="override one parameter (repeatable); keys mirror the config file",
     )
+    _add_sim_flags(sub)
+
+
+def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="simulation seed")
     sub.add_argument("--samples", type=int, help="simulated draws per estimate")
     sub.add_argument("--workers", type=int, help="simulation worker threads")
@@ -335,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--methods", choices=sorted(_METHOD_CHOICES),
         help="override the preset's methods",
     )
-    fig.add_argument("--seed", type=int)
-    fig.add_argument("--samples", type=int)
-    fig.add_argument("--workers", type=int)
+    _add_sim_flags(fig)
     fig.set_defaults(handler=_cmd_figure)
 
     return parser

@@ -11,7 +11,9 @@ closed form in the lower incomplete gamma for both geometries:
   annulus (r_e, r_0)      same structure with the gamma evaluated at both
                           radii and divided by r_0^2 - r_e^2
 
-with a = 2/alpha. The density is the (negative) t-derivative of the
+with a = 2/alpha. Below x_out = s r_out^alpha = 2^-55 the average of
+e^(-s d^alpha) lies in [e^-x_out, 1], which rounds to 1, so the coverage is
+e^-s there. The density is the (negative) t-derivative of the
 coverage; it is implemented in closed form and checked in the tests against
 a central-difference derivative of the coverage, which is the authoritative
 orientation reference (the density factor 1/(t (theta t - 1)) sometimes
@@ -46,6 +48,9 @@ from .model import ReceiverClass, SinrKind, StreamPowers, SystemParams, _ratio, 
 # exp(-s) underflows to zero past this point; coverage and density are then
 # far below anything observable and are clamped to exactly zero.
 _EXP_UNDERFLOW = 745.0
+
+# below this x_out = s r_out^alpha the tail is e^-s (module docstring)
+_FLAT_POSITION = 2.0**-55
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,13 @@ def dist_spec(
     return SinrDist(kind=kind, cls=cls, d1=d1, d2=d2, sigma2=params.sigma2)
 
 
+def radii(cls: ReceiverClass, params: SystemParams) -> tuple[float, float]:
+    """(r_in, r_out) of the receiver's position law: the edge ring or the centre disk."""
+    if cls is ReceiverClass.EDGE:
+        return params.r_e, params.r_0
+    return 0.0, params.r_c
+
+
 def _geometry(
     cls: ReceiverClass, params: SystemParams
 ) -> tuple[float, float, bool, float, float, float, float, float]:
@@ -98,12 +110,8 @@ def _geometry(
     alpha = params.alpha
     a = 2.0 / alpha
     annulus = cls is ReceiverClass.EDGE
-    if annulus:
-        r_out, r_in = params.r_0, params.r_e
-        norm = alpha * (r_out * r_out - r_in * r_in)
-    else:
-        r_out, r_in = params.r_c, 0.0
-        norm = alpha * r_out * r_out
+    r_in, r_out = radii(cls, params)
+    norm = alpha * (r_out * r_out - r_in * r_in) if annulus else alpha * r_out * r_out
     return (
         a, math.gamma(a), annulus, norm,
         r_out**alpha, r_in**alpha, r_out * r_out, r_in * r_in,
@@ -115,15 +123,15 @@ def scale_tail(spec: SinrDist, params: SystemParams) -> Callable[[float], float]
 
     The geometry (_geometry) is bound once, for integrands that ask for the
     tail at every point. Past the underflow point, and at s = inf or NaN, it is 0;
-    at s = 0 (a level whose scale underflows) it is exactly 1.
+    below s r_out^alpha = 2^-55 it is e^-s (module docstring), so 1 at s = 0.
     """
     a, gamma_a, annulus, norm, out_alpha, in_alpha, _, _ = _geometry(spec.cls, params)
 
     def tail(s: float) -> float:
         if not s <= _EXP_UNDERFLOW:
             return 0.0
-        if s == 0.0:
-            return 1.0
+        if s * out_alpha < _FLAT_POSITION:
+            return math.exp(-s)
         if annulus:
             p = reg_lower_diff(a, s * in_alpha, s * out_alpha)
         else:
@@ -153,8 +161,9 @@ def scale_tail_array(spec: SinrDist, params: SystemParams) -> Callable[[np.ndarr
                     p[low] = gammainc(a, x_out[low]) - gammainc(a, x_in[low])
             else:
                 p = gammainc(a, x_out)
-            val = np.clip(2.0 * np.exp(-s) * gamma_a * p / (norm * s**a), 0.0, 1.0)
-        return np.where(s <= _EXP_UNDERFLOW, np.where(s == 0.0, 1.0, val), 0.0)
+            decay = np.exp(-s)
+            val = np.clip(2.0 * decay * gamma_a * p / (norm * s**a), 0.0, 1.0)
+        return np.where(s <= _EXP_UNDERFLOW, np.where(x_out < _FLAT_POSITION, decay, val), 0.0)
 
     return tail
 

@@ -120,8 +120,8 @@ class SystemParams:
 class PowerSplit:
     """Fractions carving the power budget: beta to common, rho of the rest to center."""
 
-    beta: float
-    rho: float
+    beta: float = 0.5
+    rho: float = 0.5
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.beta <= 1.0 and 0.0 <= self.rho <= 1.0):

@@ -29,8 +29,8 @@ expectations are closed-form over the fading: at a fixed distance the
 Exp(1) gain clears a level exactly above one threshold, and integrating
 log(1 + SINR) by parts against e^-h leaves the exponential integral
 e^x E1(x) (Abramowitz & Stegun 5.1). What is left is a smooth average over
-the receiver's position (_mean_lograte), cut at the knees of
-ln(1 + d^alpha) and the e-folds of the fading factor. The time-shared
+the receiver's position (_mean_lograte), cut at each doubling of d, where
+ln(1 + d^alpha) bends, and each e-fold of the fading factor. The time-shared
 min-rate integrates the product of the two receivers' closed-form tails
 instead, with no density, in scale coordinates on a log-s axis cut at the
 e-folds of both tails (integrate_log_scaled). The four integral functionals
@@ -51,7 +51,7 @@ import numpy as np
 from scipy.special import exp1
 
 from .caching import Subcase
-from .distributions import SinrDist, coverage, dist_spec, scale_tail, scale_tail_array
+from .distributions import SinrDist, coverage, dist_spec, radii, scale_tail, scale_tail_array
 # not called here: bench/tracer.py hooks the name rscache.rates.pdf_s_measure
 from .distributions import pdf_s_measure  # noqa: F401
 from .model import (
@@ -95,6 +95,11 @@ def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
+def _share(params: SystemParams, cls: ReceiverClass) -> float:
+    """The class's part of a time-shared common stream: u to the center, 1 - u to the edge."""
+    return params.u if cls is ReceiverClass.CENTER else 1.0 - params.u
+
+
 def omegas(params: SystemParams, subcase: Subcase) -> tuple[float, float]:
     """(omega_c, omega_e): the pre-logs of a subcase's center and edge streams.
 
@@ -108,11 +113,10 @@ def omegas(params: SystemParams, subcase: Subcase) -> tuple[float, float]:
     return by_index(i_c), by_index(i_e)
 
 
-#: distances where ln(1 + d^alpha) bends, and e-folds y = s (d^alpha -
-#: r_in^alpha) of the fading factor from the inner radius; the rule cuts
-#: the radius range at both and drops what lies past the last e-fold
-#: (a share of about e^-48 of the mass)
-_KNEES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+#: e-folds y = s (d^alpha - r_in^alpha) of the fading factor from the
+#: inner radius; the rule cuts the radius range at each, and at every
+#: doubling of the distance from 2^-2 up, where ln(1 + d^alpha) bends, and
+#: drops what lies past the last e-fold (a share of about e^-48 of the mass)
 _EFOLDS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0)
 
 #: from this argument up, e^x E1(x) = int_0^inf e^-v / (x + v) dv is taken
@@ -120,43 +124,7 @@ _EFOLDS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0)
 #: scipy's exp1, whose continued fraction costs several times as much per
 #: point in the range the position averages visit most
 _PHI_LAGUERRE = 12.0
-# numpy.polynomial.laguerre.laggauss(16)
-_LAGUERRE_NODES = np.array([
-    0.08764941047892776,
-    0.4626963289150804,
-    1.1410577748312265,
-    2.1292836450983805,
-    3.4370866338932067,
-    5.078018614549768,
-    7.070338535048234,
-    9.438314336391938,
-    12.21422336886616,
-    15.441527368781617,
-    19.180156856753136,
-    23.515905693991908,
-    28.57872974288214,
-    34.58339870228662,
-    41.94045264768833,
-    51.70116033954332,
-])
-_LAGUERRE_WEIGHTS = np.array([
-    0.2061517149578049,
-    0.3310578549508783,
-    0.2657957776442144,
-    0.13629693429637874,
-    0.04732892869412563,
-    0.011299900080339598,
-    0.0018490709435263271,
-    0.0002042719153082809,
-    1.4844586873981502e-05,
-    6.828319330871331e-07,
-    1.8810248410797222e-08,
-    2.862350242973897e-10,
-    2.1270790332241214e-12,
-    6.29796700251788e-15,
-    5.050473700035608e-18,
-    4.161462370372851e-22,
-])
+_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(16)
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -170,16 +138,9 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radii(cls: ReceiverClass, params: SystemParams) -> tuple[float, float]:
-    """(r_in, r_out) of the receiver's position law: the edge ring or the centre disk."""
-    if cls is ReceiverClass.EDGE:
-        return params.r_e, params.r_0
-    return 0.0, params.r_c
-
-
 def _pieces(s: float, r_in: float, r_out: float, alpha: float) -> list[float]:
-    """Edges of the rule's pieces over (r_in, r_out): the knees, and the e-folds at scale s."""
-    cuts = [k for k in _KNEES if r_in < k < r_out]
+    """Edges of the rule's pieces over (r_in, r_out): the doublings and the e-folds at scale s."""
+    cuts = [2.0**k for k in range(-2, math.frexp(r_out)[1]) if r_in < 2.0**k < r_out]
     if s > 0.0:
         in_alpha = r_in**alpha
         for y in _EFOLDS:
@@ -188,7 +149,7 @@ def _pieces(s: float, r_in: float, r_out: float, alpha: float) -> list[float]:
                 break
             if d > r_in:
                 cuts.append(d)
-    # an e-fold can land on a knee, which must not leave a zero-width piece
+    # an e-fold can land on a doubling, which must not leave a zero-width piece
     return [r_in, *sorted(set(cuts)), r_out]
 
 
@@ -205,7 +166,7 @@ def _fading_average(
     node underflows before the coverage does.
     """
     alpha = params.alpha
-    r_in, r_out = _radii(spec.cls, params)
+    r_in, r_out = radii(spec.cls, params)
     in_alpha = r_in**alpha
     area = r_out * r_out - r_in * r_in
     rows = []
@@ -225,7 +186,8 @@ def _fading_average(
 
     def f(d: np.ndarray) -> np.ndarray:
         d_alpha = d**alpha
-        phi = _phi((1.0 + d_alpha) * (s + taus))
+        with np.errstate(over="ignore"):  # an inf product is exact: phi(inf) = 0
+            phi = _phi((1.0 + d_alpha) * (s + taus))
         out = phi[0] - phi[1] if len(taus) == 2 else phi[0]
         # times d of the position density 2 d / area; the 2 and the area are in weight
         return out * (np.exp(-s * (d_alpha - in_alpha)) * d)
@@ -441,7 +403,7 @@ def common_rate_both(
     # a scale that underflows to 0 (a subnormal sigma2) starts the log axis
     # at the least float, where the integrand vanishes like s
     s_lo = max(inner._s(z), math.ulp(0.0))
-    falls = (1.0 + _radii(spec.cls, params)[0] ** params.alpha for spec in (inner, outer))
+    falls = (1.0 + radii(spec.cls, params)[0] ** params.alpha for spec in (inner, outer))
     edges = _tail_pieces(s_lo, *falls, partner, reach)
     integral = integrate_log_scaled(integrand, edges, scale=norm)
     return math.log2(1.0 + z) + integral / (math.log(2.0) * norm)
@@ -464,10 +426,9 @@ def common_stream_rate(
     other = cls.other
     other_spec = dist_spec(seen_kind(SinrKind.COMMON, iic_at is other), other, powers, params)
     pi_other = coverage(other_spec, params.zeta, params)
-    share = params.u if cls is ReceiverClass.CENTER else 1.0 - params.u
     both = common_rate_both(params, split, iic_at)
     alone = common_rate_single(params, split, cls, iic_at is cls)
-    return omega * (pi_other * share * both + (1.0 - pi_other) * alone)
+    return omega * (pi_other * _share(params, cls) * both + (1.0 - pi_other) * alone)
 
 
 @lru_cache(maxsize=8192)
@@ -717,8 +678,7 @@ def asymptotic_rate(
     if z < common:
         if iic:
             return math.inf
-        share = params.u if cls is ReceiverClass.CENTER else 1.0 - params.u
-        rate = share * lograte(omega, common)
+        rate = _share(params, cls) * lograte(omega, common)
         private = bound(SinrKind.PRIVATE)
         if xi_t < private:
             rate += lograte(omega, private)

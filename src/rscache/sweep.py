@@ -98,7 +98,7 @@ class SweepSpec:
     points: int
     mode: Mode
     params: SystemParams = SystemParams()
-    split: PowerSplit = PowerSplit(beta=0.5, rho=0.5)
+    split: PowerSplit = PowerSplit()
     subcases: tuple[str, ...] = ()
     methods: tuple[str, ...] = (METHOD_ANALYTIC,)
     sim: SimConfig = SimConfig()
@@ -134,13 +134,10 @@ class SweepSpec:
         return [float(v) for v in pts]
 
     def at(self, value: float) -> tuple[SystemParams, PowerSplit]:
-        if self.variable == "beta":
-            return self.params, dataclasses.replace(self.split, beta=value)
-        if self.variable == "rho":
-            return self.params, dataclasses.replace(self.split, rho=value)
-        if self.variable == "u":
-            return dataclasses.replace(self.params, u=value), self.split
-        return dataclasses.replace(self.params, P=value), self.split
+        """The working point at one grid value: the swept field of the split or the params."""
+        if hasattr(self.split, self.variable):
+            return self.params, dataclasses.replace(self.split, **{self.variable: value})
+        return dataclasses.replace(self.params, **{self.variable: value}), self.split
 
 
 def _row(
@@ -170,10 +167,7 @@ def _rows(specs: Sequence[SweepSpec]) -> list[list[str]]:
 
     The specs share a grid and each point's draw, over all their simulated subcases.
     """
-    subcases = [
-        [parse_subcase_token(spec.mode, token, spec.params.K) for token in spec.subcases]
-        for spec in specs
-    ]
+    subcases = [[parse_subcase_token(spec.mode, tok) for tok in spec.subcases] for spec in specs]
     # no swept variable changes K, M or N, so neither do the pre-logs
     prelogs = [[omegas(spec.params, sub) for sub in subs] for spec, subs in zip(specs, subcases)]
     rows: list[list[str]] = [[] for _ in specs]

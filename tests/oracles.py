@@ -376,8 +376,8 @@ def _classify_side(
     ranks: Sequence[int],
     params: SystemParams,
     rng,
-) -> tuple[Technique, int, int]:
-    """Technique, scheduled-receiver count and served rank for one class."""
+) -> tuple[Technique, int]:
+    """Technique and served rank for one class."""
     if len(ranks) != params.K:
         raise ValueError(f"need one request per receiver (K={params.K})")
     if any(not 1 <= r <= params.F for r in ranks):
@@ -392,14 +392,14 @@ def _classify_side(
                 "one MPC-side request beyond the top M files"
             )
         pick = pending[int(rng.integers(len(pending)))]
-        return Technique.EFR, 1, ranks[pick]
+        return Technique.EFR, ranks[pick]
     if all(r <= params.N for r in ranks):
         # feasible coded round; the cancellation question looks at all K ranks
         worst = max(ranks)
-        return Technique.XOR, params.K, worst
+        return Technique.XOR, worst
     pick = int(rng.integers(params.K))
     rank = ranks[pick]
-    return (Technique.PFR if rank <= params.N else Technique.EFR), 1, rank
+    return (Technique.PFR if rank <= params.N else Technique.EFR), rank
 
 
 def classify_subcase(
@@ -417,10 +417,10 @@ def classify_subcase(
     MPC-side receiver gets the cancellation flag iff everything served to
     the CC side has rank <= M (whole files in the MPC cache).
     """
-    c_tech, c_count, c_rank = _classify_side(
+    c_tech, c_rank = _classify_side(
         mode, ReceiverClass.CENTER, center_requests, params, rng
     )
-    e_tech, e_count, e_rank = _classify_side(
+    e_tech, e_rank = _classify_side(
         mode, ReceiverClass.EDGE, edge_requests, params, rng
     )
     iic_at = None
@@ -428,14 +428,7 @@ def classify_subcase(
         iic_at = ReceiverClass.EDGE
     elif mode is Mode.MPC_CC and e_tech is not Technique.EFR and e_rank <= params.M:
         iic_at = ReceiverClass.CENTER
-    return Subcase(
-        mode=mode,
-        center=c_tech,
-        edge=e_tech,
-        iic_at=iic_at,
-        scheduled_center=c_count,
-        scheduled_edge=e_count,
-    )
+    return Subcase(mode=mode, center=c_tech, edge=e_tech, iic_at=iic_at)
 
 
 def sample_requests(params: SystemParams, count: int, rng, gamma: float = 0.0):

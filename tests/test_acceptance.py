@@ -70,7 +70,7 @@ def test_c2_rate_formulas_match_simulation_for_all_subcases():
     samples = 1_000_000
     failures = []
     for case_i, (mode, token) in enumerate(TABLE_CASES):
-        subcase = parse_subcase_token(mode, token, PARAMS.K)
+        subcase = parse_subcase_token(mode, token)
         for beta_i, beta in enumerate(np.linspace(0.1, 0.9, 9)):
             split = PowerSplit(beta=float(beta), rho=0.5)
             analytic = evaluate_subcase(subcase, PARAMS, split)
@@ -181,7 +181,7 @@ HIGH_POWER_PARAMS = dataclasses.replace(
 def test_c7_high_power_limits():
     split = PowerSplit(beta=0.6, rho=0.5)
     for token in ("efr/xor", "efr/pfr", "efr/efr"):
-        subcase = parse_subcase_token(Mode.MPC_CC, token, HIGH_POWER_PARAMS.K)
+        subcase = parse_subcase_token(Mode.MPC_CC, token)
         limit = asymptotic_report(subcase, HIGH_POWER_PARAMS, split)
         assert math.isfinite(limit.r_sum)
         at_p = evaluate_subcase(subcase, HIGH_POWER_PARAMS, split)
@@ -190,7 +190,7 @@ def test_c7_high_power_limits():
     # cancelling the cached center stream removes the interference floor,
     # so these configurations keep growing with power
     for token in ("efr/xor+iic-c", "efr/pfr+iic-c"):
-        subcase = parse_subcase_token(Mode.MPC_CC, token, HIGH_POWER_PARAMS.K)
+        subcase = parse_subcase_token(Mode.MPC_CC, token)
         limit = asymptotic_report(subcase, HIGH_POWER_PARAMS, split)
         assert math.isinf(limit.r_sum)
         at_p = evaluate_subcase(subcase, HIGH_POWER_PARAMS, split)
@@ -201,7 +201,7 @@ def test_c7_high_power_limits():
     bounded = dataclasses.replace(HIGH_POWER_PARAMS, xi=1.0)
     split = PowerSplit(beta=0.3, rho=0.5)
     for token in ("efr/xor+iic-c", "efr/pfr+iic-c"):
-        subcase = parse_subcase_token(Mode.MPC_CC, token, bounded.K)
+        subcase = parse_subcase_token(Mode.MPC_CC, token)
         limit = asymptotic_report(subcase, bounded, split)
         assert math.isfinite(limit.r_sum)
         at_p = evaluate_subcase(subcase, bounded, split)
@@ -209,7 +209,7 @@ def test_c7_high_power_limits():
 
 
 def test_c8a_center_rate_zero_when_common_power_starved():
-    subcase = parse_subcase_token(Mode.ALL_MPC, "efr/efr", PARAMS.K)
+    subcase = parse_subcase_token(Mode.ALL_MPC, "efr/efr")
     for beta in (0.05, 0.15, 0.25, 0.3, 1.0 / 3.0):
         report = evaluate_subcase(subcase, PARAMS, PowerSplit(beta=beta, rho=0.5))
         assert report.r_center == 0.0
@@ -230,7 +230,7 @@ def test_c8b_per_draw_gain_ordering_across_techniques():
 
 
 def test_c8c_rate_monotone_in_private_power_share():
-    subcase = parse_subcase_token(Mode.ALL_MPC, "efr/efr", PARAMS.K)
+    subcase = parse_subcase_token(Mode.ALL_MPC, "efr/efr")
     xi_t = private_sinr_threshold(1.0, PARAMS.xi)
     rhos = np.linspace(0.05, 0.95, 19)
     centers, edges = [], []

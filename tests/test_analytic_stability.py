@@ -137,7 +137,7 @@ ROSTER_RATES = (
 )
 def test_roster_rates_are_frozen(case):
     beta, rho, mode, token, *want = case
-    sub = parse_subcase_token(Mode(mode), token, PARAMS.K)
+    sub = parse_subcase_token(Mode(mode), token)
     rep = evaluate_subcase(sub, PARAMS, PowerSplit(beta=beta, rho=rho))
     got = [rep.r_center, rep.r_edge, rep.r_sum, rep.q_center, rep.q_edge]
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -222,7 +222,7 @@ GRID = tuple(0.02 + 0.96 * i / 11 for i in range(12))
 def test_served_receivers_get_a_positive_rate():
     # q > 0 means the receiver is served, so its conditional rate is a mean
     # of log2(1 + t) over t > 0; deep-outage edge points once read R = 0
-    subs = [parse_subcase_token(m, tok, PARAMS.K) for m in Mode for tok in MODE_SUBCASES[m]]
+    subs = [parse_subcase_token(m, tok) for m in Mode for tok in MODE_SUBCASES[m]]
     assert len(subs) == 20
     bad = []
     for beta in GRID:
@@ -248,7 +248,7 @@ def test_evaluate_subcase_runs_each_receiver_term_once(monkeypatch, cold_rate_ca
             return _fn(params, split, cls, *args)
 
         monkeypatch.setattr(rates, name, counted)
-    sub = parse_subcase_token(Mode.ALL_CC, "xor/xor", PARAMS.K)
+    sub = parse_subcase_token(Mode.ALL_CC, "xor/xor")
     rep = evaluate_subcase(sub, PARAMS, PowerSplit(beta=0.5, rho=0.5))
     assert (rep.branch_center, rep.branch_edge) == ("B3", "B3")
     assert calls == {(name, cls): 1 for name in names for cls in ReceiverClass}
@@ -257,7 +257,7 @@ def test_evaluate_subcase_runs_each_receiver_term_once(monkeypatch, cold_rate_ca
 def test_components_are_the_functionals_bit_for_bit():
     # a term the receiver's branch does not use is reported as zero, which
     # must be exactly what its functional gives at that point
-    subs = [parse_subcase_token(m, tok, PARAMS.K) for m in Mode for tok in MODE_SUBCASES[m]]
+    subs = [parse_subcase_token(m, tok) for m in Mode for tok in MODE_SUBCASES[m]]
     branches = set()
     for beta, rho in ((0.05, 0.5), (0.3, 0.2), (0.5, 0.5), (0.7, 0.8), (0.9, 0.3)):
         split = PowerSplit(beta=beta, rho=rho)
@@ -304,7 +304,7 @@ def test_noisy_density_fails_the_scaled_error_floor(monkeypatch, cold_rate_cache
     # scaled by the conditioning probability refuses it. The noise enters
     # through the edge tail of the min-rate's tail product.
     monkeypatch.setattr(rates, "scale_tail_array", _direct_difference_tail)
-    sub = parse_subcase_token(Mode.ALL_MPC, "efr/efr", PARAMS.K)
+    sub = parse_subcase_token(Mode.ALL_MPC, "efr/efr")
     split = PowerSplit(beta=0.5, rho=0.5)
     edge = dist_spec(SinrKind.COMMON, ReceiverClass.EDGE, stream_powers(PARAMS.P, split), PARAMS)
     assert coverage(edge, PARAMS.zeta, PARAMS) == pytest.approx(2.9e-13, rel=0.05)
@@ -327,7 +327,7 @@ def test_no_figure_preset_integral_comes_near_the_tolerance(monkeypatch, cold_ra
     monkeypatch.setattr(rates, "_check", recorded)
     for entries in figure_presets().values():
         for _name, spec in entries:
-            subs = [parse_subcase_token(spec.mode, tok, spec.params.K) for tok in spec.subcases]
+            subs = [parse_subcase_token(spec.mode, tok) for tok in spec.subcases]
             for value in spec.grid():
                 params, split = spec.at(value)
                 for sub in subs:
@@ -344,7 +344,7 @@ def test_high_power_roster_matches_the_limit(power):
     # noise-free limit; a cancelling receiver's limit is infinite, and its
     # finite-P rate must still be a number
     params = SystemParams(P=power)
-    subs = [parse_subcase_token(m, tok, params.K) for m in Mode for tok in MODE_SUBCASES[m]]
+    subs = [parse_subcase_token(m, tok) for m in Mode for tok in MODE_SUBCASES[m]]
     bad = []
     for beta in (0.3, 0.7):
         split = PowerSplit(beta=beta, rho=0.5)

@@ -161,7 +161,6 @@ def test_classify_all_cc_xor_round():
     rng = np.random.default_rng(0)
     sub = classify_subcase(Mode.ALL_CC, [1, 2, 3, 4, 5], [10, 20, 30, 40, 50], PARAMS, rng)
     assert sub.center is Technique.XOR and sub.edge is Technique.XOR
-    assert sub.scheduled_center == PARAMS.K and sub.scheduled_edge == PARAMS.K
     assert sub.iic_at is None  # no MPC side exists in this mode
     assert sub.token == "xor/xor"
 
@@ -171,7 +170,6 @@ def test_classify_cc_side_falls_back_to_unicast():
     # one center rank beyond the catalog breaks the coded round
     sub = classify_subcase(Mode.ALL_CC, [1, 2, 3, 4, 99], [1, 2, 3, 4, 5], PARAMS, rng)
     assert sub.center in (Technique.PFR, Technique.EFR)
-    assert sub.scheduled_center == 1
     # the picked receiver decides PFR vs EFR
     seen = set()
     for seed in range(40):
@@ -232,19 +230,19 @@ def test_subcase_token_round_trip():
         (Mode.ALL_CC, ("xor/xor", "pfr/efr")),
     ):
         for token in tokens:
-            sub = parse_subcase_token(mode, token, K=5)
+            sub = parse_subcase_token(mode, token)
             assert sub.token == token
 
 
 def test_subcase_validation():
     with pytest.raises(ValueError, match="MPC class"):
-        make_subcase(Mode.ALL_MPC, "xor", "efr", K=5)
+        make_subcase(Mode.ALL_MPC, "xor", "efr")
     with pytest.raises(ValueError, match="cache-cancel"):
-        make_subcase(Mode.ALL_CC, "xor", "xor", iic="center", K=5)
+        make_subcase(Mode.ALL_CC, "xor", "xor", iic="center")
     with pytest.raises(ValueError, match="other stream cached"):
-        make_subcase(Mode.CC_MPC, "efr", "efr", iic="edge", K=5)
+        make_subcase(Mode.CC_MPC, "efr", "efr", iic="edge")
     with pytest.raises(ValueError, match="IIC"):
-        make_subcase(Mode.CC_MPC, "xor", "efr", iic="sideways", K=5)
+        make_subcase(Mode.CC_MPC, "xor", "efr", iic="sideways")
 
 
 def test_sample_requests_ranges():

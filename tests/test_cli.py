@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, exit codes, settings precedence."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from rscache.model import (
     SystemParams,
     stream_powers,
 )
+from rscache.montecarlo import SimConfig
 from rscache.quadrature import QuadratureError
 
 DATA = Path(__file__).parent / "data"
@@ -125,6 +127,9 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path):
          "--points", "1", "--mode", "cc-mpc"],
         ["sweep", "--var", "beta", "--from", "0.2", "--to", "0.8",
          "--points", "3", "--mode", "cc-mpc", "--subcases", "efr/xor"],
+        # a technique name the token grammar does not know
+        ["sweep", "--var", "beta", "--from", "0.2", "--to", "0.8",
+         "--points", "3", "--mode", "all-cc", "--subcases", "foo/efr"],
     ],
 )
 def test_usage_errors_exit_1(argv, tmp_path, capsys):
@@ -157,6 +162,18 @@ DEGENERATE_SWEEP = [
     "--mode", "all-mpc", "--methods", "analytic",
 ]
 
+# a cell so small that the tail's normaliser s^a underflows at the levels asked
+TINY_CELL = [
+    "--set", "P=4.2e-81", "--set", "sigma2=1.2e14", "--set", "alpha=2.08",
+    "--set", "r_c=1.1e-109", "--set", "r_e=1.5e-109", "--set", "r_0=2.2e-108",
+    "--set", "rho=0",
+]
+
+ZERO_ZERO_NOTE = (
+    "note: 0/0 SINR bound: stream and interferer powers both vanish; "
+    "treating the bound as infinite by convention"
+)
+
 
 @pytest.mark.parametrize(
     "argv, code",
@@ -185,10 +202,22 @@ DEGENERATE_SWEEP = [
           "--set", "P=4.8e-251", "--set", "sigma2=4.4e-89", "--set", "alpha=4.10",
           "--set", "r_c=1.4e45", "--set", "r_e=3.9e45", "--set", "r_0=3.8e46",
           "--set", "zeta=2.3e-276", "--set", "xi=2.6e-184", "--set", "rho=0"], 0),
+        # s r_0^alpha is far below an ulp: the tail is e^-s, here 1
+        (["coverage", "--kind", "common", "--cls", "edge", "--t", "6e-212", "--no-mc",
+          "--set", "beta=0.44", *TINY_CELL], 0),
+        (["sweep", "--var", "beta", "--from", "0.44", "--to", "0.45", "--points", "2",
+          "--mode", "all-mpc", "--methods", "analytic",
+          "--set", "zeta=6e-212", "--set", "xi=8.5e-175", *TINY_CELL], 0),
+        # a cell wider than 64: ln(1 + d^alpha) bends at every doubling of
+        # d, so the rule cuts the radii at 64 and 128 too
+        (["sweep", "--var", "beta", "--from", "0.3", "--to", "0.7", "--points", "3",
+          "--mode", "mpc-cc", "--methods", "analytic", "--set", "r_c=150",
+          "--set", "r_e=160", "--set", "r_0=170", "--set", "sigma2=1e-9"], 0),
     ],
     ids=[
         "tiny-threshold", "tiny-noise", "tiny-xi", "tiny-radius", "least-noise",
         "subnormal-noise", "efold-on-knee", "partner-underflow",
+        "tail-underflow-coverage", "tail-underflow-sweep", "wide-cell",
     ],
 )
 def test_degenerate_inputs_give_a_number_or_a_documented_exit(argv, code, tmp_path, capsys):
@@ -204,12 +233,17 @@ def test_degenerate_inputs_give_a_number_or_a_documented_exit(argv, code, tmp_pa
     if code == 2:
         assert captured.err.startswith("numerical failure: ") and not out.exists()
         return
+    # the documented 0/0 convention is the one note a finished run may print
+    assert set(captured.err.splitlines()) <= {ZERO_ZERO_NOTE}
     cells = (
         [line.split(",")[8:] for line in out.read_text().splitlines()[1:]]
         if argv[0] == "sweep"
         else [captured.out.splitlines()[-1].split()]
     )
     assert cells and all(math.isfinite(float(c)) for row in cells for c in row)
+    if argv[0] == "coverage":
+        # both coverage cases ask at a level whose tail is 1 to the last bit
+        assert float(cells[0][-1]) == 1.0
 
 
 def test_help_exits_zero(capsys):
@@ -272,6 +306,32 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg.write_text("bogus = 1\n")
     assert cli.main(SMALL_ARGS + ["--config", str(cfg),
                                   "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def test_settings_keys_are_the_numeric_fields_of_the_settings(tmp_path, monkeypatch, capsys):
+    # --set and config files take each int and float field of the three
+    # settings dataclasses, as a value of the field's type, and no other key
+    monkeypatch.delenv("RSCACHE_SEED", raising=False)
+    numeric = {
+        f.name: {"int": int, "float": float}[f.type]
+        for cls in (SystemParams, PowerSplit, SimConfig)
+        for f in dataclasses.fields(cls)
+        if f.type in ("int", "float")
+    }
+    assert len(numeric) == 19
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = 1\n" for key in numeric))
+    base = ["coverage", "--kind", "common", "--no-mc"]
+    sets = [arg for key in numeric for arg in ("--set", f"{key}=1")]
+    for argv in (base + sets, base + ["--config", str(cfg)]):
+        values = cli._resolve(cli.build_parser().parse_args(argv))
+        assert {key: type(value) for key, value in values.items()} == numeric
+        assert all(value == 1 for value in values.values())
+    # spawn is a SimConfig field, but no number
+    cfg.write_text("spawn = 1\n")
+    assert cli.main(base + ["--set", "spawn=1"]) == 1
+    assert cli.main(base + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.count("unknown key 'spawn'") == 2
 
 
 def test_coverage_table_matches_library(capsys):

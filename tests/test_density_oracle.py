@@ -266,7 +266,7 @@ def test_private_rate_after_common_edge_matches_mpmath():
     # conditioning and the integral starts at that point
     powers = _powers(STOCK)
     cls = ReceiverClass.EDGE
-    sub = parse_subcase_token(Mode.MPC_CC, "efr/pfr", PARAMS.K)
+    sub = parse_subcase_token(Mode.MPC_CC, "efr/pfr")
     _, omega = omegas(PARAMS, sub)
     xi_t = private_sinr_threshold(omega, PARAMS.xi)
     after, _ = gap_thresholds(PARAMS, STOCK, cls)

@@ -57,7 +57,7 @@ def _figure_points():
     points = []
     for entries in figure_presets().values():
         for _name, spec in entries:
-            subs = [parse_subcase_token(spec.mode, tok, spec.params.K) for tok in spec.subcases]
+            subs = [parse_subcase_token(spec.mode, tok) for tok in spec.subcases]
             grid = spec.grid()
             for value in grid:
                 points.append((*spec.at(value), subs))
@@ -66,7 +66,7 @@ def _figure_points():
 
 def test_e1_form_matches_the_density_integral(monkeypatch, cold_rate_caches):
     params = SystemParams()
-    roster = [parse_subcase_token(m, tok, params.K) for m in Mode for tok in MODE_SUBCASES[m]]
+    roster = [parse_subcase_token(m, tok) for m in Mode for tok in MODE_SUBCASES[m]]
     # the stock edge receiver at (0.5, 0.5) is served with probability 2.9e-13
     deep = [(params, PowerSplit(beta=0.5, rho=0.5), roster)]
     calls = _captured_calls(monkeypatch, _figure_points() + deep)

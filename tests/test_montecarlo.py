@@ -35,9 +35,9 @@ from oracles import served_per_draw
 
 PARAMS = SystemParams()
 SPLIT = PowerSplit(beta=0.5, rho=0.5)
-XOR_XOR = parse_subcase_token(Mode.ALL_CC, "xor/xor", PARAMS.K)
-PFR_IIC_E = parse_subcase_token(Mode.CC_MPC, "pfr/efr+iic-e", PARAMS.K)
-EFR_IIC_C = parse_subcase_token(Mode.MPC_CC, "efr/xor+iic-c", PARAMS.K)
+XOR_XOR = parse_subcase_token(Mode.ALL_CC, "xor/xor")
+PFR_IIC_E = parse_subcase_token(Mode.CC_MPC, "pfr/efr+iic-e")
+EFR_IIC_C = parse_subcase_token(Mode.MPC_CC, "efr/xor+iic-c")
 
 
 def test_center_positions_fill_the_disk():
@@ -148,7 +148,7 @@ def test_all_power_to_the_common_stream_kills_private_rates():
 
 
 def _roster(mode):
-    return tuple(parse_subcase_token(mode, token, PARAMS.K) for token in MODE_SUBCASES[mode])
+    return tuple(parse_subcase_token(mode, token) for token in MODE_SUBCASES[mode])
 
 
 #: every mode's roster in one list: all three cancellation variants
@@ -382,7 +382,7 @@ def _bits(value) -> str:
 def test_frozen_simulator_bits(case):
     point, chunking, mode, want = case
     params, split = FROZEN_POINTS[point]
-    subcases = [parse_subcase_token(Mode(mode), token, params.K) for token in MODE_SUBCASES[Mode(mode)]]
+    subcases = [parse_subcase_token(Mode(mode), token) for token in MODE_SUBCASES[Mode(mode)]]
     reports = estimate_point(params, split, subcases, FROZEN_CHUNKING[chunking])
     text = "\n".join(_bits(dataclasses.astuple(rep)) for rep in reports)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
@@ -402,7 +402,7 @@ def test_sweep_keys_every_point_by_its_index_alone(tmp_path):
     for point, value in enumerate(spec.grid()):
         params, split = spec.at(value)
         for token in spec.subcases:
-            sub = parse_subcase_token(spec.mode, token, params.K)
+            sub = parse_subcase_token(spec.mode, token)
             rep = estimate_rates(sub, params, split, dataclasses.replace(sim, spawn=(point,)))
             want = [
                 "%.9g" % x
@@ -422,7 +422,7 @@ def test_served_rate_z_scores_are_standard_at_high_power():
     # run that misses them reports a low mean with a small stderr
     _, spec = figure_presets()["fig9"][0]
     params, split = spec.at(spec.grid()[15])
-    sub = parse_subcase_token(spec.mode, "efr/pfr", params.K)
+    sub = parse_subcase_token(spec.mode, "efr/pfr")
     truth = evaluate_subcase(sub, params, split).r_center
     z = []
     for seed in range(1000, 1200):

@@ -25,5 +25,6 @@ def test_rate_entry_points_take_what_the_library_example_passes():
     for fn, names in (
         (rscache.evaluate_subcase, ["subcase", "params", "split"]),
         (rscache.estimate_rates, ["subcase", "params", "split", "sim"]),
+        (rscache.parse_subcase_token, ["mode", "token"]),
     ):
         assert list(inspect.signature(fn).parameters) == names, fn.__name__

@@ -153,7 +153,7 @@ FROZEN_RATES = (
 @pytest.mark.parametrize("case", FROZEN_RATES, ids=lambda c: f"{c[0]}:{c[1]}")
 def test_frozen_rate_regressions(case):
     mode, token, r_c, r_e, r_sum, q_c, q_e, b_c, b_e = case
-    sub = parse_subcase_token(Mode(mode), token, PARAMS.K)
+    sub = parse_subcase_token(Mode(mode), token)
     rep = evaluate_subcase(sub, PARAMS, SPLIT)
     assert rep.r_center == pytest.approx(r_c, rel=1e-8)
     assert rep.r_edge == pytest.approx(r_e, rel=1e-8)
@@ -258,7 +258,7 @@ def test_dispatch_gives_a_finite_rate_over_a_fine_grid():
 def test_degenerate_splits_do_not_crash():
     import warnings
 
-    sub = parse_subcase_token(Mode.ALL_CC, "xor/xor", PARAMS.K)
+    sub = parse_subcase_token(Mode.ALL_CC, "xor/xor")
     for beta in (0.0, 1.0):
         for rho in (0.0, 0.5, 1.0):
             with warnings.catch_warnings():
@@ -278,7 +278,7 @@ def test_decode_ceiling_exactly_at_threshold_keeps_the_interference_route():
     split = PowerSplit(beta=0.2, rho=0.5)
     powers = stream_powers(PARAMS.P, split)
     assert sinr_bound(SinrKind.COMMON_IIC, ReceiverClass.CENTER, powers) == PARAMS.zeta
-    sub = parse_subcase_token(Mode.MPC_CC, "efr/xor+iic-c", PARAMS.K)
+    sub = parse_subcase_token(Mode.MPC_CC, "efr/xor+iic-c")
     rep = evaluate_subcase(sub, PARAMS, split)
     assert rep.branch_center == "B4"
     assert rep.r_center == pytest.approx(1.3505740856, rel=1e-8)
@@ -303,9 +303,9 @@ def test_pieces_strictly_increase_when_an_efold_lands_on_a_knee(alpha):
     # from r_in = 0, scale s = y / k^alpha puts the e-fold y at the knee k
     # (exactly so at alpha = 4, s = y = 0.5, k = 1); a zero-width piece
     # there is an input error to the quadrature
-    for k in rates._KNEES:
+    for k in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
         for y in rates._EFOLDS:
-            edges = _pieces(y / k**alpha, 0.0, 2.0 * rates._KNEES[-1], alpha)
+            edges = _pieces(y / k**alpha, 0.0, 64.0, alpha)
             assert all(a < b for a, b in zip(edges, edges[1:])), (k, y)
 
 
@@ -313,7 +313,7 @@ def test_fixed_rule_is_stable_under_piece_halving(monkeypatch, cold_rate_caches)
     # the fixed G7K15 rules have no tolerance to refine, so this is their
     # order-raising check: twice the pieces, for the single-receiver rates'
     # position average and the min-rate's log-s axis, the same rates
-    subs = [parse_subcase_token(m, tok, PARAMS.K) for m in Mode for tok in MODE_SUBCASES[m]]
+    subs = [parse_subcase_token(m, tok) for m in Mode for tok in MODE_SUBCASES[m]]
     splits = [SPLIT, PowerSplit(beta=0.3, rho=0.2), PowerSplit(beta=0.8, rho=0.8)]
 
     def reports():
@@ -330,6 +330,16 @@ def test_fixed_rule_is_stable_under_piece_halving(monkeypatch, cold_rate_caches)
             (b.r_center, b.r_edge, b.r_sum, *dataclasses.astuple(b.components)),
         ):
             assert x == pytest.approx(y, rel=1e-12, abs=1e-300)
+
+
+def _end_points(pieces):
+    """A piece rule cut down to one piece from its first edge to its last."""
+
+    def one_piece(*args):
+        edges = pieces(*args)
+        return [edges[0], edges[-1]]
+
+    return one_piece
 
 
 def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch, cold_rate_caches):
@@ -349,22 +359,16 @@ def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch, cold
     with pytest.raises(QuadratureError):
         rates._mean_lograte(*args)
     monkeypatch.setattr(quadrature, "DEFAULT_RTOL", 1e-8)
-    monkeypatch.setattr(rates, "_KNEES", ())
-    monkeypatch.setattr(rates, "_EFOLDS", ())
+    monkeypatch.setattr(rates, "_pieces", _end_points(_pieces))
     with pytest.raises(QuadratureError):
         rates._mean_lograte(*args)
-
-    def one_piece(*args):
-        edges = _tail_pieces(*args)
-        return [edges[0], edges[-1]]
-
-    monkeypatch.setattr(rates, "_tail_pieces", one_piece)
+    monkeypatch.setattr(rates, "_tail_pieces", _end_points(_tail_pieces))
     with pytest.raises(QuadratureError, match="log-scaled quadrature failed: error estimate"):
         common_rate_both(PARAMS, SPLIT, None)
 
 
 def test_sum_rate_weighting():
-    rep = evaluate_subcase(parse_subcase_token(Mode.ALL_CC, "xor/xor", PARAMS.K), PARAMS, SPLIT)
+    rep = evaluate_subcase(parse_subcase_token(Mode.ALL_CC, "xor/xor"), PARAMS, SPLIT)
     q_c, q_e = rep.q_center, rep.q_edge
     want = (q_c * rep.r_center + q_e * rep.r_edge) / (q_c + q_e - q_c * q_e)
     assert rep.r_sum == pytest.approx(want, rel=1e-12)
@@ -392,13 +396,13 @@ def test_high_power_approaches_the_asymptote():
     params = dataclasses.replace(PARAMS, P=1e8, N=60, K=2, zeta=1.0, xi=2.0)
     split = PowerSplit(beta=0.6, rho=0.5)
     for token in ("efr/xor", "efr/pfr", "efr/efr"):
-        sub = parse_subcase_token(Mode.MPC_CC, token, params.K)
+        sub = parse_subcase_token(Mode.MPC_CC, token)
         finite = evaluate_subcase(sub, params, split)
         limit = asymptotic_report(sub, params, split)
         assert finite.r_sum == pytest.approx(limit.r_sum, rel=0.01)
     # with cancellation at the center its private stream is noise limited
     # and the limit diverges; the finite-power rate must be large but finite
-    sub = parse_subcase_token(Mode.MPC_CC, "efr/xor+iic-c", params.K)
+    sub = parse_subcase_token(Mode.MPC_CC, "efr/xor+iic-c")
     finite = evaluate_subcase(sub, params, split)
     limit = asymptotic_report(sub, params, split)
     assert math.isinf(limit.r_sum)
@@ -406,7 +410,7 @@ def test_high_power_approaches_the_asymptote():
 
 
 def test_monte_carlo_agrees_end_to_end():
-    sub = parse_subcase_token(Mode.ALL_CC, "xor/xor", PARAMS.K)
+    sub = parse_subcase_token(Mode.ALL_CC, "xor/xor")
     analytic = evaluate_subcase(sub, PARAMS, SPLIT)
     samples = 200_000
     mc = estimate_rates(sub, PARAMS, SPLIT, SimConfig(samples=samples, seed=5))
@@ -415,7 +419,7 @@ def test_monte_carlo_agrees_end_to_end():
 
 
 def test_component_stderr_mirrors_components():
-    sub = parse_subcase_token(Mode.CC_MPC, "xor/efr", PARAMS.K)
+    sub = parse_subcase_token(Mode.CC_MPC, "xor/efr")
     mc = estimate_rates(sub, PARAMS, SPLIT, SimConfig(samples=50_000, seed=9))
     parts = dataclasses.asdict(mc.components)
     errs = dataclasses.asdict(mc.component_stderr)
