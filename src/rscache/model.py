@@ -37,6 +37,9 @@ from typing import Callable
 
 
 class ReceiverClass(enum.Enum):
+    # members are singletons compared by identity, so the builtin identity
+    # hash serves; Enum's own __hash__ is Python code, run for every dict key
+    __hash__ = object.__hash__
     CENTER = "center"
     EDGE = "edge"
 
@@ -58,6 +61,7 @@ class SinrKind(enum.Enum):
     PRIVATE_INTERF_IIC  own private stream with only the common stream left
     """
 
+    __hash__ = object.__hash__  # as ReceiverClass's
     COMMON = "common"
     PRIVATE = "private"
     PRIVATE_INTERF = "private-interf"

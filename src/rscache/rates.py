@@ -18,8 +18,12 @@ regimes (B1..B4) plus the dead zone (Z). A receiver whose cache holds the
 other class's content ahead of time cancels that stream instead of
 treating it as noise, which swaps every distribution on its side for the
 cancellation variant (model.seen_kind) and raises its support bound. The
-dispatch hands back the terms it used, so evaluate_subcase reports them as
+dispatch hands back the terms it used, so a report carries them as
 components without evaluating them again.
+
+The subcases at one working point differ only in their pre-logs and in
+which receiver cancels, so evaluate_point builds all of their reports from
+one table of the point (_Point); evaluate_subcase is its one-subcase case.
 
 Every integral runs on the one fixed piecewise G7K15 rule of
 quadrature.gauss_kronrod, in one numpy evaluation, and is refused
@@ -34,9 +38,10 @@ ln(1 + d^alpha) bends, and each e-fold of the fading factor. The time-shared
 min-rate integrates the product of the two receivers' closed-form tails
 instead, with no density, in scale coordinates on a log-s axis cut at the
 e-folds of both tails (integrate_log_scaled). The four integral functionals
-are memoised for the life of the process, since sweeps of different caching
-modes revisit the same working points; the common-stream term is plain
-arithmetic over two of them and is not.
+are memoised for the life of the process: the table lives for one call, and
+these caches are what shares a point's integrals between sweeps of
+different caching modes run one mode at a time. The common-stream term is
+plain arithmetic over two of them and is not.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import exp1
@@ -415,19 +420,19 @@ def common_stream_rate(
     cls: ReceiverClass,
     omega: float,
     iic_at: ReceiverClass | None,
+    point: _Point | None = None,
 ) -> float:
     """Common-stream contribution for one receiver, given it decodes.
 
     With probability that the other receiver also decodes, the stream is
     time-shared (fraction u to the center class) at the min SINR;
-    otherwise this receiver gets the full slot at its own SINR.
+    otherwise this receiver gets the full slot at its own SINR. ``point``
+    is the point's table, if any.
     """
-    powers = stream_powers(params.P, split)
-    other = cls.other
-    other_spec = dist_spec(seen_kind(SinrKind.COMMON, iic_at is other), other, powers, params)
-    pi_other = coverage(other_spec, params.zeta, params)
-    both = common_rate_both(params, split, iic_at)
-    alone = common_rate_single(params, split, cls, iic_at is cls)
+    point = point or _Point(params, split)
+    pi_other = point.cover(SinrKind.COMMON, cls.other, iic_at is cls.other, params.zeta)
+    both = point.both(iic_at)
+    alone = point.single(cls, iic_at is cls)
     return omega * (pi_other * _share(params, cls) * both + (1.0 - pi_other) * alone)
 
 
@@ -521,12 +526,56 @@ class ReceiverRate:
     rpi: float = 0.0
 
 
+class _Point:
+    """One working point's table for one evaluate_point call, each entry made on first use.
+
+    The stream powers and each (SINR kind, class, cancels) law, (law, threshold) coverage,
+    class's gap thresholds, common-rate lookup and (class, omega, iic_at) receiver dispatch.
+    """
+
+    def __init__(self, params: SystemParams, split: PowerSplit) -> None:
+        self.params, self.split = params, split
+        self.powers = stream_powers(params.P, split)
+        self._made: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, make: Callable, *args):  # no entry is None
+        made = self._made.get(key)
+        if made is None:
+            made = self._made[key] = make(*args)
+        return made
+
+    def law(self, kind: SinrKind, cls: ReceiverClass, iic: bool) -> SinrDist:
+        args = seen_kind(kind, iic), cls, self.powers, self.params
+        return self._once(("law", kind, cls, iic), dist_spec, *args)
+
+    def cover(self, kind: SinrKind, cls: ReceiverClass, iic: bool, t: float) -> float:
+        return self._once(("cover", kind, cls, iic, t), self._cover, kind, cls, iic, t)
+
+    def _cover(self, kind: SinrKind, cls: ReceiverClass, iic: bool, t: float) -> float:
+        # the module's coverage, looked up at each call, so a hook on it sees every miss
+        return coverage(self.law(kind, cls, iic), t, self.params)
+
+    def gaps(self, cls: ReceiverClass) -> tuple[float, float]:
+        return self._once(("gaps", cls), gap_thresholds, self.params, self.split, cls)
+
+    def both(self, iic_at: ReceiverClass | None) -> float:
+        return self._once(("both", iic_at), common_rate_both, self.params, self.split, iic_at)
+
+    def single(self, cls: ReceiverClass, iic: bool) -> float:
+        return self._once(("single", cls, iic), common_rate_single, self.params, self.split, cls, iic)
+
+    def receiver(self, cls: ReceiverClass, omega: float, iic_at: ReceiverClass | None) -> ReceiverRate:
+        key = ("receiver", cls, omega, iic_at)
+        return self._once(key, achieved_rate, self.params, self.split, cls, omega, iic_at, self)
+
+
 def achieved_rate(
     params: SystemParams,
     split: PowerSplit,
     cls: ReceiverClass,
     omega: float,
     iic_at: ReceiverClass | None = None,
+    point: _Point | None = None,
 ) -> ReceiverRate:
     """Served rate of one receiver under the regime dispatch.
 
@@ -534,36 +583,32 @@ def achieved_rate(
     stream from cache. When it is this receiver, every distribution on its
     side switches to the cancellation variant; when it is the other one,
     only the time-sharing term feels it (through the partner's decode
-    probability and min-SINR law).
+    probability and min-SINR law). ``point`` is the point's table, if any.
     """
-    powers = stream_powers(params.P, split)
+    point = point or _Point(params, split)
     z = params.zeta
     xi_t = private_sinr_threshold(omega, params.xi)
-    self_iic = iic_at is cls
-    spec_0 = dist_spec(seen_kind(SinrKind.COMMON, self_iic), cls, powers, params)
-    spec_pi = dist_spec(seen_kind(SinrKind.PRIVATE_INTERF, self_iic), cls, powers, params)
-
-    if z < spec_0.theta:
-        after, with_i = gap_thresholds(params, split, cls)
-        pi_0 = coverage(spec_0, z, params)
-        rs0 = common_stream_rate(params, split, cls, omega, iic_at)
-        rp = private_rate_after_common(params, split, cls, omega, self_iic)
+    iic = iic_at is cls
+    if z < point.law(SinrKind.COMMON, cls, iic).theta:
+        after, with_i = point.gaps(cls)
+        pi_0 = point.cover(SinrKind.COMMON, cls, iic, z)
+        rs0 = common_stream_rate(params, split, cls, omega, iic_at, point)
+        rp = private_rate_after_common(params, split, cls, omega, iic)
         if xi_t <= with_i:
-            pi_pif = coverage(spec_pi, xi_t, params)
-            rpi = private_rate_with_interference(params, split, cls, omega, self_iic)
+            pi_pif = point.cover(SinrKind.PRIVATE_INTERF, cls, iic, xi_t)
+            rpi = private_rate_with_interference(params, split, cls, omega, iic)
             ratio = _clamp01(pi_0 / pi_pif) if pi_pif > 0.0 else 0.0
             rate = ratio * (rs0 + rp) + (1.0 - ratio) * rpi
             return ReceiverRate(rate, pi_pif, "B3", rs0, rp, rpi)
         if xi_t < after:
             return ReceiverRate(rs0 + rp, pi_0, "B2", rs0, rp)
-        spec_p = dist_spec(seen_kind(SinrKind.PRIVATE, self_iic), cls, powers, params)
-        pi_p = coverage(spec_p, xi_t, params)
+        pi_p = point.cover(SinrKind.PRIVATE, cls, iic, xi_t)
         ratio = _clamp01(pi_p / pi_0) if pi_0 > 0.0 else 0.0
         return ReceiverRate(rs0 + ratio * rp, pi_0, "B1", rs0, rp)
 
-    if xi_t < spec_pi.theta:
-        rpi = private_rate_with_interference(params, split, cls, omega, self_iic)
-        pi_pif = coverage(spec_pi, xi_t, params)
+    if xi_t < point.law(SinrKind.PRIVATE_INTERF, cls, iic).theta:
+        rpi = private_rate_with_interference(params, split, cls, omega, iic)
+        pi_pif = point.cover(SinrKind.PRIVATE_INTERF, cls, iic, xi_t)
         return ReceiverRate(rpi, pi_pif, "B4", rpi=rpi)
     return ReceiverRate(0.0, 0.0, "Z")
 
@@ -620,37 +665,37 @@ class RateReport:
     component_stderr: RateComponents = RateComponents()
 
 
+def evaluate_point(
+    params: SystemParams, split: PowerSplit, subcases: Sequence[Subcase],
+    prelogs: Sequence[tuple[float, float]] | None = None,
+) -> list[RateReport]:
+    """evaluate_subcase of every subcase, all built from one table of the point (_Point).
+
+    ``prelogs``, when given, are the subcases' omegas(params, subcase).
+    """
+    point = _Point(params, split)
+    if prelogs is None:
+        prelogs = [omegas(params, sub) for sub in subcases]
+    reports = []
+    for sub, (w_c, w_e) in zip(subcases, prelogs):
+        iic_at = sub.iic_at
+        center = point.receiver(ReceiverClass.CENTER, w_c, iic_at)
+        edge = point.receiver(ReceiverClass.EDGE, w_e, iic_at)
+        alone_c, alone_e = (point.single(cls, iic_at is cls) for cls in ReceiverClass)
+        parts = RateComponents(
+            point.both(iic_at), alone_c, alone_e,
+            center.rs0, edge.rs0, center.rp, edge.rp, center.rpi, edge.rpi,
+        )
+        reports.append(RateReport(
+            center.rate, edge.rate, sum_rate(center, edge), center.q, edge.q, "analytic",
+            center.branch, edge.branch, components=parts,
+        ))
+    return reports
+
+
 def evaluate_subcase(subcase: Subcase, params: SystemParams, split: PowerSplit) -> RateReport:
-    """Closed-form evaluation of one served configuration."""
-    w_c, w_e = omegas(params, subcase)
-    iic_at = subcase.iic_at
-    center = achieved_rate(params, split, ReceiverClass.CENTER, w_c, iic_at)
-    edge = achieved_rate(params, split, ReceiverClass.EDGE, w_e, iic_at)
-    alone_c, alone_e = (
-        common_rate_single(params, split, cls, iic_at is cls) for cls in ReceiverClass
-    )
-    parts = RateComponents(
-        r0_both=common_rate_both(params, split, iic_at),
-        r0_center_only=alone_c,
-        r0_edge_only=alone_e,
-        rs0_center=center.rs0,
-        rs0_edge=edge.rs0,
-        rp_center=center.rp,
-        rp_edge=edge.rp,
-        rpi_center=center.rpi,
-        rpi_edge=edge.rpi,
-    )
-    return RateReport(
-        r_center=center.rate,
-        r_edge=edge.rate,
-        r_sum=sum_rate(center, edge),
-        q_center=center.q,
-        q_edge=edge.q,
-        method="analytic",
-        branch_center=center.branch,
-        branch_edge=edge.branch,
-        components=parts,
-    )
+    """Closed-form evaluation of one served configuration (evaluate_point's one subcase)."""
+    return evaluate_point(params, split, (subcase,))[0]
 
 
 def asymptotic_rate(

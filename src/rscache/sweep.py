@@ -23,10 +23,10 @@ import numpy as np
 
 from .caching import Mode, Subcase, parse_subcase_token
 from .model import PowerSplit, SystemParams
-# estimate_rates is this module's name for the one-subcase simulator, kept
-# for code that hooks the simulator here (bench/tracer.py)
+# estimate_rates and evaluate_subcase are this module's names for the one-subcase
+# simulator and evaluation, kept for code that hooks them here (bench/tracer.py)
 from .montecarlo import SimConfig, draw_inputs, estimate_points, estimate_rates  # noqa: F401
-from .rates import RateReport, asymptotic_report, evaluate_subcase, omegas
+from .rates import RateReport, asymptotic_report, evaluate_point, evaluate_subcase, omegas  # noqa: F401
 
 # (CSV column, RateReport field) for every numeric column a report fills;
 # the header, the row writer and the row reader all follow this table
@@ -165,23 +165,34 @@ def _row(
 def _rows(specs: Sequence[SweepSpec]) -> list[list[str]]:
     """Each spec's data rows, in the pinned (point, subcase, method) order.
 
-    The specs share a grid and each point's draw, over all their simulated subcases.
+    The specs share a grid and, at each point, the draw and the analytic tables.
     """
     subcases = [[parse_subcase_token(spec.mode, tok) for tok in spec.subcases] for spec in specs]
     # no swept variable changes K, M or N, so neither do the pre-logs
     prelogs = [[omegas(spec.params, sub) for sub in subs] for spec, subs in zip(specs, subcases)]
     rows: list[list[str]] = [[] for _ in specs]
     mc = [i for i, spec in enumerate(specs) if METHOD_MC in spec.methods]
+    analytic = [i for i, spec in enumerate(specs) if METHOD_ANALYTIC in spec.methods]
     for point_index, value in enumerate(specs[0].grid()):
         points = [spec.at(value) for spec in specs]
         jobs = {i: (*points[i], subcases[i]) for i in mc}
         # one draw per point, shared by all of its simulated subcases
         sim = dataclasses.replace(specs[0].sim, spawn=(point_index,))
         simulated = dict(zip(jobs, estimate_points(list(jobs.values()), sim))) if jobs else {}
+        # one analytic table per distinct working point, over the distinct
+        # (iic_at, pre-logs) its specs ask for there, which fix a report
+        asked: dict[tuple, dict[tuple, Subcase]] = {}
+        for i in analytic:
+            for sub, w in zip(subcases[i], prelogs[i]):
+                asked.setdefault(points[i], {}).setdefault((sub.iic_at, w), sub)
+        evaluated = {}
+        for point, distinct in asked.items():
+            reports = evaluate_point(*point, list(distinct.values()), [w for _, w in distinct])
+            evaluated.update(zip([(*point, *key) for key in distinct], reports))
         for i, (spec, (params, split)) in enumerate(zip(specs, points)):
             for subcase_index, (subcase, w) in enumerate(zip(subcases[i], prelogs[i])):
                 if METHOD_ANALYTIC in spec.methods:
-                    report = evaluate_subcase(subcase, params, split)
+                    report = evaluated[params, split, subcase.iic_at, w]
                     rows[i].append(_row(spec, value, subcase, w, report))
                 if METHOD_MC in spec.methods:
                     rows[i].append(_row(spec, value, subcase, w, simulated[i][subcase_index]))
