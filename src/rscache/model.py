@@ -268,9 +268,17 @@ def private_sinr_threshold(omega: float, xi: float) -> float:
     A private stream transmitted with pre-log omega meets the rate target
     log2(1 + xi) iff its SINR exceeds (1 + xi)^(1/omega) - 1. Larger omega
     therefore relaxes the SINR requirement.
+
+    The power form is kept where it reaches 1, so its subtraction cancels
+    at most one bit; below, 1 + xi or the power rounds away the digits of a
+    small threshold (to 0 for xi under 2^-53), and expm1(log1p(xi)/omega)
+    keeps them.
     """
     if omega <= 0:
         raise ValueError("pre-log factor must be positive")
     if xi <= 0:
         raise ValueError("threshold parameter must be positive")
-    return (1.0 + xi) ** (1.0 / omega) - 1.0
+    threshold = (1.0 + xi) ** (1.0 / omega) - 1.0
+    if threshold < 1.0:
+        threshold = math.expm1(math.log1p(xi) / omega)
+    return threshold

@@ -18,7 +18,11 @@ receiver: its SINRs, decode event, log-rates and common share once per
 variant, its route events and served rate with their statistics once per
 distinct pre-log, and each distinct pre-log pair only adds its two served
 rates, shared by every subcase that has it. Each subcase gets the report
-estimate_rates gives it alone on the same SimConfig.
+estimate_rates gives it alone on the same SimConfig. The kernel takes the
+statistics of the served and sum rates and, unless the caller turns
+components off, of the nine RateComponents; a sweep writes no component
+and turns them off, which skips about two thirds of its kernel's
+statistics.
 
 Memory: once warm, the kernel allocates no draw-sized array. Each thread
 keeps a workspace of named draw-sized buffers, 9 float64 plus one per
@@ -337,6 +341,7 @@ def _served(
     events: tuple[np.ndarray, np.ndarray],
     w: float,
     out: np.ndarray,
+    components: bool,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """One receiver's served rate at pre-log w, written into out.
 
@@ -344,17 +349,18 @@ def _served(
     rates and events the two private routes' log-rates and events. Returns the served rate, the
     served event (own decode or the interference route), which is written
     over the interference route's event, and the statistics of the common
-    share, of each route and of the served rate. Every rate term is finite
-    and >= +0, so adding rate * event gives the same bits as adding only
-    where the event holds.
+    share and of each route (only with components), then of the served
+    rate. Every rate term is finite and >= +0, so adding rate * event gives
+    the same bits as adding only where the event holds.
     """
     served = np.multiply(base, w, out=out)
-    stats = [_accumulate(base, dec, w)]
+    stats = [_accumulate(base, dec, w)] if components else []
     for rate, event in zip(rates, events):
         term = np.multiply(rate, w, out=_floats("hit", rate.size))
         term *= event
         served += term
-        stats.append(_accumulate(rate, event, w))
+        if components:
+            stats.append(_accumulate(rate, event, w))
     eps = np.logical_or(dec, events[1], out=events[1])
     stats.append(_accumulate(served, eps))
     return served, eps, stats
@@ -377,6 +383,7 @@ def _variant_kernel(
     iic_at: ReceiverClass | None,
     members: Sequence[tuple[int, float, float]],
     gains: dict[ReceiverClass, np.ndarray],
+    components: bool,
 ) -> dict[int, np.ndarray]:
     """The statistics of a variant's members over one chunk's gains, by slot.
 
@@ -386,7 +393,8 @@ def _variant_kernel(
     receiver's pre-log, so each is formed once per variant or per distinct
     pre-log; each member then only adds its two served rates and takes the
     sum's statistic. The gains are only read, so every variant of a point
-    runs on the same ones.
+    runs on the same ones. Without components a slot holds only the served
+    and sum statistics, the last three of _STAT_NAMES.
     """
     n = gains[ReceiverClass.CENTER].size
     center, edge = _BUFFERS
@@ -407,7 +415,7 @@ def _variant_kernel(
         _log_rate(log0[cls])
     both = np.logical_and(dec[center], dec[edge], out=_mask("both", n))
     min0 = np.minimum(log0[center], log0[edge], out=_floats("min0", n))
-    head = [_accumulate(min0, both)]
+    head = [_accumulate(min0, both)] if components else []
 
     # unweighted common-stream share, +0 where the receiver does not
     # decode: time-shared min rate if the partner decoded too, otherwise
@@ -417,7 +425,8 @@ def _variant_kernel(
     base = {}
     for cls, (_, _, name, _) in _BUFFERS.items():
         alone = _and_not(dec[cls], dec[cls.other], one)
-        head.append(_accumulate(log0[cls], alone))
+        if components:
+            head.append(_accumulate(log0[cls], alone))
         share = params.u if cls is center else 1.0 - params.u
         base[cls] = np.multiply(share, min0, out=_floats(name, n))
         base[cls] *= both
@@ -443,7 +452,7 @@ def _variant_kernel(
             _log_rate(eta)
 
     def served(cls: ReceiverClass, w: float, out: np.ndarray) -> tuple:
-        return _served(base[cls], dec[cls], rates[cls], events[cls][w], w, out)
+        return _served(base[cls], dec[cls], rates[cls], events[cls][w], w, out, components)
 
     # the edge side goes first and keeps its served rates; after its last
     # pass the edge log-rates are dead and take the center's served rate
@@ -456,21 +465,27 @@ def _variant_kernel(
             served_e, eps_e, stats_e = edge_side[w_e]
             total = np.add(served_c, served_e, out=rates[edge][1])
             r_sum = _accumulate(total, np.logical_or(eps_c, eps_e, out=one))
-            # rs0, rp, ri and the served rate, center before edge, then the sum
+            # (rs0, rp, ri and) the served rate, center before edge, then the sum
             paired = [stat for pair in zip(stats_c, stats_e) for stat in pair]
             out[slot] = np.concatenate([*head, *paired, r_sum])
     return out
 
 
 def _report(partials: list[np.ndarray], samples: int) -> RateReport:
-    """The RateReport of one subcase from its per-chunk statistics."""
+    """The RateReport of one subcase from its per-chunk statistics.
+
+    The statistics are the last len(partials[0]) / 3 of _STAT_NAMES; the
+    components a slot did not estimate stay zero.
+    """
+    names = _STAT_NAMES[len(_STAT_NAMES) - partials[0].size // 3 :]
     # chunk-order exact reduction: identical totals at any worker count
     totals = np.array(
-        [math.fsum(p[j] for p in partials) for j in range(len(_STAT_NAMES) * 3)]
-    ).reshape(len(_STAT_NAMES), 3)
+        [math.fsum(p[j] for p in partials) for j in range(len(names) * 3)]
+    ).reshape(len(names), 3)
 
-    by_name = dict(zip(_STAT_NAMES, totals))
-    means = {name: _conditional(by_name[name]) for name in _STAT_NAMES}
+    by_name = dict(zip(names, totals))
+    means = {name: _conditional(total) for name, total in by_name.items()}
+    estimated = names[:-3]
     q_c = by_name["r_center"][2] / samples
     q_e = by_name["r_edge"][2] / samples
     return RateReport(
@@ -483,18 +498,22 @@ def _report(partials: list[np.ndarray], samples: int) -> RateReport:
         stderr_center=means["r_center"][1],
         stderr_edge=means["r_edge"][1],
         stderr_sum=means["r_sum"][1],
-        components=RateComponents(**{name: means[name][0] for name in _COMPONENT_NAMES}),
-        component_stderr=RateComponents(**{name: means[name][1] for name in _COMPONENT_NAMES}),
+        components=RateComponents(**{name: means[name][0] for name in estimated}),
+        component_stderr=RateComponents(**{name: means[name][1] for name in estimated}),
     )
 
 
-def estimate_points(jobs: Sequence[Job], sim: SimConfig) -> list[list[RateReport]]:
+def estimate_points(
+    jobs: Sequence[Job], sim: SimConfig, *, components: bool = True
+) -> list[list[RateReport]]:
     """estimate_point of every (params, split, subcases) job, all on one shared draw.
 
     The jobs must agree on draw_inputs. Each chunk is sampled and turned
     into link gains once, each variant's kernel runs once, and subcases
     that share a slot share its statistics. Report [i][j] is bit for bit
-    estimate_rates(jobs[i][2][j], jobs[i][0], jobs[i][1], sim).
+    estimate_rates(jobs[i][2][j], jobs[i][0], jobs[i][1], sim); without
+    components it is the same report with components and component_stderr
+    left zero, and the kernel skips their statistics (a sweep writes none).
     """
     params = jobs[0][0]
     if any(draw_inputs(job[0]) != draw_inputs(params) for job in jobs):
@@ -509,7 +528,7 @@ def estimate_points(jobs: Sequence[Job], sim: SimConfig) -> list[list[RateReport
         stats: dict[int, np.ndarray] = {}
         for (p, split, iic_at), members in variants.items():
             powers = stream_powers(p.P, split)
-            stats.update(_variant_kernel(p, powers, iic_at, members, gains))
+            stats.update(_variant_kernel(p, powers, iic_at, members, gains, components))
         return stats
 
     partials = _map_chunks(kernel, len(sizes), sim.workers)

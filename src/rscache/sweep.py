@@ -176,9 +176,11 @@ def _rows(specs: Sequence[SweepSpec]) -> list[list[str]]:
     for point_index, value in enumerate(specs[0].grid()):
         points = [spec.at(value) for spec in specs]
         jobs = {i: (*points[i], subcases[i]) for i in mc}
-        # one draw per point, shared by all of its simulated subcases
+        # one draw per point, shared by all of its simulated subcases; a
+        # row holds no component, so the simulator estimates none
         sim = dataclasses.replace(specs[0].sim, spawn=(point_index,))
-        simulated = dict(zip(jobs, estimate_points(list(jobs.values()), sim))) if jobs else {}
+        estimates = estimate_points(list(jobs.values()), sim, components=False) if jobs else []
+        simulated = dict(zip(jobs, estimates))
         # one analytic table per distinct working point, over the distinct
         # (iic_at, pre-logs) its specs ask for there, which fix a report
         asked: dict[tuple, dict[tuple, Subcase]] = {}

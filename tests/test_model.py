@@ -4,6 +4,8 @@ import math
 import sys
 import warnings
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,40 @@ def test_default_private_thresholds():
 def test_private_threshold_inverts_the_rate_target(omega, xi):
     t = private_sinr_threshold(omega, xi)
     assert omega * math.log2(1.0 + t) == pytest.approx(math.log2(1.0 + xi), rel=1e-12)
+
+
+#: the stock pre-logs efr, pfr and xor (K = 5, M = 30, N = 50)
+STOCK_PRELOGS = (1.0, 2.5, 10.0)
+
+
+@pytest.mark.parametrize("omega", STOCK_PRELOGS)
+def test_private_threshold_matches_mpmath_over_the_float_range(omega):
+    # every decade of xi from 1e-300 to 1e300, a dense grid over the six
+    # decades around 1, and both sides of the xi = 2^omega - 1 where the
+    # threshold reaches 1 and the power form takes over. The reference
+    # raises 1 + xi to 1/omega rounded to a double, the exponent the model
+    # uses: at xi = 1e300 that rounding alone moves the threshold by
+    # 1.5e-14 at omega = 2.5, which no double-precision form removes
+    switch = 2.0**omega - 1.0
+    xis = [
+        *(10.0**k for k in range(-300, 301)),
+        *np.geomspace(1e-3, 1e3, 601).tolist(),
+        math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf),
+    ]
+    exponent = mp.mpf(1.0 / omega)
+    with mp.workdps(40):
+        for xi in xis:
+            want = mp.expm1(exponent * mp.log1p(mp.mpf(xi)))
+            got = private_sinr_threshold(omega, xi)
+            assert abs(got / want - 1) <= 1e-15, (omega, xi, got)
+
+
+def test_private_threshold_keeps_the_power_forms_bits_where_it_reaches_one():
+    # expm1(log1p(2) * 3) is 25.99999999999999, one ulp low
+    assert private_sinr_threshold(1 / 3, 2.0) == 26.0
+    for omega in STOCK_PRELOGS:
+        for xi in (2.0 ** (omega + 1.0), 1e10, 1e300):
+            assert private_sinr_threshold(omega, xi) == (1.0 + xi) ** (1.0 / omega) - 1.0
 
 
 def test_prelog_rejects_fractional_replication():

@@ -25,10 +25,11 @@ from rscache.montecarlo import (
     SimConfig,
     estimate_coverage,
     estimate_point,
+    estimate_points,
     estimate_rates,
     sample_channels,
 )
-from rscache.rates import evaluate_subcase, omegas
+from rscache.rates import RateComponents, evaluate_subcase, omegas
 from rscache.sweep import MODE_SUBCASES, SweepSpec, figure_presets, run_sweep
 
 from oracles import served_per_draw
@@ -204,18 +205,24 @@ def test_rate_estimate_is_the_per_draw_tally(subcases):
         _assert_same_report(got, reports[i])
 
 
+def _counted(monkeypatch, name: str) -> list:
+    """The calls of montecarlo.<name> from now on, by their arguments."""
+    calls = []
+    original = getattr(montecarlo, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(montecarlo, name, counted)
+    return calls
+
+
 def test_each_receiver_pre_log_is_served_once_per_chunk(monkeypatch):
     # a receiver's served rate depends on the subcase only through its
     # cancellation variant and that receiver's pre-log, so one chunk makes
     # one served-rate pass per distinct (variant, receiver, pre-log)
-    calls = []
-    served = montecarlo._served
-
-    def counted(*args):
-        calls.append(args)
-        return served(*args)
-
-    monkeypatch.setattr(montecarlo, "_served", counted)
+    calls = _counted(monkeypatch, "_served")
     sim = SimConfig(samples=1_000, chunk=1_000)
     passes = {}
     for mode in Mode:
@@ -228,6 +235,28 @@ def test_each_receiver_pre_log_is_served_once_per_chunk(monkeypatch):
     calls.clear()
     estimate_point(PARAMS, SPLIT, _UNION, sim)
     assert len(calls) == 12
+
+
+@pytest.mark.parametrize(
+    "components, statistics",
+    [
+        (True, {Mode.ALL_CC: 36, Mode.CC_MPC: 39, Mode.MPC_CC: 39, Mode.ALL_MPC: 12, "union": 70}),
+        (False, {Mode.ALL_CC: 15, Mode.CC_MPC: 12, Mode.MPC_CC: 12, Mode.ALL_MPC: 3, "union": 25}),
+    ],
+    ids=["components", "served-only"],
+)
+def test_each_statistic_is_accumulated_once_per_chunk(monkeypatch, components, statistics):
+    # one chunk takes one statistic per served-rate pass and one per slot,
+    # for its sum; with components, three more per pass (the common share
+    # and both routes) and three per variant (the common rates)
+    calls = _counted(monkeypatch, "_accumulate")
+    sim = SimConfig(samples=1_000, chunk=1_000)
+    counts = {}
+    for key, subcases in [*((mode, _roster(mode)) for mode in Mode), ("union", _UNION)]:
+        calls.clear()
+        estimate_points([(PARAMS, SPLIT, subcases)], sim, components=components)
+        counts[key] = len(calls)
+    assert counts == statistics
 
 
 def test_estimates_track_the_analytic_probabilities():
@@ -264,18 +293,20 @@ def test_warm_rate_estimate_allocates_no_draw_sized_array():
     sim = SimConfig(samples=n, seed=21)
     # one subcase, then whole rosters of one and of two cancellation
     # variants, with repeated pre-logs on both sides, at the edge only and
-    # at the center only
+    # at the center only; each with and without the components' statistics
     rosters = ((XOR_XOR,), *(_roster(mode) for mode in (Mode.ALL_CC, Mode.CC_MPC, Mode.MPC_CC)))
     for subcases in rosters:
-        estimate_point(PARAMS, SPLIT, subcases, sim)  # warm the workspace
-        tracemalloc.start()
-        try:
-            estimate_point(PARAMS, SPLIT, subcases, dataclasses.replace(sim, seed=22))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one float64 array of the draw count is 8 n bytes
-        assert peak < 8 * n, subcases[0].mode
+        for components in (True, False):
+            jobs = [(PARAMS, SPLIT, subcases)]
+            estimate_points(jobs, sim, components=components)  # warm the workspace
+            tracemalloc.start()
+            try:
+                estimate_points(jobs, dataclasses.replace(sim, seed=22), components=components)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # one float64 array of the draw count is 8 n bytes
+            assert peak < 8 * n, (subcases[0].mode, components)
 
 
 def test_interleaved_estimates_equal_estimates_run_alone():
@@ -313,16 +344,24 @@ def test_interleaved_estimates_equal_estimates_run_alone():
 )
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk", [131_072, 7_000], ids=["one-chunk", "chunked"])
-def test_point_estimate_is_each_subcase_estimated_alone(subcases, workers, chunk):
+@pytest.mark.parametrize("components", [True, False], ids=["components", "served-only"])
+def test_point_estimate_is_each_subcase_estimated_alone(subcases, workers, chunk, components):
     # every subcase of a roster, or of all four in one call over the three
     # cancellation variants, on one shared draw gives, bit for bit, the
-    # report of that subcase run on its own
+    # report of that subcase run on its own; without components, the same
+    # report with both component records zero
     split = PowerSplit(beta=0.4, rho=0.3)
     sim = SimConfig(samples=30_000, seed=30, chunk=chunk, workers=workers)
-    reports = estimate_point(PARAMS, split, subcases, sim)
+    [reports] = estimate_points([(PARAMS, split, subcases)], sim, components=components)
     assert len(reports) == len(subcases)
     for sub, got in zip(subcases, reports):
-        _assert_same_report(got, estimate_rates(sub, PARAMS, split, sim))
+        want = estimate_rates(sub, PARAMS, split, sim)
+        if not components:
+            assert got.components == got.component_stderr == RateComponents()
+            want = dataclasses.replace(
+                want, components=RateComponents(), component_stderr=RateComponents()
+            )
+        _assert_same_report(got, want)
 
 
 #: the working points of FROZEN_SIMULATION: a point where both, one and

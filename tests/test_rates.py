@@ -271,6 +271,15 @@ def test_degenerate_splits_do_not_crash():
             assert 0.0 <= rep.q_edge <= 1.0
 
 
+def test_a_threshold_below_an_ulp_of_one_is_not_rounded_to_zero():
+    # (1 + 1e-17)^1 - 1 is 0, which would make every private target a sure
+    # event; at P = 1e-25 no SINR reaches 1e-17, so nothing is served
+    params = SystemParams(P=1e-25, sigma2=1.0, xi=1e-17)
+    assert private_sinr_threshold(1.0, params.xi) == 1e-17
+    rep = evaluate_subcase(parse_subcase_token(Mode.ALL_MPC, "efr/efr"), params, PowerSplit())
+    assert rep.q_center == rep.q_edge == 0.0
+
+
 def test_decode_ceiling_exactly_at_threshold_keeps_the_interference_route():
     # beta=0.2 with cancellation puts the common ceiling p0/pc right at
     # zeta, so the receiver must still be served through the
