@@ -11,14 +11,15 @@ Determinism contract: draws come from counter-based Philox streams keyed
 per fixed-size chunk, and chunk partials are reduced in chunk order, so a
 given (seed, samples, chunk) produces a bit-identical report at any
 worker count. A draw depends only on draw_inputs (r_c, r_e, r_0, alpha),
-so estimate_points samples each chunk once and forms its link gains once
-for several working points, then runs one kernel per variant, a distinct
-(params, split, iic_at). A variant's kernel runs each step once per
-receiver: its SINRs, decode event, log-rates and common share once per
-variant, its route events and served rate with their statistics once per
-distinct pre-log, and each distinct pre-log pair only adds its two served
-rates, shared by every subcase that has it. Each subcase gets the report
-estimate_rates gives it alone on the same SimConfig. The kernel takes the
+so estimate_points takes the slots (rates.slot) of several working points,
+samples each chunk once and forms its link gains once for all of them,
+then runs one kernel per variant, a distinct (params, split, iic_at). A
+variant's kernel runs each step once per receiver: its SINRs, decode
+event, log-rates and common share once per variant, its route events and
+served rate with their statistics once per distinct pre-log, and each
+distinct pre-log pair only adds its two served rates, shared by every
+slot that repeats it. Each slot gets the report estimate_rates gives a
+subcase with that slot alone on the same SimConfig. The kernel takes the
 statistics of the served and sum rates and, unless the caller turns
 components off, of the nine RateComponents; a sweep writes no component
 and turns them off, which skips about two thirds of its kernel's
@@ -59,7 +60,7 @@ from .model import (
     seen_kind,
     stream_powers,
 )
-from .rates import RateComponents, RateReport, omegas
+from .rates import RateComponents, RateReport, Slot, slot
 
 
 @dataclass(frozen=True)
@@ -312,28 +313,6 @@ def draw_inputs(params: SystemParams) -> tuple[float, ...]:
     return params.r_c, params.r_e, params.r_0, params.alpha
 
 
-#: a working point and its subcases
-Job = tuple[SystemParams, PowerSplit, Sequence[Subcase]]
-
-
-def _variants(jobs: Sequence[Job]) -> tuple[dict[tuple, list], list[list[int]]]:
-    """Each variant's (slot, w_c, w_e) members, and every job's subcases' slots.
-
-    A variant is a distinct (params, split, iic_at); its members are its
-    distinct pre-log pairs, in first-seen order. Subcases that agree on
-    variant and pre-logs share a slot.
-    """
-    keys: dict[tuple, int] = {}
-    slots = [
-        [keys.setdefault((p, split, sub.iic_at, *omegas(p, sub)), len(keys)) for sub in subs]
-        for p, split, subs in jobs
-    ]
-    variants: dict[tuple, list] = {}
-    for (p, split, iic_at, w_c, w_e), slot in keys.items():
-        variants.setdefault((p, split, iic_at), []).append((slot, w_c, w_e))
-    return variants, slots
-
-
 def _served(
     base: np.ndarray,
     dec: np.ndarray,
@@ -381,26 +360,26 @@ def _variant_kernel(
     params: SystemParams,
     powers: StreamPowers,
     iic_at: ReceiverClass | None,
-    members: Sequence[tuple[int, float, float]],
+    prelogs: Sequence[tuple[float, float]],
     gains: dict[ReceiverClass, np.ndarray],
     components: bool,
-) -> dict[int, np.ndarray]:
-    """The statistics of a variant's members over one chunk's gains, by slot.
+) -> dict[tuple[float, float], np.ndarray]:
+    """The statistics of a variant's distinct pre-log pairs over one chunk's gains.
 
     Each step runs once per receiver. Its SINRs, decode event, log-rates
     and common share depend on the subcase only through the variant, its
     route events, served rate and their statistics only through the
     receiver's pre-log, so each is formed once per variant or per distinct
-    pre-log; each member then only adds its two served rates and takes the
+    pre-log; each pair then only adds its two served rates and takes the
     sum's statistic. The gains are only read, so every variant of a point
-    runs on the same ones. Without components a slot holds only the served
-    and sum statistics, the last three of _STAT_NAMES.
+    runs on the same ones. Without components a pair's statistics are only
+    the served and sum ones, the last three of _STAT_NAMES.
     """
     n = gains[ReceiverClass.CENTER].size
     center, edge = _BUFFERS
     one = _mask("one", n)
     # each receiver's distinct pre-logs, in first-seen order
-    ws = dict(zip(_BUFFERS, [dict.fromkeys(side) for side in zip(*members)][1:]))
+    ws = dict(zip(_BUFFERS, (dict.fromkeys(side) for side in zip(*prelogs))))
 
     def sinr(kind: SinrKind, cls: ReceiverClass, name: str) -> np.ndarray:
         seen = seen_kind(kind, iic_at is cls)
@@ -461,13 +440,13 @@ def _variant_kernel(
     out = {}
     for w_c in ws[center]:
         served_c, eps_c, stats_c = served(center, w_c, rates[edge][0])
-        for slot, _, w_e in (member for member in members if member[1] == w_c):
+        for w_e in (w_e for pair_c, w_e in prelogs if pair_c == w_c):
             served_e, eps_e, stats_e = edge_side[w_e]
             total = np.add(served_c, served_e, out=rates[edge][1])
             r_sum = _accumulate(total, np.logical_or(eps_c, eps_e, out=one))
             # (rs0, rp, ri and) the served rate, center before edge, then the sum
             paired = [stat for pair in zip(stats_c, stats_e) for stat in pair]
-            out[slot] = np.concatenate([*head, *paired, r_sum])
+            out[w_c, w_e] = np.concatenate([*head, *paired, r_sum])
     return out
 
 
@@ -504,43 +483,42 @@ def _report(partials: list[np.ndarray], samples: int) -> RateReport:
 
 
 def estimate_points(
-    jobs: Sequence[Job], sim: SimConfig, *, components: bool = True
-) -> list[list[RateReport]]:
-    """estimate_point of every (params, split, subcases) job, all on one shared draw.
+    slots: Sequence[Slot], sim: SimConfig, *, components: bool = True
+) -> list[RateReport]:
+    """The report of every slot, all on one shared draw, in order.
 
-    The jobs must agree on draw_inputs. Each chunk is sampled and turned
-    into link gains once, each variant's kernel runs once, and subcases
-    that share a slot share its statistics. Report [i][j] is bit for bit
-    estimate_rates(jobs[i][2][j], jobs[i][0], jobs[i][1], sim); without
-    components it is the same report with components and component_stderr
-    left zero, and the kernel skips their statistics (a sweep writes none).
+    The slots must agree on draw_inputs. Each chunk is sampled and turned
+    into link gains once, and each variant's kernel runs once over the
+    variant's distinct pre-log pairs, so repeated slots share their
+    statistics. Each report is bit for bit estimate_rates of a subcase with
+    that slot on sim; without components it is the same report with
+    components and component_stderr left zero, and the kernel skips their
+    statistics (a sweep writes none).
     """
-    params = jobs[0][0]
-    if any(draw_inputs(job[0]) != draw_inputs(params) for job in jobs):
-        raise ValueError("jobs on one draw must share r_c, r_e, r_0 and alpha")
-    variants, slots = _variants(jobs)
+    params = slots[0][0]
+    if any(draw_inputs(key[0]) != draw_inputs(params) for key in slots):
+        raise ValueError("slots on one draw must share r_c, r_e, r_0 and alpha")
+    # each variant, a distinct (params, split, iic_at), and its distinct
+    # pre-log pairs, in first-seen order
+    variants: dict[tuple, list[tuple[float, float]]] = {}
+    for p, split, iic_at, w_c, w_e in dict.fromkeys(slots):
+        variants.setdefault((p, split, iic_at), []).append((w_c, w_e))
     sizes = sim.chunk_sizes()
 
-    def kernel(index: int) -> dict[int, np.ndarray]:
+    def kernel(index: int) -> dict[Slot, np.ndarray]:
         n = sizes[index]
         draw = sample_channels(params, sim.rng(index), n, out=_draw_buffers(n))
         gains = {cls: draw.link_gain(cls, params.alpha) for cls in _BUFFERS}
-        stats: dict[int, np.ndarray] = {}
-        for (p, split, iic_at), members in variants.items():
+        stats: dict[Slot, np.ndarray] = {}
+        for (p, split, iic_at), prelogs in variants.items():
             powers = stream_powers(p.P, split)
-            stats.update(_variant_kernel(p, powers, iic_at, members, gains, components))
+            pairs = _variant_kernel(p, powers, iic_at, prelogs, gains, components)
+            stats.update({(p, split, iic_at, *pair): value for pair, value in pairs.items()})
         return stats
 
     partials = _map_chunks(kernel, len(sizes), sim.workers)
-    reports = {slot: _report([c[slot] for c in partials], sim.samples) for slot in partials[0]}
-    return [[reports[slot] for slot in row] for row in slots]
-
-
-def estimate_point(
-    params: SystemParams, split: PowerSplit, subcases: Sequence[Subcase], sim: SimConfig
-) -> list[RateReport]:
-    """estimate_rates of every subcase, all on one shared draw (estimate_points' one job)."""
-    return estimate_points([(params, split, subcases)], sim)[0]
+    reports = {key: _report([c[key] for c in partials], sim.samples) for key in partials[0]}
+    return [reports[key] for key in slots]
 
 
 def estimate_rates(
@@ -555,4 +533,4 @@ def estimate_rates(
     over their defining events; empty events report 0. The sum rate is the
     mean of the total served rate given at least one receiver is served.
     """
-    return estimate_point(params, split, (subcase,), sim)[0]
+    return estimate_points([slot(subcase, params, split)], sim)[0]

@@ -22,8 +22,10 @@ dispatch hands back the terms it used, so a report carries them as
 components without evaluating them again.
 
 The subcases at one working point differ only in their pre-logs and in
-which receiver cancels, so evaluate_point builds all of their reports from
-one table of the point (_Point); evaluate_subcase is its one-subcase case.
+which receiver cancels, so a report is fixed by its slot (the point, the
+receiver that cancels and the two pre-logs). evaluate_points builds the
+reports of every slot at a point from one table of the point (_Point);
+evaluate_subcase is its one-slot case.
 
 Every integral runs on the one fixed piecewise G7K15 rule of
 quadrature.gauss_kronrod, in one numpy evaluation, and is refused
@@ -116,6 +118,16 @@ def omegas(params: SystemParams, subcase: Subcase) -> tuple[float, float]:
         return 1.0, 1.0
     by_index = prelog_factors(params.K, params.M, params.N).by_index
     return by_index(i_c), by_index(i_e)
+
+
+#: what fixes a subcase's report, by either method: the working point, the
+#: receiver that cancels (None if neither) and the pre-logs omega_c, omega_e
+Slot = tuple[SystemParams, PowerSplit, ReceiverClass | None, float, float]
+
+
+def slot(subcase: Subcase, params: SystemParams, split: PowerSplit) -> Slot:
+    """The slot of one subcase at one working point."""
+    return (params, split, subcase.iic_at, *omegas(params, subcase))
 
 
 #: e-folds y = s (d^alpha - r_in^alpha) of the fading factor from the
@@ -527,7 +539,7 @@ class ReceiverRate:
 
 
 class _Point:
-    """One working point's table for one evaluate_point call, each entry made on first use.
+    """One working point's table for one evaluate_points call, each entry made on first use.
 
     The stream powers and each (SINR kind, class, cancels) law, (law, threshold) coverage,
     class's gap thresholds, common-rate lookup and (class, omega, iic_at) receiver dispatch.
@@ -665,20 +677,18 @@ class RateReport:
     component_stderr: RateComponents = RateComponents()
 
 
-def evaluate_point(
-    params: SystemParams, split: PowerSplit, subcases: Sequence[Subcase],
-    prelogs: Sequence[tuple[float, float]] | None = None,
-) -> list[RateReport]:
-    """evaluate_subcase of every subcase, all built from one table of the point (_Point).
+def evaluate_points(slots: Sequence[Slot]) -> list[RateReport]:
+    """The closed-form report of every slot, in order.
 
-    ``prelogs``, when given, are the subcases' omegas(params, subcase).
+    Slots at one working point build their reports from one table of the
+    point (_Point).
     """
-    point = _Point(params, split)
-    if prelogs is None:
-        prelogs = [omegas(params, sub) for sub in subcases]
+    points: dict[tuple[SystemParams, PowerSplit], _Point] = {}
     reports = []
-    for sub, (w_c, w_e) in zip(subcases, prelogs):
-        iic_at = sub.iic_at
+    for params, split, iic_at, w_c, w_e in slots:
+        point = points.get((params, split))
+        if point is None:
+            point = points[params, split] = _Point(params, split)
         center = point.receiver(ReceiverClass.CENTER, w_c, iic_at)
         edge = point.receiver(ReceiverClass.EDGE, w_e, iic_at)
         alone_c, alone_e = (point.single(cls, iic_at is cls) for cls in ReceiverClass)
@@ -694,8 +704,8 @@ def evaluate_point(
 
 
 def evaluate_subcase(subcase: Subcase, params: SystemParams, split: PowerSplit) -> RateReport:
-    """Closed-form evaluation of one served configuration (evaluate_point's one subcase)."""
-    return evaluate_point(params, split, (subcase,))[0]
+    """Closed-form evaluation of one served configuration (evaluate_points of its slot)."""
+    return evaluate_points([slot(subcase, params, split)])[0]
 
 
 def asymptotic_rate(

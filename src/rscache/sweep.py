@@ -7,8 +7,10 @@ endings, and a fixed header, so a pinned (seed, spec) reproduces the file
 byte for byte at any worker count.
 
 run_sweeps writes several; run_sweep is its one-spec case. Specs that
-share a grid, a SimConfig and the draw's inputs share each point's draw,
-and each file still gets the bytes its spec writes alone.
+share a grid, a SimConfig and the draw's inputs share each point's draw
+and analytic tables: at each point each method runs once over the slots
+(rates.slot) the specs ask for, and a row looks up its report by its
+subcase's slot. Each file still gets the bytes its spec writes alone.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .caching import Mode, Subcase, parse_subcase_token
 from .model import PowerSplit, SystemParams
+from .montecarlo import SimConfig, draw_inputs, estimate_points
+from .rates import RateReport, Slot, asymptotic_report, evaluate_points, slot
 # estimate_rates and evaluate_subcase are this module's names for the one-subcase
 # simulator and evaluation, kept for code that hooks them here (bench/tracer.py)
-from .montecarlo import SimConfig, draw_inputs, estimate_points, estimate_rates  # noqa: F401
-from .rates import RateReport, asymptotic_report, evaluate_point, evaluate_subcase, omegas  # noqa: F401
+from .montecarlo import estimate_rates  # noqa: F401
+from .rates import evaluate_subcase  # noqa: F401
 
 # (CSV column, RateReport field) for every numeric column a report fills;
 # the header, the row writer and the row reader all follow this table
@@ -140,14 +145,8 @@ class SweepSpec:
         return dataclasses.replace(self.params, **{self.variable: value}), self.split
 
 
-def _row(
-    spec: SweepSpec,
-    value: float,
-    subcase: Subcase,
-    prelogs: tuple[float, float],
-    report: RateReport,
-) -> str:
-    w_c, w_e = prelogs
+def _row(spec: SweepSpec, value: float, subcase: Subcase, key: Slot, report: RateReport) -> str:
+    w_c, w_e = key[3:]
     cells = [
         spec.variable,
         _fmt(value),
@@ -165,42 +164,40 @@ def _row(
 def _rows(specs: Sequence[SweepSpec]) -> list[list[str]]:
     """Each spec's data rows, in the pinned (point, subcase, method) order.
 
-    The specs share a grid and, at each point, the draw and the analytic tables.
+    At each point each method runs once, over the slots the specs ask for.
     """
     subcases = [[parse_subcase_token(spec.mode, tok) for tok in spec.subcases] for spec in specs]
-    # no swept variable changes K, M or N, so neither do the pre-logs
-    prelogs = [[omegas(spec.params, sub) for sub in subs] for spec, subs in zip(specs, subcases)]
+    # each slot past its working point: no swept variable changes K, M or N,
+    # so neither do the pre-logs
+    rests = [
+        [slot(sub, spec.params, spec.split)[2:] for sub in subs]
+        for spec, subs in zip(specs, subcases)
+    ]
     rows: list[list[str]] = [[] for _ in specs]
-    mc = [i for i, spec in enumerate(specs) if METHOD_MC in spec.methods]
-    analytic = [i for i, spec in enumerate(specs) if METHOD_ANALYTIC in spec.methods]
     for point_index, value in enumerate(specs[0].grid()):
         points = [spec.at(value) for spec in specs]
-        jobs = {i: (*points[i], subcases[i]) for i in mc}
-        # one draw per point, shared by all of its simulated subcases; a
-        # row holds no component, so the simulator estimates none
+        keys = [[(*point, *rest) for rest in row] for point, row in zip(points, rests)]
+        # one draw per point, shared by all of its simulated slots; a row
+        # holds no component, so the simulator estimates none
         sim = dataclasses.replace(specs[0].sim, spawn=(point_index,))
-        estimates = estimate_points(list(jobs.values()), sim, components=False) if jobs else []
-        simulated = dict(zip(jobs, estimates))
-        # one analytic table per distinct working point, over the distinct
-        # (iic_at, pre-logs) its specs ask for there, which fix a report
-        asked: dict[tuple, dict[tuple, Subcase]] = {}
-        for i in analytic:
-            for sub, w in zip(subcases[i], prelogs[i]):
-                asked.setdefault(points[i], {}).setdefault((sub.iic_at, w), sub)
-        evaluated = {}
-        for point, distinct in asked.items():
-            reports = evaluate_point(*point, list(distinct.values()), [w for _, w in distinct])
-            evaluated.update(zip([(*point, *key) for key in distinct], reports))
+        # in the order a subcase's rows are written, whatever a spec's order
+        methods = {
+            METHOD_ANALYTIC: evaluate_points,
+            METHOD_MC: partial(estimate_points, sim=sim, components=False),
+        }
+        reports = {}
+        for method, run in methods.items():
+            asked = [key for spec, row in zip(specs, keys) if method in spec.methods for key in row]
+            if asked:
+                reports[method] = dict(zip(asked, run(asked)))
         for i, (spec, (params, split)) in enumerate(zip(specs, points)):
-            for subcase_index, (subcase, w) in enumerate(zip(subcases[i], prelogs[i])):
-                if METHOD_ANALYTIC in spec.methods:
-                    report = evaluated[params, split, subcase.iic_at, w]
-                    rows[i].append(_row(spec, value, subcase, w, report))
-                if METHOD_MC in spec.methods:
-                    rows[i].append(_row(spec, value, subcase, w, simulated[i][subcase_index]))
+            for sub, key in zip(subcases[i], keys[i]):
+                for method in methods:
+                    if method in spec.methods:
+                        rows[i].append(_row(spec, value, sub, key, reports[method][key]))
                 if spec.include_asymptotic:
-                    report = asymptotic_report(subcase, params, split)
-                    rows[i].append(_row(spec, value, subcase, w, report))
+                    report = asymptotic_report(sub, params, split)
+                    rows[i].append(_row(spec, value, sub, key, report))
     return rows
 
 

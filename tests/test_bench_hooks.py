@@ -3,13 +3,21 @@
 bench/tracer.py wraps package functions by (module, attribute) and reads
 the rate caches' cache_info. A hook whose name is gone is skipped there,
 and its metrics drop out of a traced run; these checks fail first.
+
+A module imports a name it never reads only so that the tracer can hook
+it there; such imports, and only they, sit on lines marked
+``# noqa: F401``. The scan below stands in for pyflakes' unused-import
+check.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+PACKAGE = ROOT / "src" / "rscache"
 
 
 def _load_tracer():
@@ -32,3 +40,42 @@ def test_every_hooked_name_is_a_package_callable():
 def test_the_rates_module_keeps_a_cache_for_the_hit_ratio():
     rates = importlib.import_module("rscache.rates")
     assert any(hasattr(obj, "cache_info") for obj in vars(rates).values())
+
+
+def _imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """(bound name, line) of every import in a module, __future__ aside."""
+    return [
+        ((alias.asname or alias.name).split(".")[0], node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, with the strings of its __all__."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def test_the_only_unused_imports_are_hooked_and_marked():
+    hooked = {(module, attr) for module, attr, _key, _layer in _load_tracer().HOOKS}
+    unused, marked = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "rscache" if path.stem == "__init__" else f"rscache.{path.stem}"
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines))
+        read = _read_names(tree)
+        for name, line in _imports(tree):
+            if name not in read:
+                unused.add((module, name))
+            if "# noqa: F401" in lines[line - 1]:
+                marked.add((module, name))
+    assert unused == marked
+    assert unused <= hooked

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rscache.distributions import (
@@ -136,13 +136,18 @@ def test_pdf_is_zero_outside_the_support(kind, cls):
     rho=st.floats(min_value=0.05, max_value=0.95),
     t=st.floats(min_value=1e-3, max_value=50.0),
 )
+# here the bound is exactly t, but the oracle's inequality rounds to "not in outage"
+@example(kind=SinrKind.PRIVATE_INTERF, cls=ReceiverClass.CENTER, beta=0.5, rho=0.5, t=1 / 3)
 def test_outage_region_agrees_with_the_bound(kind, cls, beta, rho, t):
     split = PowerSplit(beta=beta, rho=rho)
     spec = spec_for(kind, cls, split)
     bound = sinr_bound(kind, cls, stream_powers(PARAMS.P, split))
-    in_outage = outage_region(kind, cls, t, split)
-    assert in_outage == (t >= bound)
-    if in_outage:
+    # the oracle's split inequalities and the bound's power ratio round
+    # differently, so within a few ulps of the bound only the package's own
+    # contract is checked: coverage is exactly zero from the bound up
+    if math.isinf(bound) or abs(t - bound) > 4 * math.ulp(bound):
+        assert outage_region(kind, cls, t, split) == (t >= bound)
+    if t >= bound:
         assert coverage(spec, t, PARAMS) == 0.0
 
 

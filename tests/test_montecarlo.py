@@ -24,12 +24,11 @@ from rscache.model import (
 from rscache.montecarlo import (
     SimConfig,
     estimate_coverage,
-    estimate_point,
     estimate_points,
     estimate_rates,
     sample_channels,
 )
-from rscache.rates import RateComponents, evaluate_subcase, omegas
+from rscache.rates import RateComponents, evaluate_subcase, omegas, slot
 from rscache.sweep import MODE_SUBCASES, SweepSpec, figure_presets, run_sweep
 
 from oracles import served_per_draw
@@ -183,7 +182,7 @@ def test_rate_estimate_is_the_per_draw_tally(subcases):
     n = 4096
     sim = SimConfig(samples=n, chunk=n)
     draw = sample_channels(params, sim.rng(0), n)
-    reports = estimate_point(params, SPLIT, subcases, sim)
+    reports = estimate_points([slot(sub, params, SPLIT) for sub in subcases], sim)
     for sub, rep in zip(subcases, reports, strict=True):
         (rate_c, served_c), (rate_e, served_e) = served_per_draw(
             params, SPLIT, draw, omegas(params, sub), sub.iic_at
@@ -200,7 +199,7 @@ def test_rate_estimate_is_the_per_draw_tally(subcases):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), sub.token
     # the subcases' order only orders the reports
     order = np.random.default_rng(0).permutation(len(subcases))
-    permuted = estimate_point(params, SPLIT, [subcases[i] for i in order], sim)
+    permuted = estimate_points([slot(subcases[i], params, SPLIT) for i in order], sim)
     for i, got in zip(order, permuted, strict=True):
         _assert_same_report(got, reports[i])
 
@@ -227,13 +226,13 @@ def test_each_receiver_pre_log_is_served_once_per_chunk(monkeypatch):
     passes = {}
     for mode in Mode:
         calls.clear()
-        estimate_point(PARAMS, SPLIT, _roster(mode), sim)
+        estimate_points([slot(sub, PARAMS, SPLIT) for sub in _roster(mode)], sim)
         passes[mode] = len(calls)
     assert passes == {Mode.ALL_CC: 6, Mode.CC_MPC: 7, Mode.MPC_CC: 7, Mode.ALL_MPC: 2}
     assert sum(passes.values()) == 22
     # one call over every roster makes each pass once across the modes
     calls.clear()
-    estimate_point(PARAMS, SPLIT, _UNION, sim)
+    estimate_points([slot(sub, PARAMS, SPLIT) for sub in _UNION], sim)
     assert len(calls) == 12
 
 
@@ -254,7 +253,8 @@ def test_each_statistic_is_accumulated_once_per_chunk(monkeypatch, components, s
     counts = {}
     for key, subcases in [*((mode, _roster(mode)) for mode in Mode), ("union", _UNION)]:
         calls.clear()
-        estimate_points([(PARAMS, SPLIT, subcases)], sim, components=components)
+        slots = [slot(sub, PARAMS, SPLIT) for sub in subcases]
+        estimate_points(slots, sim, components=components)
         counts[key] = len(calls)
     assert counts == statistics
 
@@ -297,11 +297,11 @@ def test_warm_rate_estimate_allocates_no_draw_sized_array():
     rosters = ((XOR_XOR,), *(_roster(mode) for mode in (Mode.ALL_CC, Mode.CC_MPC, Mode.MPC_CC)))
     for subcases in rosters:
         for components in (True, False):
-            jobs = [(PARAMS, SPLIT, subcases)]
-            estimate_points(jobs, sim, components=components)  # warm the workspace
+            slots = [slot(sub, PARAMS, SPLIT) for sub in subcases]
+            estimate_points(slots, sim, components=components)  # warm the workspace
             tracemalloc.start()
             try:
-                estimate_points(jobs, dataclasses.replace(sim, seed=22), components=components)
+                estimate_points(slots, dataclasses.replace(sim, seed=22), components=components)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -352,7 +352,8 @@ def test_point_estimate_is_each_subcase_estimated_alone(subcases, workers, chunk
     # report with both component records zero
     split = PowerSplit(beta=0.4, rho=0.3)
     sim = SimConfig(samples=30_000, seed=30, chunk=chunk, workers=workers)
-    [reports] = estimate_points([(PARAMS, split, subcases)], sim, components=components)
+    slots = [slot(sub, PARAMS, split) for sub in subcases]
+    reports = estimate_points(slots, sim, components=components)
     assert len(reports) == len(subcases)
     for sub, got in zip(subcases, reports):
         want = estimate_rates(sub, PARAMS, split, sim)
@@ -422,7 +423,8 @@ def test_frozen_simulator_bits(case):
     point, chunking, mode, want = case
     params, split = FROZEN_POINTS[point]
     subcases = [parse_subcase_token(Mode(mode), token) for token in MODE_SUBCASES[Mode(mode)]]
-    reports = estimate_point(params, split, subcases, FROZEN_CHUNKING[chunking])
+    slots = [slot(sub, params, split) for sub in subcases]
+    reports = estimate_points(slots, FROZEN_CHUNKING[chunking])
     text = "\n".join(_bits(dataclasses.astuple(rep)) for rep in reports)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
 

@@ -1,8 +1,8 @@
 """One analytic table per working point: the same reports, each shared term made once.
 
-evaluate_point builds every subcase's report at a point from one table of
-the terms they share (laws, coverages, gap thresholds, common-rate lookups
-and per-receiver dispatches). Each report must be exactly the one
+evaluate_points builds the reports of every slot at a point from one table
+of the terms they share (laws, coverages, gap thresholds, common-rate
+lookups and per-receiver dispatches). Each report must be exactly the one
 evaluate_subcase gives that subcase alone, and the table must make each
 shared term once, however many subcases ask for it.
 """
@@ -15,7 +15,7 @@ import pytest
 from rscache import rates, run_sweep, run_sweeps
 from rscache.caching import Mode, parse_subcase_token
 from rscache.model import PowerSplit, ReceiverClass, SystemParams
-from rscache.rates import evaluate_point, evaluate_subcase, omegas
+from rscache.rates import evaluate_points, evaluate_subcase, omegas, slot
 from rscache.sweep import MODE_SUBCASES, figure_presets
 
 ROSTERS = {mode.value: [parse_subcase_token(mode, tok) for tok in MODE_SUBCASES[mode]] for mode in Mode}
@@ -44,13 +44,9 @@ def test_the_table_gives_each_subcase_its_report_alone(point, cold_rate_caches):
     for name, subs in INPUTS.items():
         want = [alone[sub] for sub in subs]
         cold_rate_caches()
-        reports = evaluate_point(params, split, subs)
+        reports = evaluate_points([slot(sub, params, split) for sub in subs])
         assert [repr(r) for r in reports] == want, name
         branches |= {b for r in reports for b in (r.branch_center, r.branch_edge)}
-        # the pre-logs a sweep passes in give the same reports
-        cold_rate_caches()
-        prelogs = [omegas(params, sub) for sub in subs]
-        assert [repr(r) for r in evaluate_point(params, split, subs, prelogs)] == want, name
     if point == "with-Z":
         assert "Z" in branches
 
@@ -59,7 +55,7 @@ def test_the_union_at_a_point_makes_each_dispatch_and_coverage_once(monkeypatch)
     # with the point's integrals already cached, every coverage call comes
     # from the table: on a miss an integral functional forms its own
     params, split = SystemParams(), PowerSplit(beta=0.4, rho=0.3)
-    evaluate_point(params, split, UNION)
+    evaluate_points([slot(sub, params, split) for sub in UNION])
     dispatched, covered = [], []
     dispatch, coverage = rates.achieved_rate, rates.coverage
 
@@ -73,7 +69,7 @@ def test_the_union_at_a_point_makes_each_dispatch_and_coverage_once(monkeypatch)
 
     monkeypatch.setattr(rates, "achieved_rate", counted_dispatch)
     monkeypatch.setattr(rates, "coverage", counted_coverage)
-    evaluate_point(params, split, UNION)
+    evaluate_points([slot(sub, params, split) for sub in UNION])
     receivers = {
         (cls, w, sub.iic_at) for sub in UNION for cls, w in zip(ReceiverClass, omegas(params, sub))
     }
