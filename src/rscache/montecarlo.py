@@ -156,15 +156,14 @@ def sample_channels(
     params: SystemParams,
     rng: np.random.Generator,
     n: int,
-    out: tuple[np.ndarray, ...] | None = None,
+    out: tuple[np.ndarray, ...],
 ) -> ChannelDraw:
     """Draw n joint realizations; the draw order is part of the contract.
 
-    out, if given, holds four float64 arrays of length n that become d_c,
-    d_e, h_c and h_e; without it the draw gets fresh arrays. Both fill
-    their buffers the same way and give the same values.
+    out holds four float64 arrays of length n that become d_c, d_e, h_c
+    and h_e; the draw overwrites whatever they held.
     """
-    d_c, d_e, h_c, h_e = out if out is not None else [np.empty(n) for _ in range(4)]
+    d_c, d_e, h_c, h_e = out
     rng.random(out=d_c)
     rng.random(out=d_e)
     rng.standard_exponential(out=h_c)

@@ -25,7 +25,8 @@ The subcases at one working point differ only in their pre-logs and in
 which receiver cancels, so a report is fixed by its slot (the point, the
 receiver that cancels and the two pre-logs). evaluate_points builds the
 reports of every slot at a point from one table of the point (_Point);
-evaluate_subcase is its one-slot case.
+evaluate_subcase is its one-slot case. The table, which the integral
+functionals read too, is this module's one memo and lives for the process.
 
 Every integral runs on the one fixed piecewise G7K15 rule of
 quadrature.gauss_kronrod, in one numpy evaluation, and is refused
@@ -39,11 +40,7 @@ the receiver's position (_mean_lograte), cut at each doubling of d, where
 ln(1 + d^alpha) bends, and each e-fold of the fading factor. The time-shared
 min-rate integrates the product of the two receivers' closed-form tails
 instead, with no density, in scale coordinates on a log-s axis cut at the
-e-folds of both tails (integrate_log_scaled). The four integral functionals
-are memoised for the life of the process: the table lives for one call, and
-these caches are what shares a point's integrals between sweeps of
-different caching modes run one mode at a time. The common-stream term is
-plain arithmetic over two of them and is not.
+e-folds of both tails (integrate_log_scaled).
 """
 
 from __future__ import annotations
@@ -288,7 +285,6 @@ def gap_thresholds(params: SystemParams, split: PowerSplit, cls: ReceiverClass) 
     return after, with_i
 
 
-@lru_cache(maxsize=4096)
 def common_rate_single(
     params: SystemParams,
     split: PowerSplit,
@@ -296,9 +292,9 @@ def common_rate_single(
     iic: bool,
 ) -> float:
     """E[log2(1 + common SINR) | it clears zeta] for one receiver, pre-log free."""
-    powers = stream_powers(params.P, split)
-    spec = dist_spec(seen_kind(SinrKind.COMMON, iic), cls, powers, params)
-    pi = coverage(spec, params.zeta, params)
+    point = _point(params, split)
+    spec = point.law(SinrKind.COMMON, cls, iic)
+    pi = point.cover(SinrKind.COMMON, cls, iic, params.zeta)
     return _mean_lograte(spec, 1.0, params.zeta, spec.theta, pi, params)
 
 
@@ -361,7 +357,6 @@ def integrate_log_scaled(
     )
 
 
-@lru_cache(maxsize=4096)
 def common_rate_both(
     params: SystemParams, split: PowerSplit, iic_at: ReceiverClass | None
 ) -> float:
@@ -381,12 +376,9 @@ def common_rate_both(
     distance to a shared bound cancels at high power.
     """
     z = params.zeta
-    powers = stream_powers(params.P, split)
-    spec_c, spec_e = (
-        dist_spec(seen_kind(SinrKind.COMMON, iic_at is cls), cls, powers, params)
-        for cls in (ReceiverClass.CENTER, ReceiverClass.EDGE)
-    )
-    pi_c, pi_e = coverage(spec_c, z, params), coverage(spec_e, z, params)
+    point = _point(params, split)
+    spec_c, spec_e = (point.law(SinrKind.COMMON, cls, iic_at is cls) for cls in ReceiverClass)
+    pi_c, pi_e = (point.cover(SinrKind.COMMON, cls, iic_at is cls, z) for cls in ReceiverClass)
     norm = pi_c * pi_e
     if norm < sys.float_info.min:
         # zero, or so deep in outage that the error floor would underflow
@@ -432,23 +424,20 @@ def common_stream_rate(
     cls: ReceiverClass,
     omega: float,
     iic_at: ReceiverClass | None,
-    point: _Point | None = None,
 ) -> float:
     """Common-stream contribution for one receiver, given it decodes.
 
     With probability that the other receiver also decodes, the stream is
     time-shared (fraction u to the center class) at the min SINR;
-    otherwise this receiver gets the full slot at its own SINR. ``point``
-    is the point's table, if any.
+    otherwise this receiver gets the full slot at its own SINR.
     """
-    point = point or _Point(params, split)
+    point = _point(params, split)
     pi_other = point.cover(SinrKind.COMMON, cls.other, iic_at is cls.other, params.zeta)
-    both = point.both(iic_at)
-    alone = point.single(cls, iic_at is cls)
+    both = point.at(common_rate_both, iic_at)
+    alone = point.at(common_rate_single, cls, iic_at is cls)
     return omega * (pi_other * _share(params, cls) * both + (1.0 - pi_other) * alone)
 
 
-@lru_cache(maxsize=8192)
 def private_rate_after_common(
     params: SystemParams,
     split: PowerSplit,
@@ -463,27 +452,25 @@ def private_rate_after_common(
     equal-gain point, condition on the private event itself; below it,
     the common event is the binding one and the integral starts there.
     """
-    powers = stream_powers(params.P, split)
-    if powers.own(cls) == 0.0:
+    point = _point(params, split)
+    if point.powers.own(cls) == 0.0:
         return 0.0
     z = params.zeta
-    spec0 = dist_spec(seen_kind(SinrKind.COMMON, iic), cls, powers, params)
-    if not z < spec0.theta:
+    if not z < point.law(SinrKind.COMMON, cls, iic).theta:
         return 0.0
     xi_t = private_sinr_threshold(omega, params.xi)
-    spec = dist_spec(seen_kind(SinrKind.PRIVATE, iic), cls, powers, params)
+    spec = point.law(SinrKind.PRIVATE, cls, iic)
     bound = spec.theta
     if xi_t >= bound:
         return 0.0
-    after, _ = gap_thresholds(params, split, cls)
+    after, _ = point.at(gap_thresholds, cls)
     if xi_t >= after:
-        norm = coverage(spec, xi_t, params)
+        norm = point.cover(SinrKind.PRIVATE, cls, iic, xi_t)
         return _mean_lograte(spec, omega, xi_t, bound, norm, params)
-    norm = coverage(spec0, z, params)
+    norm = point.cover(SinrKind.COMMON, cls, iic, z)
     return _mean_lograte(spec, omega, after, bound, norm, params)
 
 
-@lru_cache(maxsize=8192)
 def private_rate_with_interference(
     params: SystemParams,
     split: PowerSplit,
@@ -497,25 +484,25 @@ def private_rate_with_interference(
     served. Below it the conditioning carves out the gap where the private
     stream survives but the common decode failed.
     """
-    powers = stream_powers(params.P, split)
-    if powers.own(cls) == 0.0:
+    point = _point(params, split)
+    if point.powers.own(cls) == 0.0:
         return 0.0
     z = params.zeta
-    spec0 = dist_spec(seen_kind(SinrKind.COMMON, iic), cls, powers, params)
     xi_t = private_sinr_threshold(omega, params.xi)
-    spec = dist_spec(seen_kind(SinrKind.PRIVATE_INTERF, iic), cls, powers, params)
+    spec = point.law(SinrKind.PRIVATE_INTERF, cls, iic)
     bound = spec.theta
-    if z >= spec0.theta:
+    if z >= point.law(SinrKind.COMMON, cls, iic).theta:
         # at or above the ceiling the common decode never happens, so the
         # interference route carries the whole conditioning
         if xi_t >= bound:
             return 0.0
-        norm = coverage(spec, xi_t, params)
+        norm = point.cover(SinrKind.PRIVATE_INTERF, cls, iic, xi_t)
         return _mean_lograte(spec, omega, xi_t, bound, norm, params)
-    _, with_i = gap_thresholds(params, split, cls)
+    _, with_i = point.at(gap_thresholds, cls)
     if not xi_t < with_i:
         return 0.0
-    norm = coverage(spec, xi_t, params) - coverage(spec0, z, params)
+    norm = point.cover(SinrKind.PRIVATE_INTERF, cls, iic, xi_t)
+    norm -= point.cover(SinrKind.COMMON, cls, iic, z)
     if norm <= 0.0:
         return 0.0
     return _mean_lograte(spec, omega, xi_t, with_i, norm, params)
@@ -539,10 +526,13 @@ class ReceiverRate:
 
 
 class _Point:
-    """One working point's table for one evaluate_points call, each entry made on first use.
+    """One working point's table, each entry made on first use; made and kept by _point.
 
-    The stream powers and each (SINR kind, class, cancels) law, (law, threshold) coverage,
-    class's gap thresholds, common-rate lookup and (class, omega, iic_at) receiver dispatch.
+    The stream powers, each (SINR kind, class, cancels) law and (law, threshold) coverage,
+    and, through at, each value of a function of the point by its own further arguments:
+    the gap thresholds (class), the four integral functionals (class, omega, cancels) and
+    the receiver dispatch (class, omega, iic_at). The table is the module's one memo and
+    lives for the process.
     """
 
     def __init__(self, params: SystemParams, split: PowerSplit) -> None:
@@ -567,18 +557,16 @@ class _Point:
         # the module's coverage, looked up at each call, so a hook on it sees every miss
         return coverage(self.law(kind, cls, iic), t, self.params)
 
-    def gaps(self, cls: ReceiverClass) -> tuple[float, float]:
-        return self._once(("gaps", cls), gap_thresholds, self.params, self.split, cls)
+    def at(self, fn: Callable, *args):
+        # fn(params, split, *args); callers pass the module's name for fn, looked
+        # up at each call, so a hook on it sees every miss
+        return self._once((fn, *args), fn, self.params, self.split, *args)
 
-    def both(self, iic_at: ReceiverClass | None) -> float:
-        return self._once(("both", iic_at), common_rate_both, self.params, self.split, iic_at)
 
-    def single(self, cls: ReceiverClass, iic: bool) -> float:
-        return self._once(("single", cls, iic), common_rate_single, self.params, self.split, cls, iic)
-
-    def receiver(self, cls: ReceiverClass, omega: float, iic_at: ReceiverClass | None) -> ReceiverRate:
-        key = ("receiver", cls, omega, iic_at)
-        return self._once(key, achieved_rate, self.params, self.split, cls, omega, iic_at, self)
+@lru_cache(maxsize=256)  # a table holds about 10 KB
+def _point(params: SystemParams, split: PowerSplit) -> _Point:
+    """The table of one working point, built on first use and kept for the process."""
+    return _Point(params, split)
 
 
 def achieved_rate(
@@ -587,7 +575,6 @@ def achieved_rate(
     cls: ReceiverClass,
     omega: float,
     iic_at: ReceiverClass | None = None,
-    point: _Point | None = None,
 ) -> ReceiverRate:
     """Served rate of one receiver under the regime dispatch.
 
@@ -595,20 +582,20 @@ def achieved_rate(
     stream from cache. When it is this receiver, every distribution on its
     side switches to the cancellation variant; when it is the other one,
     only the time-sharing term feels it (through the partner's decode
-    probability and min-SINR law). ``point`` is the point's table, if any.
+    probability and min-SINR law).
     """
-    point = point or _Point(params, split)
+    point = _point(params, split)
     z = params.zeta
     xi_t = private_sinr_threshold(omega, params.xi)
     iic = iic_at is cls
     if z < point.law(SinrKind.COMMON, cls, iic).theta:
-        after, with_i = point.gaps(cls)
+        after, with_i = point.at(gap_thresholds, cls)
         pi_0 = point.cover(SinrKind.COMMON, cls, iic, z)
-        rs0 = common_stream_rate(params, split, cls, omega, iic_at, point)
-        rp = private_rate_after_common(params, split, cls, omega, iic)
+        rs0 = common_stream_rate(params, split, cls, omega, iic_at)
+        rp = point.at(private_rate_after_common, cls, omega, iic)
         if xi_t <= with_i:
             pi_pif = point.cover(SinrKind.PRIVATE_INTERF, cls, iic, xi_t)
-            rpi = private_rate_with_interference(params, split, cls, omega, iic)
+            rpi = point.at(private_rate_with_interference, cls, omega, iic)
             ratio = _clamp01(pi_0 / pi_pif) if pi_pif > 0.0 else 0.0
             rate = ratio * (rs0 + rp) + (1.0 - ratio) * rpi
             return ReceiverRate(rate, pi_pif, "B3", rs0, rp, rpi)
@@ -619,7 +606,7 @@ def achieved_rate(
         return ReceiverRate(rs0 + ratio * rp, pi_0, "B1", rs0, rp)
 
     if xi_t < point.law(SinrKind.PRIVATE_INTERF, cls, iic).theta:
-        rpi = private_rate_with_interference(params, split, cls, omega, iic)
+        rpi = point.at(private_rate_with_interference, cls, omega, iic)
         pi_pif = point.cover(SinrKind.PRIVATE_INTERF, cls, iic, xi_t)
         return ReceiverRate(rpi, pi_pif, "B4", rpi=rpi)
     return ReceiverRate(0.0, 0.0, "Z")
@@ -683,17 +670,14 @@ def evaluate_points(slots: Sequence[Slot]) -> list[RateReport]:
     Slots at one working point build their reports from one table of the
     point (_Point).
     """
-    points: dict[tuple[SystemParams, PowerSplit], _Point] = {}
     reports = []
     for params, split, iic_at, w_c, w_e in slots:
-        point = points.get((params, split))
-        if point is None:
-            point = points[params, split] = _Point(params, split)
-        center = point.receiver(ReceiverClass.CENTER, w_c, iic_at)
-        edge = point.receiver(ReceiverClass.EDGE, w_e, iic_at)
-        alone_c, alone_e = (point.single(cls, iic_at is cls) for cls in ReceiverClass)
+        point = _point(params, split)
+        center = point.at(achieved_rate, ReceiverClass.CENTER, w_c, iic_at)
+        edge = point.at(achieved_rate, ReceiverClass.EDGE, w_e, iic_at)
         parts = RateComponents(
-            point.both(iic_at), alone_c, alone_e,
+            point.at(common_rate_both, iic_at),
+            *(point.at(common_rate_single, cls, iic_at is cls) for cls in ReceiverClass),
             center.rs0, edge.rs0, center.rp, edge.rp, center.rpi, edge.rpi,
         )
         reports.append(RateReport(

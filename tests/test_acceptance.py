@@ -218,7 +218,8 @@ def test_c8a_center_rate_zero_when_common_power_starved():
 
 
 def test_c8b_per_draw_gain_ordering_across_techniques():
-    draw = sample_channels(PARAMS, SimConfig(seed=3).rng(0), 50_000)
+    n = 50_000
+    draw = sample_channels(PARAMS, SimConfig(seed=3).rng(0), n, tuple(np.empty(n) for _ in range(4)))
     w = prelog_factors(PARAMS.K, PARAMS.M, PARAMS.N)
     rates = [[rate for rate, _ in served_per_draw(PARAMS, SPLIT, draw, (omega, omega))]
              for omega in (w.efr, w.pfr, w.xor)]

@@ -40,8 +40,13 @@ PFR_IIC_E = parse_subcase_token(Mode.CC_MPC, "pfr/efr+iic-e")
 EFR_IIC_C = parse_subcase_token(Mode.MPC_CC, "efr/xor+iic-c")
 
 
+def _buffers(n: int) -> tuple[np.ndarray, ...]:
+    """Four fresh arrays for one draw of n realizations."""
+    return tuple(np.empty(n) for _ in range(4))
+
+
 def test_center_positions_fill_the_disk():
-    draw = sample_channels(PARAMS, SimConfig(seed=1).rng(0), 200_000)
+    draw = sample_channels(PARAMS, SimConfig(seed=1).rng(0), 200_000, _buffers(200_000))
     # uniform area density on a disk of radius r_c: E[d^2] = r_c^2 / 2
     assert draw.d_c.max() <= PARAMS.r_c
     assert draw.d_c.min() >= 0.0
@@ -52,7 +57,7 @@ def test_center_positions_fill_the_disk():
 
 
 def test_edge_positions_fill_the_annulus():
-    draw = sample_channels(PARAMS, SimConfig(seed=2).rng(0), 200_000)
+    draw = sample_channels(PARAMS, SimConfig(seed=2).rng(0), 200_000, _buffers(200_000))
     lo, hi = PARAMS.r_e**2, PARAMS.r_0**2
     assert draw.d_e.min() >= PARAMS.r_e
     assert draw.d_e.max() <= PARAMS.r_0
@@ -61,7 +66,7 @@ def test_edge_positions_fill_the_annulus():
 
 
 def test_fading_is_unit_exponential():
-    draw = sample_channels(PARAMS, SimConfig(seed=3).rng(0), 200_000)
+    draw = sample_channels(PARAMS, SimConfig(seed=3).rng(0), 200_000, _buffers(200_000))
     for h in (draw.h_c, draw.h_e):
         assert np.mean(h) == pytest.approx(1.0, rel=0.02)
         assert stats.kstest(h, "expon").pvalue > 1e-3
@@ -70,7 +75,7 @@ def test_fading_is_unit_exponential():
 def test_draw_order_is_frozen():
     # u_c, u_e, h_c, h_e in that order; reordering would silently change
     # every seeded result, so the first values are pinned
-    draw = sample_channels(PARAMS, SimConfig(seed=42).rng(0), 3)
+    draw = sample_channels(PARAMS, SimConfig(seed=42).rng(0), 3, _buffers(3))
     rng = SimConfig(seed=42).rng(0)
     u_c = rng.random(3)
     u_e = rng.random(3)
@@ -85,22 +90,24 @@ def test_draw_order_is_frozen():
 
 
 def test_sample_channels_fills_given_buffers_with_the_same_draw():
-    fresh = sample_channels(PARAMS, SimConfig(seed=7).rng(0), 1_000)
-    out = tuple(np.full(1_000, np.nan) for _ in range(4))
-    filled = sample_channels(PARAMS, SimConfig(seed=7).rng(0), 1_000, out=out)
-    for name, buf in zip(("d_c", "d_e", "h_c", "h_e"), out):
-        assert getattr(filled, name) is buf
-        assert np.array_equal(buf, getattr(fresh, name))
-    # without out, every call gets arrays of its own
-    again = sample_channels(PARAMS, SimConfig(seed=7).rng(0), 1_000)
-    assert not np.shares_memory(again.h_c, fresh.h_c)
-    assert np.array_equal(again.h_c, fresh.h_c)
+    # the draw overwrites what its buffers hold: NaN-filled buffers and ones
+    # left dirty by another draw end up with the same values
+    clean = tuple(np.full(1_000, np.nan) for _ in range(4))
+    filled = sample_channels(PARAMS, SimConfig(seed=7).rng(0), 1_000, clean)
+    dirty = _buffers(1_000)
+    sample_channels(PARAMS, SimConfig(seed=8).rng(0), 1_000, dirty)
+    reused = sample_channels(PARAMS, SimConfig(seed=7).rng(0), 1_000, dirty)
+    for name, a, b in zip(("d_c", "d_e", "h_c", "h_e"), clean, dirty):
+        assert getattr(filled, name) is a and getattr(reused, name) is b
+        assert not np.isnan(a).any()
+        assert np.array_equal(a, b)
 
 
 def test_spawn_and_seed_change_the_stream():
-    base = sample_channels(PARAMS, SimConfig(seed=42).rng(0), 8).h_c
-    other_seed = sample_channels(PARAMS, SimConfig(seed=43).rng(0), 8).h_c
-    other_spawn = sample_channels(PARAMS, SimConfig(seed=42, spawn=(1,)).rng(0), 8).h_c
+    base = sample_channels(PARAMS, SimConfig(seed=42).rng(0), 8, _buffers(8)).h_c
+    other_seed = sample_channels(PARAMS, SimConfig(seed=43).rng(0), 8, _buffers(8)).h_c
+    spawned = SimConfig(seed=42, spawn=(1,)).rng(0)
+    other_spawn = sample_channels(PARAMS, spawned, 8, _buffers(8)).h_c
     assert not np.array_equal(base, other_seed)
     assert not np.array_equal(base, other_spawn)
 
@@ -181,7 +188,7 @@ def test_rate_estimate_is_the_per_draw_tally(subcases):
     params = dataclasses.replace(PARAMS, P=1000.0)
     n = 4096
     sim = SimConfig(samples=n, chunk=n)
-    draw = sample_channels(params, sim.rng(0), n)
+    draw = sample_channels(params, sim.rng(0), n, _buffers(n))
     reports = estimate_points([slot(sub, params, SPLIT) for sub in subcases], sim)
     for sub, rep in zip(subcases, reports, strict=True):
         (rate_c, served_c), (rate_e, served_e) = served_per_draw(

@@ -2,9 +2,10 @@
 
 evaluate_points builds the reports of every slot at a point from one table
 of the terms they share (laws, coverages, gap thresholds, common-rate
-lookups and per-receiver dispatches). Each report must be exactly the one
-evaluate_subcase gives that subcase alone, and the table must make each
-shared term once, however many subcases ask for it.
+lookups, integral functionals and per-receiver dispatches), kept for the
+process. Each report must be exactly the one evaluate_subcase gives that
+subcase alone, and the table must make each shared term once, however many
+subcases and calls ask for it.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ from rscache import rates, run_sweep, run_sweeps
 from rscache.caching import Mode, parse_subcase_token
 from rscache.model import PowerSplit, ReceiverClass, SystemParams
 from rscache.rates import evaluate_points, evaluate_subcase, omegas, slot
-from rscache.sweep import MODE_SUBCASES, figure_presets
+from rscache.sweep import MODE_SUBCASES, SweepSpec, figure_presets
 
 ROSTERS = {mode.value: [parse_subcase_token(mode, tok) for tok in MODE_SUBCASES[mode]] for mode in Mode}
 UNION = [sub for subs in ROSTERS.values() for sub in subs]
@@ -51,25 +52,34 @@ def test_the_table_gives_each_subcase_its_report_alone(point, cold_rate_caches):
         assert "Z" in branches
 
 
-def test_the_union_at_a_point_makes_each_dispatch_and_coverage_once(monkeypatch):
-    # with the point's integrals already cached, every coverage call comes
-    # from the table: on a miss an integral functional forms its own
+FUNCTIONALS = (
+    "common_rate_single",
+    "common_rate_both",
+    "private_rate_after_common",
+    "private_rate_with_interference",
+)
+
+
+def _counted(monkeypatch, names) -> list:
+    """Wrap rates' names so that every call is recorded as (name, args); returns the record."""
+    made = []
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(rates, name)):
+            made.append((_name, args))
+            return _fn(*args)
+
+        monkeypatch.setattr(rates, name, counted)
+    return made
+
+
+def test_the_union_at_a_point_makes_each_dispatch_and_coverage_once(monkeypatch, cold_rate_caches):
+    # from a cold table: the integral functionals take their conditioning
+    # coverages from the table, so no (law, threshold) coverage is formed twice
     params, split = SystemParams(), PowerSplit(beta=0.4, rho=0.3)
+    made = _counted(monkeypatch, ("achieved_rate", "coverage"))
     evaluate_points([slot(sub, params, split) for sub in UNION])
-    dispatched, covered = [], []
-    dispatch, coverage = rates.achieved_rate, rates.coverage
-
-    def counted_dispatch(params, split, cls, omega, iic_at=None, *rest):
-        dispatched.append((cls, omega, iic_at))
-        return dispatch(params, split, cls, omega, iic_at, *rest)
-
-    def counted_coverage(spec, t, params):
-        covered.append((spec, t))
-        return coverage(spec, t, params)
-
-    monkeypatch.setattr(rates, "achieved_rate", counted_dispatch)
-    monkeypatch.setattr(rates, "coverage", counted_coverage)
-    evaluate_points([slot(sub, params, split) for sub in UNION])
+    dispatched = [args[2:5] for name, args in made if name == "achieved_rate"]
+    covered = [args[:2] for name, args in made if name == "coverage"]
     receivers = {
         (cls, w, sub.iic_at) for sub in UNION for cls, w in zip(ReceiverClass, omegas(params, sub))
     }
@@ -77,7 +87,39 @@ def test_the_union_at_a_point_makes_each_dispatch_and_coverage_once(monkeypatch)
     assert covered and len(covered) == len(set(covered))
 
 
-def test_fig3_builds_one_table_per_point_and_writes_each_file_as_alone(monkeypatch, tmp_path):
+def test_per_mode_sweeps_of_a_line_share_each_coverage_and_integral(
+    monkeypatch, cold_rate_caches, tmp_path
+):
+    # the four per-mode run_sweep calls of one line of beta points, one after
+    # another: the tables outlive each call, so the four calls together make
+    # each coverage and each functional key once, and write the bytes that
+    # run_sweeps writes for the same specs
+    specs = [
+        SweepSpec(
+            variable="beta", start=0.2, stop=0.8, points=4, mode=mode,
+            split=PowerSplit(beta=0.5, rho=0.35),
+        )
+        for mode in Mode
+    ]
+    made = _counted(monkeypatch, ("coverage", *FUNCTIONALS))
+    per_mode = [tmp_path / f"{mode.value}.csv" for mode in Mode]
+    counts = [run_sweep(spec, str(path)) for spec, path in zip(specs, per_mode)]
+    covered = [args[:2] for name, args in made if name == "coverage"]
+    integrals = [call for call in made if call[0] != "coverage"]
+    assert covered and len(covered) == len(set(covered))
+    assert {name for name, _ in integrals} == set(FUNCTIONALS)
+    assert len(integrals) == len(set(integrals))
+    monkeypatch.undo()
+    cold_rate_caches()
+    together = [(spec, str(tmp_path / f"together{i}.csv")) for i, spec in enumerate(specs)]
+    assert run_sweeps(together) == counts
+    for (_, path), alone in zip(together, per_mode):
+        assert Path(path).read_bytes() == alone.read_bytes(), alone.name
+
+
+def test_fig3_builds_one_table_per_point_and_writes_each_file_as_alone(
+    monkeypatch, tmp_path, cold_rate_caches
+):
     specs = [dataclasses.replace(spec, methods=("analytic",)) for _, spec in figure_presets()["fig3"]]
     tables = []
 
