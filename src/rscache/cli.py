@@ -25,9 +25,10 @@ from .distributions import coverage, dist_spec
 from .model import PowerSplit, ReceiverClass, SinrKind, SystemParams, stream_powers
 from .montecarlo import SimConfig, estimate_coverage
 from .quadrature import QuadratureError
-from .rates import asymptotic_report
+from .rates import asymptotic_report, slot
 from .sweep import (
     METHOD_ANALYTIC,
+    METHOD_ASYMPTOTIC,
     METHOD_MC,
     SWEEP_VARIABLES,
     SweepSpec,
@@ -145,10 +146,9 @@ def _cmd_sweep(args) -> int:
         params=params,
         split=split,
         subcases=subcases,
-        methods=_METHOD_CHOICES[args.methods],
+        methods=_METHOD_CHOICES[args.methods] + ((METHOD_ASYMPTOTIC,) if args.asymptotic else ()),
         sim=sim,
         log_scale=args.log,
-        include_asymptotic=args.asymptotic,
     )
     rows = run_sweep(spec, args.out)
     print(f"wrote {args.out}: {rows} data rows")
@@ -185,6 +185,8 @@ def _cmd_coverage(args) -> int:
     thresholds = [float(x) for x in args.t.split(",") if x.strip()]
     if not thresholds:
         raise ValueError("--t needs at least one threshold")
+    if any(math.isnan(t) for t in thresholds):
+        raise ValueError("--t thresholds must be numbers, not nan")
     print(f"coverage of {kind.value} at the {cls.value} receiver"
           f" (beta={split.beta:g}, rho={split.rho:g})")
     if args.mc:
@@ -244,15 +246,17 @@ def _cmd_figure(args) -> int:
     for fname, spec in entries:
         spec = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, **sim_values))
         if args.methods:
-            spec = dataclasses.replace(spec, methods=_METHOD_CHOICES[args.methods])
+            # the option picks the compared methods; a preset's asymptotic rows stay
+            kept = tuple(m for m in spec.methods if m == METHOD_ASYMPTOTIC)
+            spec = dataclasses.replace(spec, methods=_METHOD_CHOICES[args.methods] + kept)
         pairs.append((spec, os.path.join(args.out_dir, fname)))
     # the preset's files share one draw per point
     for (spec, path), rows in zip(pairs, run_sweeps(pairs)):
         print(f"wrote {path}: {rows} data rows")
-        if spec.include_asymptotic:
+        if METHOD_ASYMPTOTIC in spec.methods:
             for token in spec.subcases:
                 subcase = parse_subcase_token(spec.mode, token)
-                limit = asymptotic_report(subcase, spec.params, spec.split).r_sum
+                limit = asymptotic_report(slot(subcase, spec.params, spec.split)).r_sum
                 label = "unbounded" if math.isinf(limit) else f"bounded at {limit:.9g}"
                 print(f"  asymptotic sum rate for {token}: {label}")
     return EXIT_OK

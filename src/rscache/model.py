@@ -99,10 +99,10 @@ class SystemParams:
             # every SINR bound would be inf/inf; the high-power limit is
             # what the asymptotic rows report
             raise ValueError("P must be finite; use --asymptotic for the high-power limit")
-        if not self.alpha > 2:
-            raise ValueError("path-loss exponent must exceed 2")
-        if not (0 < self.r_c <= self.r_e < self.r_0):
-            raise ValueError("radii must satisfy 0 < r_c <= r_e < r_0")
+        if not 2 < self.alpha < math.inf:
+            raise ValueError("path-loss exponent must be finite and exceed 2")
+        if not 0 < self.r_c <= self.r_e < self.r_0 < math.inf:
+            raise ValueError("radii must be finite and satisfy 0 < r_c <= r_e < r_0")
         try:
             self.r_0**self.alpha
         except OverflowError:

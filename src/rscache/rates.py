@@ -25,8 +25,10 @@ The subcases at one working point differ only in their pre-logs and in
 which receiver cancels, so a report is fixed by its slot (the point, the
 receiver that cancels and the two pre-logs). evaluate_points builds the
 reports of every slot at a point from one table of the point (_Point);
-evaluate_subcase is its one-slot case. The table, which the integral
-functionals read too, is this module's one memo and lives for the process.
+evaluate_subcase is its one-slot case. The table is this module's one memo
+and lives for the process: it memoises the integral functionals and the
+receiver dispatch, and hands each the table as its first argument.
+asymptotic_report gives a slot's high-power limits.
 
 Every integral runs on the one fixed piecewise G7K15 rule of
 quadrature.gauss_kronrod, in one numpy evaluation, and is refused
@@ -269,7 +271,7 @@ def _mean_lograte(
     return min(max(rate, lograte(omega, lo)), lograte(omega, hi))
 
 
-def gap_thresholds(params: SystemParams, split: PowerSplit, cls: ReceiverClass) -> tuple[float, float]:
+def gap_thresholds(point: _Point, cls: ReceiverClass) -> tuple[float, float]:
     """Thresholds comparing the private decode event to the common one.
 
     Returns (after_common, with_interference): the private target at which
@@ -278,21 +280,16 @@ def gap_thresholds(params: SystemParams, split: PowerSplit, cls: ReceiverClass) 
     cancellation variants because the bound ratio collapses either way.
     Only meaningful while zeta sits below the relevant common bound.
     """
-    common_iic = sinr_bound(SinrKind.COMMON_IIC, cls, stream_powers(params.P, split))
-    r = _mul(common_iic, _inv(params.zeta))
+    common_iic = sinr_bound(SinrKind.COMMON_IIC, cls, point.powers)
+    r = _mul(common_iic, _inv(point.params.zeta))
     after = _inv(r - 1.0) if r > 1.0 else math.inf
     with_i = _inv(r + common_iic - 1.0) if r + common_iic > 1.0 else math.inf
     return after, with_i
 
 
-def common_rate_single(
-    params: SystemParams,
-    split: PowerSplit,
-    cls: ReceiverClass,
-    iic: bool,
-) -> float:
+def common_rate_single(point: _Point, cls: ReceiverClass, iic: bool) -> float:
     """E[log2(1 + common SINR) | it clears zeta] for one receiver, pre-log free."""
-    point = _point(params, split)
+    params = point.params
     spec = point.law(SinrKind.COMMON, cls, iic)
     pi = point.cover(SinrKind.COMMON, cls, iic, params.zeta)
     return _mean_lograte(spec, 1.0, params.zeta, spec.theta, pi, params)
@@ -357,9 +354,7 @@ def integrate_log_scaled(
     )
 
 
-def common_rate_both(
-    params: SystemParams, split: PowerSplit, iic_at: ReceiverClass | None
-) -> float:
+def common_rate_both(point: _Point, iic_at: ReceiverClass | None) -> float:
     """E[log2(1 + min of the two common SINRs) | both clear zeta], pre-log free.
 
     The gains are independent, so the min clears a level t with the product
@@ -375,8 +370,8 @@ def common_rate_both(
     scale is formed from s directly, not from the level t(s), whose
     distance to a shared bound cancels at high power.
     """
+    params = point.params
     z = params.zeta
-    point = _point(params, split)
     spec_c, spec_e = (point.law(SinrKind.COMMON, cls, iic_at is cls) for cls in ReceiverClass)
     pi_c, pi_e = (point.cover(SinrKind.COMMON, cls, iic_at is cls, z) for cls in ReceiverClass)
     norm = pi_c * pi_e
@@ -419,11 +414,7 @@ def common_rate_both(
 
 
 def common_stream_rate(
-    params: SystemParams,
-    split: PowerSplit,
-    cls: ReceiverClass,
-    omega: float,
-    iic_at: ReceiverClass | None,
+    point: _Point, cls: ReceiverClass, omega: float, iic_at: ReceiverClass | None
 ) -> float:
     """Common-stream contribution for one receiver, given it decodes.
 
@@ -431,7 +422,7 @@ def common_stream_rate(
     time-shared (fraction u to the center class) at the min SINR;
     otherwise this receiver gets the full slot at its own SINR.
     """
-    point = _point(params, split)
+    params = point.params
     pi_other = point.cover(SinrKind.COMMON, cls.other, iic_at is cls.other, params.zeta)
     both = point.at(common_rate_both, iic_at)
     alone = point.at(common_rate_single, cls, iic_at is cls)
@@ -439,11 +430,7 @@ def common_stream_rate(
 
 
 def private_rate_after_common(
-    params: SystemParams,
-    split: PowerSplit,
-    cls: ReceiverClass,
-    omega: float,
-    iic: bool,
+    point: _Point, cls: ReceiverClass, omega: float, iic: bool
 ) -> float:
     """Private-stream rate when the common stream was decoded and removed.
 
@@ -452,7 +439,7 @@ def private_rate_after_common(
     equal-gain point, condition on the private event itself; below it,
     the common event is the binding one and the integral starts there.
     """
-    point = _point(params, split)
+    params = point.params
     if point.powers.own(cls) == 0.0:
         return 0.0
     z = params.zeta
@@ -472,11 +459,7 @@ def private_rate_after_common(
 
 
 def private_rate_with_interference(
-    params: SystemParams,
-    split: PowerSplit,
-    cls: ReceiverClass,
-    omega: float,
-    iic: bool,
+    point: _Point, cls: ReceiverClass, omega: float, iic: bool
 ) -> float:
     """Private-stream rate with the common stream left in the interference.
 
@@ -484,7 +467,7 @@ def private_rate_with_interference(
     served. Below it the conditioning carves out the gap where the private
     stream survives but the common decode failed.
     """
-    point = _point(params, split)
+    params = point.params
     if point.powers.own(cls) == 0.0:
         return 0.0
     z = params.zeta
@@ -529,14 +512,14 @@ class _Point:
     """One working point's table, each entry made on first use; made and kept by _point.
 
     The stream powers, each (SINR kind, class, cancels) law and (law, threshold) coverage,
-    and, through at, each value of a function of the point by its own further arguments:
+    and, through at, each value of a function of the table by its own further arguments:
     the gap thresholds (class), the four integral functionals (class, omega, cancels) and
     the receiver dispatch (class, omega, iic_at). The table is the module's one memo and
     lives for the process.
     """
 
     def __init__(self, params: SystemParams, split: PowerSplit) -> None:
-        self.params, self.split = params, split
+        self.params = params
         self.powers = stream_powers(params.P, split)
         self._made: dict[tuple, object] = {}
 
@@ -558,9 +541,9 @@ class _Point:
         return coverage(self.law(kind, cls, iic), t, self.params)
 
     def at(self, fn: Callable, *args):
-        # fn(params, split, *args); callers pass the module's name for fn, looked
-        # up at each call, so a hook on it sees every miss
-        return self._once((fn, *args), fn, self.params, self.split, *args)
+        # fn(self, *args); callers pass the module's name for fn, looked up at
+        # each call, so a hook on it sees every miss
+        return self._once((fn, *args), fn, self, *args)
 
 
 @lru_cache(maxsize=256)  # a table holds about 10 KB
@@ -570,11 +553,7 @@ def _point(params: SystemParams, split: PowerSplit) -> _Point:
 
 
 def achieved_rate(
-    params: SystemParams,
-    split: PowerSplit,
-    cls: ReceiverClass,
-    omega: float,
-    iic_at: ReceiverClass | None = None,
+    point: _Point, cls: ReceiverClass, omega: float, iic_at: ReceiverClass | None
 ) -> ReceiverRate:
     """Served rate of one receiver under the regime dispatch.
 
@@ -584,14 +563,14 @@ def achieved_rate(
     only the time-sharing term feels it (through the partner's decode
     probability and min-SINR law).
     """
-    point = _point(params, split)
+    params = point.params
     z = params.zeta
     xi_t = private_sinr_threshold(omega, params.xi)
     iic = iic_at is cls
     if z < point.law(SinrKind.COMMON, cls, iic).theta:
         after, with_i = point.at(gap_thresholds, cls)
         pi_0 = point.cover(SinrKind.COMMON, cls, iic, z)
-        rs0 = common_stream_rate(params, split, cls, omega, iic_at)
+        rs0 = common_stream_rate(point, cls, omega, iic_at)
         rp = point.at(private_rate_after_common, cls, omega, iic)
         if xi_t <= with_i:
             pi_pif = point.cover(SinrKind.PRIVATE_INTERF, cls, iic, xi_t)
@@ -728,13 +707,11 @@ def asymptotic_rate(
     return 0.0
 
 
-def asymptotic_report(
-    subcase: Subcase, params: SystemParams, split: PowerSplit
-) -> RateReport:
-    """High-power limits for one subcase; infinities pass through the sum."""
-    w_c, w_e = omegas(params, subcase)
-    r_c = asymptotic_rate(params, split, ReceiverClass.CENTER, w_c, subcase.iic_at)
-    r_e = asymptotic_rate(params, split, ReceiverClass.EDGE, w_e, subcase.iic_at)
+def asymptotic_report(key: Slot) -> RateReport:
+    """High-power limits of one slot; infinities pass through the sum."""
+    params, split, iic_at, w_c, w_e = key
+    r_c = asymptotic_rate(params, split, ReceiverClass.CENTER, w_c, iic_at)
+    r_e = asymptotic_rate(params, split, ReceiverClass.EDGE, w_e, iic_at)
     return RateReport(
         r_center=r_c,
         r_edge=r_e,

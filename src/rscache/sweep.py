@@ -1,7 +1,8 @@
 """Grid sweeps over a working-point variable, CSV emission, and comparison.
 
 A sweep evaluates every requested subcase at every grid point by the
-requested methods and writes one CSV row per (point, subcase, method).
+requested methods (analytic, monte-carlo and the high-power limit,
+asymptotic) and writes one CSV row per (point, subcase, method).
 The CSV is the stable interface: 9-significant-digit values, LF line
 endings, and a fixed header, so a pinned (seed, spec) reproduces the file
 byte for byte at any worker count.
@@ -9,8 +10,9 @@ byte for byte at any worker count.
 run_sweeps writes several; run_sweep is its one-spec case. Specs that
 share a grid, a SimConfig and the draw's inputs share each point's draw
 and analytic tables: at each point each method runs once over the slots
-(rates.slot) the specs ask for, and a row looks up its report by its
-subcase's slot. Each file still gets the bytes its spec writes alone.
+(rates.slot) the specs ask for, and every row, of every method, looks up
+its report by its subcase's slot. Each file still gets the bytes its spec
+writes alone.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ MODE_SUBCASES: dict[Mode, tuple[str, ...]] = {
 
 METHOD_ANALYTIC = "analytic"
 METHOD_MC = "monte-carlo"
+METHOD_ASYMPTOTIC = "asymptotic"
 
 
 def _fmt(x: float) -> str:
@@ -95,7 +98,12 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: the swept variable, its grid, and the fixed working point."""
+    """One sweep: the swept variable, its grid, the fixed working point and the methods.
+
+    methods is any nonempty choice of METHOD_ANALYTIC, METHOD_MC and
+    METHOD_ASYMPTOTIC; each subcase's rows are written in that order,
+    whatever order methods lists them in.
+    """
 
     variable: str
     start: float
@@ -108,7 +116,6 @@ class SweepSpec:
     methods: tuple[str, ...] = (METHOD_ANALYTIC,)
     sim: SimConfig = SimConfig()
     log_scale: bool = False
-    include_asymptotic: bool = False
 
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
@@ -125,7 +132,8 @@ class SweepSpec:
             raise ValueError("grid start must lie below its stop")
         if self.log_scale and self.variable != "P":
             raise ValueError("log grids only make sense for the power sweep")
-        bad = [m for m in self.methods if m not in (METHOD_ANALYTIC, METHOD_MC)]
+        known = (METHOD_ANALYTIC, METHOD_MC, METHOD_ASYMPTOTIC)
+        bad = [m for m in self.methods if m not in known]
         if bad or not self.methods:
             raise ValueError(f"unknown methods {bad!r}")
         if not self.subcases:
@@ -184,20 +192,18 @@ def _rows(specs: Sequence[SweepSpec]) -> list[list[str]]:
         methods = {
             METHOD_ANALYTIC: evaluate_points,
             METHOD_MC: partial(estimate_points, sim=sim, components=False),
+            METHOD_ASYMPTOTIC: partial(map, asymptotic_report),
         }
         reports = {}
         for method, run in methods.items():
             asked = [key for spec, row in zip(specs, keys) if method in spec.methods for key in row]
             if asked:
                 reports[method] = dict(zip(asked, run(asked)))
-        for i, (spec, (params, split)) in enumerate(zip(specs, points)):
+        for i, spec in enumerate(specs):
             for sub, key in zip(subcases[i], keys[i]):
                 for method in methods:
                     if method in spec.methods:
                         rows[i].append(_row(spec, value, sub, key, reports[method][key]))
-                if spec.include_asymptotic:
-                    report = asymptotic_report(sub, params, split)
-                    rows[i].append(_row(spec, value, sub, key, report))
     return rows
 
 
@@ -348,10 +354,9 @@ def figure_presets() -> dict[str, tuple[tuple[str, SweepSpec], ...]]:
     def power_sweep(beta: float, xi: float, subcases: tuple[str, ...]) -> SweepSpec:
         return SweepSpec(
             variable="P", start=1.0, stop=1e8, points=17, log_scale=True,
-            mode=Mode.MPC_CC, subcases=subcases, methods=both,
+            mode=Mode.MPC_CC, subcases=subcases, methods=(*both, METHOD_ASYMPTOTIC),
             params=dataclasses.replace(base, N=60, K=2, zeta=1.0, xi=xi),
             split=PowerSplit(beta=beta, rho=0.5),
-            include_asymptotic=True,
         )
 
     iic = ("efr/xor+iic-c", "efr/pfr+iic-c")
@@ -374,6 +379,9 @@ def compare_csv(path: str, samples: int) -> CompareSummary:
     samples must be the simulated draw count the sweep ran with; it turns
     the frequency columns back into event counts for the rare-event gate.
     """
+    if samples < 1:
+        # no draws leave no event to count, and every count gate would pass
+        raise ValueError(f"samples must be at least 1, got {samples}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER.split(","):

@@ -24,7 +24,7 @@ from rscache.model import (
     private_sinr_threshold,
 )
 from rscache.montecarlo import SimConfig, estimate_coverage, estimate_rates, sample_channels
-from rscache.rates import asymptotic_report, evaluate_subcase
+from rscache.rates import asymptotic_report, evaluate_subcase, slot
 from rscache.sweep import MODE_SUBCASES, SweepSpec, compare_reports, run_sweep
 
 from oracles import outage_region, served_per_draw
@@ -182,7 +182,7 @@ def test_c7_high_power_limits():
     split = PowerSplit(beta=0.6, rho=0.5)
     for token in ("efr/xor", "efr/pfr", "efr/efr"):
         subcase = parse_subcase_token(Mode.MPC_CC, token)
-        limit = asymptotic_report(subcase, HIGH_POWER_PARAMS, split)
+        limit = asymptotic_report(slot(subcase, HIGH_POWER_PARAMS, split))
         assert math.isfinite(limit.r_sum)
         at_p = evaluate_subcase(subcase, HIGH_POWER_PARAMS, split)
         assert at_p.r_sum == pytest.approx(limit.r_sum, rel=0.01)
@@ -191,7 +191,7 @@ def test_c7_high_power_limits():
     # so these configurations keep growing with power
     for token in ("efr/xor+iic-c", "efr/pfr+iic-c"):
         subcase = parse_subcase_token(Mode.MPC_CC, token)
-        limit = asymptotic_report(subcase, HIGH_POWER_PARAMS, split)
+        limit = asymptotic_report(slot(subcase, HIGH_POWER_PARAMS, split))
         assert math.isinf(limit.r_sum)
         at_p = evaluate_subcase(subcase, HIGH_POWER_PARAMS, split)
         assert math.isfinite(at_p.r_sum) and at_p.r_sum > 10.0
@@ -202,7 +202,7 @@ def test_c7_high_power_limits():
     split = PowerSplit(beta=0.3, rho=0.5)
     for token in ("efr/xor+iic-c", "efr/pfr+iic-c"):
         subcase = parse_subcase_token(Mode.MPC_CC, token)
-        limit = asymptotic_report(subcase, bounded, split)
+        limit = asymptotic_report(slot(subcase, bounded, split))
         assert math.isfinite(limit.r_sum)
         at_p = evaluate_subcase(subcase, bounded, split)
         assert at_p.r_sum == pytest.approx(limit.r_sum, rel=0.01)

@@ -28,7 +28,7 @@ from rscache.model import (
     stream_powers,
 )
 from rscache.quadrature import QuadratureError
-from rscache.rates import asymptotic_report, evaluate_subcase
+from rscache.rates import asymptotic_report, evaluate_subcase, slot
 from rscache.sweep import MODE_SUBCASES, figure_presets
 
 from oracles import level_of_s
@@ -243,9 +243,9 @@ def test_evaluate_subcase_runs_each_receiver_term_once(monkeypatch, cold_rate_ca
     names = ("common_stream_rate", "private_rate_after_common", "private_rate_with_interference")
     calls = Counter()
     for name in names:
-        def counted(params, split, cls, *args, _name=name, _fn=getattr(rates, name)):
+        def counted(point, cls, *args, _name=name, _fn=getattr(rates, name)):
             calls[_name, cls] += 1
-            return _fn(params, split, cls, *args)
+            return _fn(point, cls, *args)
 
         monkeypatch.setattr(rates, name, counted)
     sub = parse_subcase_token(Mode.ALL_CC, "xor/xor")
@@ -266,7 +266,7 @@ def test_components_are_the_functionals_bit_for_bit():
             parts = rep.components
             branches |= {rep.branch_center, rep.branch_edge}
             for cls, w in zip(ReceiverClass, rates.omegas(PARAMS, sub)):
-                args, iic = (PARAMS, split, cls, w), sub.iic_at is cls
+                args, iic = (rates._point(PARAMS, split), cls, w), sub.iic_at is cls
                 want = (
                     rates.common_stream_rate(*args, sub.iic_at),
                     rates.private_rate_after_common(*args, iic),
@@ -350,7 +350,7 @@ def test_high_power_roster_matches_the_limit(power):
         split = PowerSplit(beta=beta, rho=0.5)
         for sub in subs:
             rep = evaluate_subcase(sub, params, split)
-            limit = asymptotic_report(sub, params, split)
+            limit = asymptotic_report(slot(sub, params, split))
             for field in ("r_center", "r_edge", "r_sum"):
                 got, want = getattr(rep, field), getattr(limit, field)
                 if not math.isfinite(got) or (

@@ -20,6 +20,7 @@ from rscache.model import (
 )
 from rscache.montecarlo import SimConfig
 from rscache.quadrature import QuadratureError
+from rscache.sweep import figure_presets
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,6 +108,18 @@ def test_compare_missing_file_is_a_usage_error():
     assert cli.main(["compare", "/nonexistent/sweep.csv"]) == 1
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_compare_without_draws_is_a_usage_error(samples, tmp_path, capsys):
+    # no draws turn every frequency into an event count of 0, which no
+    # check can fail
+    out = run_sweep_args(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["compare", str(out), "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err == f"error: samples must be at least 1, got {samples}\n"
+
+
 def test_numerical_failure_exit_code(monkeypatch, tmp_path):
     def explode(spec, path):
         raise QuadratureError("synthetic breakdown")
@@ -137,7 +150,9 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("setting", ["zeta=nan", "alpha=nan", "P=inf", "alpha=200"])
+@pytest.mark.parametrize(
+    "setting", ["zeta=nan", "alpha=nan", "P=inf", "alpha=200", "alpha=inf", "r_0=inf"]
+)
 def test_nan_setting_exits_1_without_output(setting, tmp_path, capsys):
     out = tmp_path / "x.csv"
     argv = ["sweep", "--var", "beta", "--from", "0.3", "--to", "0.6",
@@ -180,6 +195,8 @@ ZERO_ZERO_NOTE = (
     [
         # a threshold whose scale underflows to 0: the coverage is 1
         (["coverage", "--kind", "common", "--t", "5e-324", "--no-mc"], 0),
+        # a NaN threshold has no coverage: rejected as input
+        (["coverage", "--kind", "common", "--t", "0.5,nan", "--no-mc"], 1),
         # the partner scale of the min-rate underflows; near-infinite SNR
         (DEGENERATE_SWEEP + ["--set", "sigma2=1e-300"], 0),
         # the private threshold's scale underflows to 0
@@ -215,7 +232,7 @@ ZERO_ZERO_NOTE = (
           "--set", "r_e=160", "--set", "r_0=170", "--set", "sigma2=1e-9"], 0),
     ],
     ids=[
-        "tiny-threshold", "tiny-noise", "tiny-xi", "tiny-radius", "least-noise",
+        "tiny-threshold", "nan-threshold", "tiny-noise", "tiny-xi", "tiny-radius", "least-noise",
         "subnormal-noise", "efold-on-knee", "partner-underflow",
         "tail-underflow-coverage", "tail-underflow-sweep", "wide-cell",
     ],
@@ -335,18 +352,22 @@ def test_settings_keys_are_the_numeric_fields_of_the_settings(tmp_path, monkeypa
 
 
 def test_coverage_table_matches_library(capsys):
+    # inf and a negative threshold have the exact coverages 0 and 1
+    thresholds = (0.1, 0.3, math.inf, -1.0)
     assert cli.main(["coverage", "--kind", "common", "--cls", "edge",
-                     "--t", "0.1,0.3", "--no-mc"]) == 0
+                     "--t", "0.1,0.3,inf,-1", "--no-mc"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split() == ["t", "analytic"]
     params = SystemParams()
     split = PowerSplit(beta=0.5, rho=0.5)
     spec = dist_spec(SinrKind.COMMON, ReceiverClass.EDGE,
                      stream_powers(params.P, split), params)
-    for row, t in zip(lines[2:], (0.1, 0.3)):
+    assert len(lines) == 2 + len(thresholds)
+    for row, t in zip(lines[2:], thresholds):
         shown_t, shown_cov = (float(x) for x in row.split())
         assert shown_t == t
         assert shown_cov == pytest.approx(coverage(spec, t, params), rel=1e-8)
+    assert [row.split()[1] for row in lines[-2:]] == ["0", "1"]
 
 
 def test_coverage_with_simulation_reports_z(capsys):
@@ -366,6 +387,17 @@ def test_figure_preset_writes_files(tmp_path, capsys):
     rows = (tmp_path / "fig5.csv").read_text().splitlines()
     assert len(rows) == 96
     assert all(",analytic," in r for r in rows[1:])
+
+
+def test_figure_methods_keeps_the_presets_asymptotic_rows(tmp_path, capsys):
+    # --methods picks the compared methods; fig9's high-power limits stay
+    assert cli.main(["figure", "fig9", "--methods", "analytic",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert "asymptotic sum rate" in capsys.readouterr().out
+    for name, spec in figure_presets()["fig9"]:
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        methods = [row.split(",")[7] for row in rows]
+        assert methods == ["analytic", "asymptotic"] * (spec.points * len(spec.subcases)), name
 
 
 def test_figure_seed_env_then_flag(tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ import math
 import mpmath as mp
 import pytest
 
+from rscache import rates
 from rscache.caching import Mode, parse_subcase_token
 from rscache.distributions import coverage, dist_spec, scale_measure
 from rscache.model import (
@@ -178,7 +179,7 @@ def test_common_rate_single_edge_matches_mpmath():
     spec = dist_spec(SinrKind.COMMON, ReceiverClass.EDGE, _powers(STOCK), PARAMS)
     with mp.workdps(RATE_DPS):
         want = _ref_expect(spec, PARAMS.zeta, spec.theta) / _ref_coverage(spec, PARAMS.zeta)
-    got = common_rate_single(PARAMS, STOCK, ReceiverClass.EDGE, False)
+    got = common_rate_single(rates._point(PARAMS, STOCK), ReceiverClass.EDGE, False)
     assert got == pytest.approx(float(want), rel=1e-10)
     # the value a cancelling density froze: 0.5935459527, off by -1.4e-7
     assert got == pytest.approx(0.593546033263504, rel=1e-12)
@@ -195,7 +196,7 @@ def test_common_rate_both_matches_mpmath():
             return _ref_expect(inner, z, inner.theta, lambda t: _ref_coverage(outer, t))
 
         want = (half(e, c) + half(c, e)) / (_ref_coverage(c, z) * _ref_coverage(e, z))
-    got = common_rate_both(PARAMS, STOCK, None)
+    got = common_rate_both(rates._point(PARAMS, STOCK), None)
     assert got == pytest.approx(float(want), rel=1e-10)
 
 
@@ -229,7 +230,7 @@ def test_common_rate_both_ends_at_the_kink_like_mpmath():
             return mp.quad(f, pts + [hi])
 
         want = (half(e, c) + half(c, e)) / (_ref_coverage(c, z) * _ref_coverage(e, z))
-    got = common_rate_both(params, split, ReceiverClass.EDGE)
+    got = common_rate_both(rates._point(params, split), ReceiverClass.EDGE)
     assert name == "fig3_cc-mpc.csv"
     assert got == pytest.approx(float(want), rel=1e-11)
     # integrating across the kink to infinity gave 0.5912165445, 1.2e-6 low
@@ -256,7 +257,8 @@ def test_common_rate_both_at_high_power_matches_mpmath(power, iic_at, want):
     # to the bound cancels. References from the tail-product integral at 40
     # digits, taken in the scale of either receiver; at P = 1e100 the rate is
     # its noise-free limit log2(1 + 7/3).
-    got = common_rate_both(SystemParams(P=power), PowerSplit(beta=0.7, rho=0.5), iic_at)
+    point = rates._point(SystemParams(P=power), PowerSplit(beta=0.7, rho=0.5))
+    got = common_rate_both(point, iic_at)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -269,14 +271,14 @@ def test_private_rate_after_common_edge_matches_mpmath():
     sub = parse_subcase_token(Mode.MPC_CC, "efr/pfr")
     _, omega = omegas(PARAMS, sub)
     xi_t = private_sinr_threshold(omega, PARAMS.xi)
-    after, _ = gap_thresholds(PARAMS, STOCK, cls)
+    after, _ = gap_thresholds(rates._point(PARAMS, STOCK), cls)
     assert xi_t < after
     spec = dist_spec(SinrKind.PRIVATE, cls, powers, PARAMS)
     spec0 = dist_spec(SinrKind.COMMON, cls, powers, PARAMS)
     bound = sinr_bound(SinrKind.PRIVATE, cls, powers)
     with mp.workdps(RATE_DPS):
         want = omega * _ref_expect(spec, after, bound) / _ref_coverage(spec0, PARAMS.zeta)
-    got = private_rate_after_common(PARAMS, STOCK, cls, omega, False)
+    got = private_rate_after_common(rates._point(PARAMS, STOCK), cls, omega, False)
     assert got == pytest.approx(float(want), rel=1e-10)
 
 
@@ -293,7 +295,7 @@ def test_private_rate_with_interference_deep_edge_matches_mpmath():
     bound = sinr_bound(SinrKind.PRIVATE_INTERF, cls, powers)
     with mp.workdps(RATE_DPS):
         want = _ref_expect(spec, xi_t, bound) / _ref_coverage(spec, xi_t)
-    got = private_rate_with_interference(PARAMS, DEEP, cls, 1.0, False)
+    got = private_rate_with_interference(rates._point(PARAMS, DEEP), cls, 1.0, False)
     assert got == pytest.approx(float(want), rel=1e-10)
     assert got == pytest.approx(1.00139693407776, rel=1e-12)
 
@@ -342,5 +344,5 @@ def test_cancelled_interference_route_at_high_power_matches_mpmath():
 
         pts = [lo] + [mp.mpf(k) for k in range(int(lo) + 1, 8)]
         want = mp.quad(f, pts) / _ref_coverage(spec, xi_t)
-    got = private_rate_with_interference(params, split, cls, 1.0, True)
+    got = private_rate_with_interference(rates._point(params, split), cls, 1.0, True)
     assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)

@@ -9,6 +9,7 @@ subcases and calls ask for it.
 """
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,13 +79,30 @@ def test_the_union_at_a_point_makes_each_dispatch_and_coverage_once(monkeypatch,
     params, split = SystemParams(), PowerSplit(beta=0.4, rho=0.3)
     made = _counted(monkeypatch, ("achieved_rate", "coverage"))
     evaluate_points([slot(sub, params, split) for sub in UNION])
-    dispatched = [args[2:5] for name, args in made if name == "achieved_rate"]
+    dispatched = [args[1:4] for name, args in made if name == "achieved_rate"]
     covered = [args[:2] for name, args in made if name == "coverage"]
     receivers = {
         (cls, w, sub.iic_at) for sub in UNION for cls, w in zip(ReceiverClass, omegas(params, sub))
     }
     assert len(receivers) == len(dispatched) == 12 and set(dispatched) == receivers
     assert covered and len(covered) == len(set(covered))
+
+
+def test_only_evaluate_points_asks_for_a_table_once_per_slot(cold_rate_caches, monkeypatch):
+    # the functionals are handed the table they are memoised in, so from cold
+    # caches no one but evaluate_points looks a table up, once per slot
+    slots = [slot(sub, SystemParams(), PowerSplit(beta=0.4, rho=0.3)) for sub in UNION]
+    callers = []
+    table = rates._point
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return table(*args)
+
+    monkeypatch.setattr(rates, "_point", counted)
+    evaluate_points(slots)
+    assert len(slots) == 20
+    assert callers == ["evaluate_points"] * len(slots)
 
 
 def test_per_mode_sweeps_of_a_line_share_each_coverage_and_integral(

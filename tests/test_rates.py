@@ -39,6 +39,7 @@ from rscache.rates import (
     _pieces,
     _tail_pieces,
     gap_thresholds,
+    slot,
     sum_rate,
 )
 from rscache.sweep import MODE_SUBCASES, compare_reports
@@ -96,7 +97,7 @@ def min_rate_by_ccdf_identity(params, split, iic_at, rtol=1e-10):
     ],
 )
 def test_min_rate_matches_the_ccdf_identity(split, iic_at):
-    direct = common_rate_both(PARAMS, split, iic_at)
+    direct = common_rate_both(rates._point(PARAMS, split), iic_at)
     identity = min_rate_by_ccdf_identity(PARAMS, split, iic_at)
     assert direct == pytest.approx(identity, rel=1e-7)
 
@@ -104,20 +105,20 @@ def test_min_rate_matches_the_ccdf_identity(split, iic_at):
 def test_min_rate_matches_the_two_axis_integration():
     # same quantity through the joint density; slow, so only spot points
     for split, iic_at in ((SPLIT, None), (PowerSplit(0.6, 0.4), ReceiverClass.EDGE)):
-        direct = common_rate_both(PARAMS, split, iic_at)
+        direct = common_rate_both(rates._point(PARAMS, split), iic_at)
         nested = nested_common_rate_both(PARAMS, split, iic_at, 1e-5)
         assert direct == pytest.approx(nested, rel=1e-5)
 
 
 def test_min_rate_sits_between_its_almost_sure_bounds():
     bound = sinr_bound(SinrKind.COMMON, ReceiverClass.CENTER, stream_powers(PARAMS.P, SPLIT))
-    got = common_rate_both(PARAMS, SPLIT, None)
+    got = common_rate_both(rates._point(PARAMS, SPLIT), None)
     assert math.log2(1.0 + PARAMS.zeta) <= got <= math.log2(1.0 + bound)
 
 
 def test_single_receiver_common_rate_bounds():
     for cls in ReceiverClass:
-        got = common_rate_single(PARAMS, SPLIT, cls, False)
+        got = common_rate_single(rates._point(PARAMS, SPLIT), cls, False)
         bound = sinr_bound(SinrKind.COMMON, cls, stream_powers(PARAMS.P, SPLIT))
         assert math.log2(1.0 + PARAMS.zeta) <= got <= math.log2(1.0 + bound)
 
@@ -126,7 +127,7 @@ def test_single_receiver_common_rate_bounds():
 @given(split=interior_splits)
 def test_gap_threshold_ordering(split):
     for cls in ReceiverClass:
-        after, with_i = gap_thresholds(PARAMS, split, cls)
+        after, with_i = gap_thresholds(rates._point(PARAMS, split), cls)
         powers = stream_powers(PARAMS.P, split)
         assert 0.0 < with_i <= after
         if PARAMS.zeta < sinr_bound(SinrKind.COMMON, cls, powers):
@@ -174,12 +175,13 @@ def _branch_reconstruction(params, split, cls, omega, iic_at):
     pi_0 = coverage(dist_spec(kind_0, cls, powers, params), params.zeta, params)
     pi_p = coverage(dist_spec(kind_p, cls, powers, params), xi_t, params)
     pi_pif = coverage(dist_spec(kind_pi, cls, powers, params), xi_t, params)
-    rs0 = common_stream_rate(params, split, cls, omega, iic_at)
-    got = achieved_rate(params, split, cls, omega, iic_at)
+    point = rates._point(params, split)
+    rs0 = common_stream_rate(point, cls, omega, iic_at)
+    got = achieved_rate(point, cls, omega, iic_at)
     if got.branch in ("B1", "B2", "B3"):
         from rscache.rates import private_rate_after_common, private_rate_with_interference
 
-        rp = private_rate_after_common(params, split, cls, omega, self_iic)
+        rp = private_rate_after_common(point, cls, omega, self_iic)
         if got.branch == "B1":
             want = rs0 + (pi_p / pi_0 if pi_0 > 0 else 0.0) * rp
             assert got.q == pytest.approx(pi_0, rel=1e-12)
@@ -187,14 +189,14 @@ def _branch_reconstruction(params, split, cls, omega, iic_at):
             want = rs0 + rp
             assert got.q == pytest.approx(pi_0, rel=1e-12)
         else:
-            rpi = private_rate_with_interference(params, split, cls, omega, self_iic)
+            rpi = private_rate_with_interference(point, cls, omega, self_iic)
             share = min(1.0, pi_0 / pi_pif) if pi_pif > 0 else 0.0
             want = share * (rs0 + rp) + (1.0 - share) * rpi
             assert got.q == pytest.approx(pi_pif, rel=1e-12)
     elif got.branch == "B4":
         from rscache.rates import private_rate_with_interference
 
-        want = private_rate_with_interference(params, split, cls, omega, self_iic)
+        want = private_rate_with_interference(point, cls, omega, self_iic)
         assert got.q == pytest.approx(pi_pif, rel=1e-12)
     else:
         want = 0.0
@@ -228,7 +230,7 @@ def test_branch_formulas_reconstruct_and_all_branches_appear():
     omega=1.0, cls=ReceiverClass.EDGE, iic=ReceiverClass.EDGE,
 )
 def test_dispatch_is_total_and_sane(split, omega, cls, iic):
-    got = achieved_rate(PARAMS, split, cls, omega, iic)
+    got = achieved_rate(rates._point(PARAMS, split), cls, omega, iic)
     assert got.branch in ("B1", "B2", "B3", "B4", "Z")
     assert 0.0 <= got.q <= 1.0
     assert got.rate >= 0.0 and math.isfinite(got.rate)
@@ -247,7 +249,7 @@ def test_dispatch_gives_a_finite_rate_over_a_fine_grid():
             for cls in ReceiverClass:
                 for iic in (None, ReceiverClass.CENTER, ReceiverClass.EDGE):
                     try:
-                        rate = achieved_rate(PARAMS, split, cls, 1.0, iic).rate
+                        rate = achieved_rate(rates._point(PARAMS, split), cls, 1.0, iic).rate
                     except QuadratureError as exc:
                         rate = exc
                     if not (isinstance(rate, float) and math.isfinite(rate)):
@@ -362,7 +364,7 @@ def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch, cold
     )
     args = (spec, 1.0, 1.0, math.inf, coverage(spec, 1.0, PARAMS), PARAMS)
     assert rates._mean_lograte(*args) > 0.0
-    assert common_rate_both(PARAMS, SPLIT, None) > math.log2(1.0 + PARAMS.zeta)
+    assert common_rate_both(rates._point(PARAMS, SPLIT), None) > math.log2(1.0 + PARAMS.zeta)
     cold_rate_caches()
     monkeypatch.setattr(quadrature, "DEFAULT_RTOL", 1e-14)
     with pytest.raises(QuadratureError):
@@ -373,7 +375,7 @@ def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch, cold
         rates._mean_lograte(*args)
     monkeypatch.setattr(rates, "_tail_pieces", _end_points(_tail_pieces))
     with pytest.raises(QuadratureError, match="log-scaled quadrature failed: error estimate"):
-        common_rate_both(PARAMS, SPLIT, None)
+        common_rate_both(rates._point(PARAMS, SPLIT), None)
 
 
 def test_sum_rate_weighting():
@@ -396,8 +398,9 @@ def test_all_common_share_to_center_empties_the_edge_min_term():
         params.zeta,
         params,
     )
-    single = common_rate_single(params, SPLIT, ReceiverClass.EDGE, False)
-    got = common_stream_rate(params, SPLIT, ReceiverClass.EDGE, w, None)
+    point = rates._point(params, SPLIT)
+    single = common_rate_single(point, ReceiverClass.EDGE, False)
+    got = common_stream_rate(point, ReceiverClass.EDGE, w, None)
     assert got == pytest.approx(w * (1.0 - pi_c) * single, rel=1e-9)
 
 
@@ -407,13 +410,13 @@ def test_high_power_approaches_the_asymptote():
     for token in ("efr/xor", "efr/pfr", "efr/efr"):
         sub = parse_subcase_token(Mode.MPC_CC, token)
         finite = evaluate_subcase(sub, params, split)
-        limit = asymptotic_report(sub, params, split)
+        limit = asymptotic_report(slot(sub, params, split))
         assert finite.r_sum == pytest.approx(limit.r_sum, rel=0.01)
     # with cancellation at the center its private stream is noise limited
     # and the limit diverges; the finite-power rate must be large but finite
     sub = parse_subcase_token(Mode.MPC_CC, "efr/xor+iic-c")
     finite = evaluate_subcase(sub, params, split)
-    limit = asymptotic_report(sub, params, split)
+    limit = asymptotic_report(slot(sub, params, split))
     assert math.isinf(limit.r_sum)
     assert math.isfinite(finite.r_sum) and finite.r_sum > 10.0
 

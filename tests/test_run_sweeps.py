@@ -96,7 +96,7 @@ def test_analytic_only_and_simulated_specs_share_a_group(monkeypatch, tmp_path):
         dataclasses.replace(
             base, methods=("monte-carlo",), mode=Mode.ALL_CC, subcases=("xor/pfr", "efr/efr")
         ),
-        dataclasses.replace(base, methods=("analytic", "monte-carlo"), include_asymptotic=True),
+        dataclasses.replace(base, methods=("analytic", "monte-carlo", "asymptotic")),
         # other params and split, same draw: one more variant kernel
         dataclasses.replace(base, methods=("monte-carlo",), params=SystemParams(xi=2.0, u=0.3)),
     ]

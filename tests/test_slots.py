@@ -68,8 +68,7 @@ def test_estimate_points_gives_each_slot_its_report_alone(order, components):
 def test_the_order_of_a_specs_methods_does_not_change_its_file(tmp_path):
     spec = SweepSpec(
         variable="P", start=10.0, stop=1e4, points=3, log_scale=True, mode=Mode.CC_MPC,
-        methods=("analytic", "monte-carlo"), sim=SimConfig(samples=5_000, seed=35),
-        include_asymptotic=True,
+        methods=("analytic", "monte-carlo", "asymptotic"), sim=SimConfig(samples=5_000, seed=35),
     )
     files = []
     for methods in (spec.methods, spec.methods[::-1]):
