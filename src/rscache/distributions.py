@@ -142,30 +142,57 @@ def scale_tail(spec: SinrDist, params: SystemParams) -> Callable[[float], float]
     return tail
 
 
-def scale_tail_array(spec: SinrDist, params: SystemParams) -> Callable[[np.ndarray], np.ndarray]:
-    """scale_tail on an array of scales, for integrands evaluated on a whole rule at once.
+def tail_parameters(spec: SinrDist, params: SystemParams) -> tuple[float, ...]:
+    """(a, Gamma(a), norm, r_out^alpha, r_in^alpha) of the spec's position law (_geometry).
 
-    The same arithmetic on the incomplete gamma ufuncs, with the annulus's
-    Q - Q difference past x_in = a + 1 (incgamma.reg_lower_diff).
+    What scale_tail_array takes of a law, as one row's columns; the centre
+    disk has r_in^alpha = 0.
     """
-    a, gamma_a, annulus, norm, out_alpha, in_alpha, _, _ = _geometry(spec.cls, params)
+    a, gamma_a, _, norm, out_alpha, in_alpha, _, _ = _geometry(spec.cls, params)
+    return a, gamma_a, norm, out_alpha, in_alpha
 
-    def tail(s: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x_out = s * out_alpha
-            if annulus:
-                x_in = s * in_alpha
-                p = gammaincc(a, x_in) - gammaincc(a, x_out)
-                low = x_in < a + 1.0
-                if low.any():
-                    p[low] = gammainc(a, x_out[low]) - gammainc(a, x_in[low])
-            else:
-                p = gammainc(a, x_out)
-            decay = np.exp(-s)
-            val = np.clip(2.0 * decay * gamma_a * p / (norm * s**a), 0.0, 1.0)
-        return np.where(s <= _EXP_UNDERFLOW, np.where(x_out < _FLAT_POSITION, decay, val), 0.0)
 
-    return tail
+def power_by_exponent(x: np.ndarray, e: np.ndarray | float) -> np.ndarray:
+    """x ** e, elementwise over their broadcast, each element as a scalar exponent gives it.
+
+    A scalar exponent of 0.5 (a = 2/alpha at alpha = 4) is numpy's sqrt and
+    an array of exponents is pow, which can differ in the last bit; so each
+    distinct exponent is applied as a scalar to the elements it goes with.
+    """
+    e = np.asarray(e)
+    first = float(e.flat[0])
+    if (e == first).all():
+        return x**first
+    x, e = np.broadcast_arrays(x, e)
+    out = np.empty(x.shape)
+    for value in np.unique(e):
+        at = e == value
+        out[at] = x[at] ** float(value)
+    return out
+
+
+def scale_tail_array(s: np.ndarray, a, gamma_a, norm, out_alpha, in_alpha) -> np.ndarray:
+    """scale_tail on an array of scales, each under the law whose tail_parameters broadcast to it.
+
+    Given as (rows, 1) columns against (rows, nodes) scales, the parameters
+    put each row under its own law, so one evaluation serves the laws of
+    many integrals; given as numbers, one law. The same arithmetic as
+    scale_tail on the incomplete gamma ufuncs, with the annulus's Q - Q
+    difference past x_in = a + 1 (incgamma.reg_lower_diff); the disk's
+    x_in is 0, where the P - P form is P(a, x_out) exactly.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x_out = s * out_alpha
+        x_in = s * in_alpha
+        low = x_in < a + 1.0
+        high = ~low
+        each_a = np.broadcast_to(a, s.shape)
+        p = np.empty(s.shape)
+        p[low] = gammainc(each_a[low], x_out[low]) - gammainc(each_a[low], x_in[low])
+        p[high] = gammaincc(each_a[high], x_in[high]) - gammaincc(each_a[high], x_out[high])
+        decay = np.exp(-s)
+        val = np.clip(2.0 * decay * gamma_a * p / (norm * power_by_exponent(s, a)), 0.0, 1.0)
+    return np.where(s <= _EXP_UNDERFLOW, np.where(x_out < _FLAT_POSITION, decay, val), 0.0)
 
 
 def coverage(spec: SinrDist, t: float, params: SystemParams) -> float:

@@ -95,6 +95,9 @@ class SystemParams:
         if self.sigma2 < sys.float_info.min:
             # a subnormal noise power underflows the rates' noise scales to 0
             raise ValueError("sigma2 must not be subnormal (below 2.2250738585072014e-308)")
+        if math.isinf(self.sigma2):
+            # every SINR would be 0 and every rate exactly 0
+            raise ValueError("sigma2 must be finite")
         if math.isinf(self.P):
             # every SINR bound would be inf/inf; the high-power limit is
             # what the asymptotic rows report

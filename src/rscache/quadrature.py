@@ -4,9 +4,11 @@ All achieved-rate expressions reduce to smooth integrals whose shape the
 caller knows in advance: where the integrand bends, and how many e-folds
 its exponential factors fall over. The caller cuts the range into pieces
 at those places and the G7K15 rule (QUADPACK's QK15, Piessens et al. 1983)
-takes every piece in one numpy evaluation of the integrand. There is no
-refinement: the rule's error estimate, the difference between its 15-point
-Kronrod and embedded 7-point Gauss sums, either meets the relative target
+takes every piece in one numpy evaluation of the integrand. The pieces of
+many integrals can share that evaluation; each piece's sums depend on its
+own nodes alone, so sharing changes no bit. There is no refinement: the
+rule's error estimate, the difference between its 15-point Kronrod and
+embedded 7-point Gauss sums, either meets the relative target
 DEFAULT_RTOL or the result is refused with a QuadratureError (_check).
 """
 
@@ -59,9 +61,9 @@ _NODES = np.array([-x for x in _XK15[:-1]] + list(_XK15[::-1]))
 _K15 = np.array(_WK15[:-1] + _WK15[::-1])
 _G7 = np.zeros(15)
 _G7[1::2] = _WG7[:-1] + _WG7[::-1]
-# columns: the K15 weights, and K15 minus G7, whose |sum| times the
-# half-width is a piece's error estimate
-_RULES = np.stack([_K15, _K15 - _G7], axis=1)
+# K15 minus G7: the |sum| of a piece's values times these, times its
+# half-width, is the piece's error estimate
+_K15_G7 = _K15 - _G7
 
 
 class QuadratureError(RuntimeError):
@@ -74,15 +76,19 @@ def gauss_kronrod(
     """G7K15 integrals of f over the pieces (left[i], right[i]) and their error estimates.
 
     f is called once, on the (pieces, 15) array of nodes, and returns its
-    values there; row i of the nodes spans piece i. Each error estimate is
-    |K15 - G7| on its piece.
+    values there; row i of the nodes spans piece i. The rates hand it the
+    pieces of every integral a call of theirs still needs, in blocks of a
+    fixed size (rates._BLOCK). Each error estimate is |K15 - G7| on its
+    piece. Both sums reduce a piece's own row in a fixed order, so neither
+    a value nor an error estimate, nor a verdict of _check on them, depends
+    on which other pieces share the call.
     """
     left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
     if not np.all(left < right) or not np.all(np.isfinite(right - left)):
         raise ValueError("quadrature pieces need finite limits with left < right")
     half = 0.5 * (right - left)
-    sums, differences = (f((left + half)[:, None] + half[:, None] * _NODES) @ _RULES).T
-    return sums * half, np.abs(differences) * half
+    values = f((left + half)[:, None] + half[:, None] * _NODES)
+    return (values * _K15).sum(axis=1) * half, np.abs((values * _K15_G7).sum(axis=1)) * half
 
 
 def _check(value: float, abserr: float, message: str, scale: float = 1.0) -> float:

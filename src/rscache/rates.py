@@ -30,10 +30,19 @@ and lives for the process: it memoises the integral functionals and the
 receiver dispatch, and hands each the table as its first argument.
 asymptotic_report gives a slot's high-power limits.
 
-Every integral runs on the one fixed piecewise G7K15 rule of
-quadrature.gauss_kronrod, in one numpy evaluation, and is refused
-(QuadratureError) when its error estimate misses the one fixed relative
-target, 1e-9; this module places the pieces. The single-receiver
+An integral functional returns its closed-form value where it has one
+and otherwise a request: what its one integral needs (_LogRate,
+_MinRate). The table makes the entries a call asks for together (_fill):
+evaluate_points asks for every integral of all of its slots, at all of
+their points, before it makes a report, and a lone lookup is a batch of
+one. All E1-form requests of a batch share one evaluation of the fixed
+piecewise G7K15 rule of quadrature.gauss_kronrod, and all min-rate
+requests another, each in blocks of _BLOCK pieces; no piece's value or
+error estimate depends on what shares its evaluation. Each request is
+then finished into its value, and refused (QuadratureError, naming its
+functional, receiver, pre-log and working point) when its error estimate
+misses the one fixed relative target, 1e-9; this module places the
+pieces. The single-receiver
 expectations are closed-form over the fading: at a fixed distance the
 Exp(1) gain clears a level exactly above one threshold, and integrating
 log(1 + SINR) by parts against e^-h leaves the exponential integral
@@ -51,13 +60,22 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import exp1
 
 from .caching import Subcase
-from .distributions import SinrDist, coverage, dist_spec, radii, scale_tail, scale_tail_array
+from .distributions import (
+    SinrDist,
+    coverage,
+    dist_spec,
+    power_by_exponent,
+    radii,
+    scale_tail,
+    scale_tail_array,
+    tail_parameters,
+)
 # not called here: bench/tracer.py hooks the name rscache.rates.pdf_s_measure
 from .distributions import pdf_s_measure  # noqa: F401
 from .model import (
@@ -71,7 +89,7 @@ from .model import (
     sinr_bound,
     stream_powers,
 )
-from .quadrature import _check, gauss_kronrod
+from .quadrature import QuadratureError, _check, gauss_kronrod
 
 
 def lograte(omega: float, t: float) -> float:
@@ -144,13 +162,18 @@ _LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(16)
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
-    """e^x E1(x) for x > 0, elementwise."""
+    """e^x E1(x) for x > 0, elementwise, each value from its own argument alone."""
     out = np.empty_like(x)
     near = x < _PHI_LAGUERRE
     x_near = x[near]
     out[near] = np.exp(x_near) * exp1(x_near)
-    far = ~near
-    out[far] = (1.0 / (x[far][:, None] + _LAGUERRE_NODES)) @ _LAGUERRE_WEIGHTS
+    x_far = x[~near]
+    # term by term, smallest first: a matrix product's sums could depend on
+    # the length of the array
+    far = np.zeros_like(x_far)
+    for node, weight in zip(_LAGUERRE_NODES[::-1], _LAGUERRE_WEIGHTS[::-1]):
+        far += weight / (x_far + node)
+    out[~near] = far
     return out
 
 
@@ -169,49 +192,134 @@ def _pieces(s: float, r_in: float, r_out: float, alpha: float) -> list[float]:
     return [r_in, *sorted(set(cuts)), r_out]
 
 
-def _fading_average(
-    spec: SinrDist, params: SystemParams, s_lo: float, s_hi: float
-) -> tuple[float, float, float]:
-    """A(s_lo) - A(s_hi), its error estimate and A(s_lo) + A(s_hi).
+#: pieces per evaluation of an integrand in _in_blocks: bounds a batch's
+#: temporaries at a few hundred KB however many integrals share it
+_BLOCK = 256
+
+
+def _in_blocks(rule: Callable, integrand: Callable, parts: Sequence[tuple[list, tuple]]):
+    """rule's (pieces, errors) over every part's pieces, in order, _BLOCK pieces a call.
+
+    A part is (edges, columns): its pieces lie between consecutive edges,
+    and integrand(x, *columns) gets a block's nodes x and each column as a
+    (pieces, 1) array, so each piece is integrated under its own part's
+    parameters. rule is gauss_kronrod or integrate_log_scaled.
+    """
+    left, right, counts = [], [], []
+    for edges, _ in parts:
+        left += edges[:-1]
+        right += edges[1:]
+        counts.append(len(edges) - 1)
+    if not left:
+        return np.empty(0), np.empty(0)
+    left, right = np.array(left), np.array(right)
+    columns = np.repeat(np.array([part[1] for part in parts]), counts, axis=0).T
+    pieces = []
+    for start in range(0, len(left), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        args = [column[block, None] for column in columns]
+        pieces.append(rule(lambda x, args=args: integrand(x, *args), left[block], right[block]))
+    values, errors = zip(*pieces)
+    return np.concatenate(values), np.concatenate(errors)
+
+
+def _fading_integrand(d, s, alpha, in_alpha, tau1, tau2) -> np.ndarray:
+    """The E1 form's position integrand at distances d, each row at its own scale and law."""
+    d_alpha = power_by_exponent(d, alpha)
+    big_d = 1.0 + d_alpha
+    with np.errstate(over="ignore"):  # an inf product is exact: phi(inf) = 0
+        out = _phi(big_d * (s + tau1))
+        two = tau2[:, 0] < math.inf
+        if two.all():
+            out -= _phi(big_d * (s + tau2))
+        elif two.any():
+            out[two] -= _phi(big_d[two] * (s[two] + tau2[two]))
+    # times d of the position density 2 d / area; the 2 and the area are in weight
+    return out * (np.exp(-s * (d_alpha - in_alpha)) * d)
+
+
+def _fading_average(requests: Sequence[_LogRate]) -> list[tuple[float, float, float]]:
+    """Each request's A(s_lo) - A(s_hi), its error estimate and A(s_lo) + A(s_hi).
 
     A(s) = E_d[e^-sD (phi(D (s + tau1)) - phi(D (s + tau2)))] >= 0, with
     D = 1 + d^alpha, tau1 = sigma2 / (d1 + d2), tau2 = sigma2 / d2 (no tau2
     term when nothing interferes), phi(x) = e^x E1(x) and A(inf) = 0. One
-    G7K15 evaluation over the pieces of both scales; the fading factor is
-    formed relative to the inner radius, e^-s D = e^-s D_in e^-y, so no
-    node underflows before the coverage does.
+    G7K15 evaluation over the pieces of both scales of every request; the
+    fading factor is formed relative to the inner radius,
+    e^-s D = e^-s D_in e^-y, so no node underflows before the coverage does.
     """
-    alpha = params.alpha
-    r_in, r_out = radii(spec.cls, params)
-    in_alpha = r_in**alpha
-    area = r_out * r_out - r_in * r_in
-    rows = []
-    for s, sign in ((s_lo, 1.0), (s_hi, -1.0)):
-        if math.isinf(s):
-            continue
-        edges = _pieces(s, r_in, r_out, alpha)
-        # the e^-s D_in factor over the area of the position law
-        factor = sign * math.exp(-s * (1.0 + in_alpha)) / area
-        rows += [(left, right, s, factor) for left, right in zip(edges[:-1], edges[1:])]
-    left, right, s, factor = np.array(rows).T
-    s = s[:, None]
-    taus = [spec.sigma2 / (spec.d1 + spec.d2)]
-    if spec.d2 > 0.0:
-        taus.append(spec.sigma2 / spec.d2)
-    taus = np.array(taus)[:, None, None]
-
-    def f(d: np.ndarray) -> np.ndarray:
-        d_alpha = d**alpha
-        with np.errstate(over="ignore"):  # an inf product is exact: phi(inf) = 0
-            phi = _phi((1.0 + d_alpha) * (s + taus))
-        out = phi[0] - phi[1] if len(taus) == 2 else phi[0]
-        # times d of the position density 2 d / area; the 2 and the area are in weight
-        return out * (np.exp(-s * (d_alpha - in_alpha)) * d)
-
-    pieces, errors = gauss_kronrod(f, left, right)
-    weight = 2.0 * factor
+    parts, weights, ends = [], [], []
+    for request in requests:
+        spec, params = request.spec, request.params
+        alpha = params.alpha
+        r_in, r_out = radii(spec.cls, params)
+        in_alpha = r_in**alpha
+        area = r_out * r_out - r_in * r_in
+        # tau2 is inf when nothing interferes: that law has no tau2 term
+        tau2 = spec.sigma2 / spec.d2 if spec.d2 > 0.0 else math.inf
+        taus = spec.sigma2 / (spec.d1 + spec.d2), tau2
+        for s, sign in ((request.s_lo, 1.0), (request.s_hi, -1.0)):
+            if math.isinf(s):
+                continue
+            edges = _pieces(s, r_in, r_out, alpha)
+            parts.append((edges, (s, alpha, in_alpha, *taus)))
+            # the e^-s D_in factor over the area of the position law, and the
+            # 2 of its density 2 d / area, for each of the scale's pieces
+            factor = sign * math.exp(-s * (1.0 + in_alpha)) / area
+            weights += [2.0 * factor] * (len(edges) - 1)
+        ends.append(len(weights))
+    pieces, errors = _in_blocks(gauss_kronrod, _fading_integrand, parts)
+    weight = np.array(weights)
     size = np.abs(weight)
-    return float(pieces @ weight), float(errors @ size), float(pieces @ size)
+    out, start = [], 0
+    for end in ends:
+        own = slice(start, end)
+        out.append((
+            float(pieces[own] @ weight[own]),
+            float(errors[own] @ size[own]),
+            float(pieces[own] @ size[own]),
+        ))
+        start = end
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _LogRate:
+    """What a _mean_lograte still needs: its position average over the E1 form, then finish."""
+
+    spec: SinrDist
+    params: SystemParams
+    omega: float
+    lo: float
+    hi: float
+    norm: float
+    s_lo: float
+    s_hi: float
+
+    @property
+    def receiver(self) -> str:
+        return f"{self.spec.cls.value} receiver"
+
+    def finish(self, average: tuple[float, float, float]) -> float:
+        """The mean rate from its _fading_average: the end terms added, checked and clamped."""
+        integral, error, size = average
+        spec, omega, lo, hi = self.spec, self.omega, self.lo, self.hi
+        tail = scale_tail(spec, self.params)
+        edge = math.log1p(lo) * tail(self.s_lo)
+        integral += edge
+        size += edge
+        if math.isfinite(self.s_hi):
+            edge = math.log1p(hi) * tail(self.s_hi)
+            integral -= edge
+            size += edge
+        # the error is held to the size of the terms: their difference can
+        # cancel (see _mean_lograte), and then it is rounding, not the rule,
+        # that errs
+        scale = omega / math.log(2.0)
+        norm = self.norm
+        _check(scale * size, scale * error, "position-averaged E1 rule failed", min(norm, 1.0))
+        rate = scale * integral / norm
+        return min(max(rate, lograte(omega, lo)), lograte(omega, hi))
 
 
 def _mean_lograte(
@@ -221,13 +329,15 @@ def _mean_lograte(
     hi: float,
     norm: float,
     params: SystemParams,
-) -> float:
+) -> float | _LogRate:
     """(1/norm) * integral of omega*log2(1+t) g(t) dt over (lo, min(hi, theta)).
 
-    Closed form over the fading, one fixed rule over the position. At a
-    fixed distance d the level t is reached at the fade h = s(t) D, with
-    D = 1 + d^alpha and s the scale map, so the part of the integral above
-    lo is, by parts,
+    0.0 where the range or the normaliser is empty; else the request for
+    its one integral, which _integrate evaluates and _LogRate.finish turns
+    into the value. Closed form over the fading, one fixed rule over the
+    position. At a fixed distance d the level t is reached at the fade
+    h = s(t) D, with D = 1 + d^alpha and s the scale map, so the part of
+    the integral above lo is, by parts,
 
       ln(1 + lo) e^-s_lo D + e^-s_lo D (phi(D (s_lo + tau1)) - phi(D (s_lo + tau2)))
 
@@ -254,21 +364,7 @@ def _mean_lograte(
     if not math.isfinite(s_lo):
         return 0.0
     s_hi = math.inf if hi >= theta else spec._s(hi)
-    tail = scale_tail(spec, params)
-    integral, error, size = _fading_average(spec, params, s_lo, s_hi)
-    edge = math.log1p(lo) * tail(s_lo)
-    integral += edge
-    size += edge
-    if math.isfinite(s_hi):
-        edge = math.log1p(hi) * tail(s_hi)
-        integral -= edge
-        size += edge
-    # the error is held to the size of the terms: their difference can
-    # cancel (see below), and then it is rounding, not the rule, that errs
-    scale = omega / math.log(2.0)
-    _check(scale * size, scale * error, "position-averaged E1 rule failed", min(norm, 1.0))
-    rate = scale * integral / norm
-    return min(max(rate, lograte(omega, lo)), lograte(omega, hi))
+    return _LogRate(spec, params, omega, lo, hi, norm, s_lo, s_hi)
 
 
 def gap_thresholds(point: _Point, cls: ReceiverClass) -> tuple[float, float]:
@@ -330,35 +426,76 @@ def _tail_pieces(s_lo: float, fall_in: float, fall_out: float, partner, reach) -
 
 
 def integrate_log_scaled(
-    fn: Callable[[np.ndarray], np.ndarray],
-    edges: list[float],
-    scale: float = 1.0,
-) -> float:
-    """Integral of fn(s) ds over (e^edges[0], e^edges[-1]), a G7K15 piece per two log-s edges.
+    fn: Callable[[np.ndarray], np.ndarray], left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """G7K15 integrals of fn(s) ds over the pieces (e^left[i], e^right[i]) and error estimates.
 
-    fn takes an array of scales. On the log axis the decades of a
-    scale-coordinate integrand become a linear one. The error estimate
-    must meet quadrature.DEFAULT_RTOL (1e-9) or the scaled floor: ``scale``
-    is the probability the result will be divided by, and the floor
-    shrinks with it.
+    fn takes an array of scales. The rule runs on the log axis, where the
+    decades of a scale-coordinate integrand become a linear one; a caller
+    sums its pieces and checks the sum's error (_MinRate.finish).
     """
-    edges = np.asarray(edges)
 
     def scaled(v: np.ndarray) -> np.ndarray:
         s = np.exp(v)
         return fn(s) * s
 
-    pieces, errors = gauss_kronrod(scaled, edges[:-1], edges[1:])
-    return _check(
-        float(pieces.sum()), float(errors.sum()), "log-scaled quadrature failed", scale
-    )
+    return gauss_kronrod(scaled, left, right)
 
 
-def common_rate_both(point: _Point, iic_at: ReceiverClass | None) -> float:
+def _min_rate_integrand(s, d1, d2, sigma2, e1, cross, *tails) -> np.ndarray:
+    """common_rate_both's integrand at scales s, each row under its own request's columns.
+
+    The slope of the inner receiver's scale times its tail at s, times the
+    outer tail at the partner's scale; tails holds the two laws'
+    tail_parameters, inner first.
+    """
+    # the partner's scale, without the product e1 sigma2 in the rows where
+    # it underflows (d1 s / e1 there when cross is 0)
+    under = ~(e1[:, 0] * sigma2[:, 0] >= sys.float_info.min)
+    if under.any():
+        partner = np.empty_like(s)
+        on = ~under
+        partner[on] = sigma2[on] * d1[on] * s[on] / (e1[on] * sigma2[on] + cross[on] * s[on])
+        partner[under] = d1[under] / (e1[under] / s[under] + cross[under] / sigma2[under])
+    else:
+        partner = sigma2 * d1 * s / (e1 * sigma2 + cross * s)
+    # two factors, since their product underflows for a tiny sigma2
+    slope = d1 / (sigma2 + (d1 + d2) * s) * (sigma2 / (sigma2 + d2 * s))
+    return slope * scale_tail_array(s, *tails[:5]) * scale_tail_array(partner, *tails[5:])
+
+
+@dataclass(frozen=True, eq=False)
+class _MinRate:
+    """What a common_rate_both still needs: its log-s pieces and columns, then finish.
+
+    columns are (d1, d2, sigma2, e1, cross, *inner tail, *outer tail), as
+    _min_rate_integrand takes them.
+    """
+
+    zeta: float
+    norm: float
+    edges: list[float]
+    columns: tuple[float, ...]
+    receiver = "both receivers"
+    omega = 1.0
+
+    def finish(self, pieces: tuple[np.ndarray, np.ndarray]) -> float:
+        """The min-rate from its pieces' integrals and error estimates, checked."""
+        values, errors = pieces
+        integral = _check(
+            float(values.sum()), float(errors.sum()), "log-scaled quadrature failed", self.norm
+        )
+        return math.log2(1.0 + self.zeta) + integral / (math.log(2.0) * self.norm)
+
+
+def common_rate_both(point: _Point, iic_at: ReceiverClass | None) -> float | _MinRate:
     """E[log2(1 + min of the two common SINRs) | both clear zeta], pre-log free.
 
-    The gains are independent, so the min clears a level t with the product
-    of the two tails, and integration by parts leaves one integral of it:
+    0.0 when the normaliser is empty; else the request for its one
+    integral, which _integrate evaluates and _MinRate.finish turns into the
+    value. The gains are independent, so the min clears a level t with the
+    product of the two tails, and integration by parts leaves one integral
+    of it:
 
       log2(1 + zeta) + int_zeta^inf P_c(t) P_e(t) dt / (1 + t) / (ln 2 pi_c pi_e).
 
@@ -382,16 +519,14 @@ def common_rate_both(point: _Point, iic_at: ReceiverClass | None) -> float:
         inner, outer = spec_c, spec_e
     else:
         inner, outer = spec_e, spec_c
-    tail_in, tail_out = scale_tail_array(inner, params), scale_tail_array(outer, params)
     d1, d2, sigma2, e1 = inner.d1, inner.d2, inner.sigma2, outer.d1
     # >= 0 by that choice, and exactly 0 for a partner with the same powers
     cross = e1 * d2 - outer.d2 * d1
 
-    def partner(s):
+    def partner(s: float) -> float:
+        # _min_rate_integrand's partner scale at one s
         if e1 * sigma2 >= sys.float_info.min:
             return sigma2 * d1 * s / (e1 * sigma2 + cross * s)
-        # the same ratio without the underflowing product; d1 s / e1 when
-        # cross is 0
         return d1 / (e1 / s + cross / sigma2)
 
     def reach(level: float) -> float:
@@ -399,18 +534,13 @@ def common_rate_both(point: _Point, iic_at: ReceiverClass | None) -> float:
         den = sigma2 * d1 - cross * level
         return e1 * sigma2 * level / den if den > 0.0 else math.inf
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        # two factors, since their product underflows for a tiny sigma2
-        slope = d1 / (sigma2 + (d1 + d2) * s) * (sigma2 / (sigma2 + d2 * s))
-        return slope * tail_in(s) * tail_out(partner(s))
-
     # a scale that underflows to 0 (a subnormal sigma2) starts the log axis
     # at the least float, where the integrand vanishes like s
     s_lo = max(inner._s(z), math.ulp(0.0))
     falls = (1.0 + radii(spec.cls, params)[0] ** params.alpha for spec in (inner, outer))
     edges = _tail_pieces(s_lo, *falls, partner, reach)
-    integral = integrate_log_scaled(integrand, edges, scale=norm)
-    return math.log2(1.0 + z) + integral / (math.log(2.0) * norm)
+    tails = (*tail_parameters(inner, params), *tail_parameters(outer, params))
+    return _MinRate(z, norm, edges, (d1, d2, sigma2, e1, cross, *tails))
 
 
 def common_stream_rate(
@@ -512,14 +642,15 @@ class _Point:
     """One working point's table, each entry made on first use; made and kept by _point.
 
     The stream powers, each (SINR kind, class, cancels) law and (law, threshold) coverage,
-    and, through at, each value of a function of the table by its own further arguments:
-    the gap thresholds (class), the four integral functionals (class, omega, cancels) and
-    the receiver dispatch (class, omega, iic_at). The table is the module's one memo and
-    lives for the process.
+    and, through at or _fill, each value of a function of the table by its own further
+    arguments: the gap thresholds (class), the four integral functionals (class, omega,
+    cancels) and the receiver dispatch (class, omega, iic_at). The table is the module's one
+    memo and lives for the process.
     """
 
     def __init__(self, params: SystemParams, split: PowerSplit) -> None:
         self.params = params
+        self.split = split
         self.powers = stream_powers(params.P, split)
         self._made: dict[tuple, object] = {}
 
@@ -541,12 +672,68 @@ class _Point:
         return coverage(self.law(kind, cls, iic), t, self.params)
 
     def at(self, fn: Callable, *args):
-        # fn(self, *args); callers pass the module's name for fn, looked up at
-        # each call, so a hook on it sees every miss
-        return self._once((fn, *args), fn, self, *args)
+        # fn(self, *args), made as a batch of one; callers pass the module's
+        # name for fn, looked up at each call, so a hook on it sees every miss
+        key = (fn, *args)
+        made = self._made.get(key)
+        if made is None:
+            _fill([(self, key)])
+            made = self._made[key]
+        return made
 
 
-@lru_cache(maxsize=256)  # a table holds about 10 KB
+def _integrate(requests: Sequence[_LogRate | _MinRate]) -> list:
+    """What each request's finish takes, in order.
+
+    The E1-form requests' position averages come from one rule evaluation
+    over all of their pieces (_fading_average), and the min-rate requests'
+    pieces from another, each in blocks of _BLOCK pieces.
+    """
+    log_rates = [r for r in requests if isinstance(r, _LogRate)]
+    min_rates = [r for r in requests if isinstance(r, _MinRate)]
+    done = dict(zip(log_rates, _fading_average(log_rates)))
+    parts = [(request.edges, request.columns) for request in min_rates]
+    pieces, errors = _in_blocks(integrate_log_scaled, _min_rate_integrand, parts)
+    start = 0
+    for request in min_rates:
+        end = start + len(request.edges) - 1
+        done[request] = pieces[start:end], errors[start:end]
+        start = end
+    return [done[request] for request in requests]
+
+
+def _fill(wanted: Iterable[tuple[_Point, tuple]]) -> None:
+    """Make each (table, key) entry that its table lacks; the key (fn, *args) is fn(table, *args).
+
+    The integrals that the new entries' functionals ask for are evaluated
+    together (_integrate), then each is finished into its entry. A failure
+    names the functional, receiver, pre-log and working point.
+    """
+    asked: dict[tuple[_Point, tuple], object] = {}
+    for point, key in wanted:
+        if key not in point._made and (point, key) not in asked:
+            fn, *args = key
+            asked[point, key] = fn(point, *args)
+    requests = []
+    for (point, key), made in asked.items():
+        if isinstance(made, (_LogRate, _MinRate)):
+            requests.append((point, key, made))
+        else:
+            point._made[key] = made
+    if not requests:
+        return
+    for (point, key, request), raw in zip(requests, _integrate([r for *_, r in requests])):
+        try:
+            point._made[key] = request.finish(raw)
+        except QuadratureError as err:
+            split, name = point.split, key[0].__name__
+            where = f"beta={split.beta:g}, rho={split.rho:g}, P={point.params.P:g}"
+            raise QuadratureError(
+                f"{name} ({request.receiver}, pre-log {request.omega:g}) at {where}: {err}"
+            ) from None
+
+
+@lru_cache(maxsize=256)  # a table holds about 12 KB
 def _point(params: SystemParams, split: PowerSplit) -> _Point:
     """The table of one working point, built on first use and kept for the process."""
     return _Point(params, split)
@@ -647,11 +834,26 @@ def evaluate_points(slots: Sequence[Slot]) -> list[RateReport]:
     """The closed-form report of every slot, in order.
 
     Slots at one working point build their reports from one table of the
-    point (_Point).
+    point (_Point). Every integral any slot reads is evaluated in one pass
+    (_fill) before the first report is made: whatever a receiver's branch,
+    its report reads the common rates and both private functionals, and a
+    functional its branch does not use gives 0 without integrating.
     """
-    reports = []
+    points, wanted = [], []
     for params, split, iic_at, w_c, w_e in slots:
         point = _point(params, split)
+        points.append(point)
+        wanted.append((point, (common_rate_both, iic_at)))
+        for cls, omega in zip(ReceiverClass, (w_c, w_e)):
+            iic = iic_at is cls
+            wanted += [
+                (point, (common_rate_single, cls, iic)),
+                (point, (private_rate_after_common, cls, omega, iic)),
+                (point, (private_rate_with_interference, cls, omega, iic)),
+            ]
+    _fill(wanted)
+    reports = []
+    for point, (_, _, iic_at, w_c, w_e) in zip(points, slots):
         center = point.at(achieved_rate, ReceiverClass.CENTER, w_c, iic_at)
         edge = point.at(achieved_rate, ReceiverClass.EDGE, w_e, iic_at)
         parts = RateComponents(

@@ -9,10 +9,10 @@ byte for byte at any worker count.
 
 run_sweeps writes several; run_sweep is its one-spec case. Specs that
 share a grid, a SimConfig and the draw's inputs share each point's draw
-and analytic tables: at each point each method runs once over the slots
-(rates.slot) the specs ask for, and every row, of every method, looks up
-its report by its subcase's slot. Each file still gets the bytes its spec
-writes alone.
+and analytic tables: the analytic and asymptotic methods run once over the
+slots (rates.slot) the specs ask for at every point, the simulator once
+per point, and every row, of every method, looks up its report by its
+subcase's slot. Each file still gets the bytes its spec writes alone.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -153,26 +154,29 @@ class SweepSpec:
         return dataclasses.replace(self.params, **{self.variable: value}), self.split
 
 
-def _row(spec: SweepSpec, value: float, subcase: Subcase, key: Slot, report: RateReport) -> str:
-    w_c, w_e = key[3:]
-    cells = [
-        spec.variable,
-        _fmt(value),
-        spec.mode.value,
-        subcase.token.partition("+")[0],
-        _fmt(w_c),
-        _fmt(w_e),
-        subcase.iic_at.value if subcase.iic_at else "none",
-        report.method,
-        *(_fmt(getattr(report, name)) for _, name in _REPORT_COLUMNS),
-    ]
-    return ",".join(cells)
+def _template(spec: SweepSpec, subcase: Subcase, omegas: tuple[float, float]) -> str:
+    """The % template of a (spec, subcase)'s rows: its fixed cells written out.
+
+    What is left to fill is the grid value, the method and the report's
+    columns (_REPORT_COLUMNS), each number as _fmt writes it.
+    """
+    iic = subcase.iic_at.value if subcase.iic_at else "none"
+    fixed = ",".join((spec.mode.value, subcase.token.partition("+")[0], *map(_fmt, omegas), iic))
+    return f"{spec.variable},%.9g,{fixed.replace('%', '%%')},%s" + ",%.9g" * len(_REPORT_COLUMNS)
+
+
+_REPORT_VALUES = operator.attrgetter(*(name for _, name in _REPORT_COLUMNS))
+
+
+def _row(template: str, value: float, report: RateReport) -> str:
+    return template % (value, report.method, *_REPORT_VALUES(report))
 
 
 def _rows(specs: Sequence[SweepSpec]) -> list[list[str]]:
     """Each spec's data rows, in the pinned (point, subcase, method) order.
 
-    At each point each method runs once, over the slots the specs ask for.
+    The analytic and asymptotic methods run once over the slots that the
+    specs ask for at every point; the simulator runs once per point.
     """
     subcases = [[parse_subcase_token(spec.mode, tok) for tok in spec.subcases] for spec in specs]
     # each slot past its working point: no swept variable changes K, M or N,
@@ -181,29 +185,44 @@ def _rows(specs: Sequence[SweepSpec]) -> list[list[str]]:
         [slot(sub, spec.params, spec.split)[2:] for sub in subs]
         for spec, subs in zip(specs, subcases)
     ]
+    grid = specs[0].grid()
+    # keys[point][spec]: the slot of each of the spec's subcases at the point
+    keys = [
+        [[(*spec.at(value), *rest) for rest in row] for spec, row in zip(specs, rests)]
+        for value in grid
+    ]
+    # in the order a subcase's rows are written, whatever a spec's order
+    methods = (METHOD_ANALYTIC, METHOD_MC, METHOD_ASYMPTOTIC)
+    asked = {
+        method: [
+            [key for spec, row in zip(specs, point) if method in spec.methods for key in row]
+            for point in keys
+        ]
+        for method in methods
+    }
+    reports: dict[str, dict[Slot, RateReport]] = {}
+    for method, run in (
+        (METHOD_ANALYTIC, evaluate_points),
+        (METHOD_ASYMPTOTIC, partial(map, asymptotic_report)),
+    ):
+        every = [key for point in asked[method] for key in point]
+        if every:
+            reports[method] = dict(zip(every, run(every)))
+    reports[METHOD_MC] = {}
+    for point_index, point in enumerate(asked[METHOD_MC]):
+        if point:
+            # one draw per point, shared by all of its simulated slots; a row
+            # holds no component, so the simulator estimates none
+            sim = dataclasses.replace(specs[0].sim, spawn=(point_index,))
+            reports[METHOD_MC].update(zip(point, estimate_points(point, sim, components=False)))
     rows: list[list[str]] = [[] for _ in specs]
-    for point_index, value in enumerate(specs[0].grid()):
-        points = [spec.at(value) for spec in specs]
-        keys = [[(*point, *rest) for rest in row] for point, row in zip(points, rests)]
-        # one draw per point, shared by all of its simulated slots; a row
-        # holds no component, so the simulator estimates none
-        sim = dataclasses.replace(specs[0].sim, spawn=(point_index,))
-        # in the order a subcase's rows are written, whatever a spec's order
-        methods = {
-            METHOD_ANALYTIC: evaluate_points,
-            METHOD_MC: partial(estimate_points, sim=sim, components=False),
-            METHOD_ASYMPTOTIC: partial(map, asymptotic_report),
-        }
-        reports = {}
-        for method, run in methods.items():
-            asked = [key for spec, row in zip(specs, keys) if method in spec.methods for key in row]
-            if asked:
-                reports[method] = dict(zip(asked, run(asked)))
-        for i, spec in enumerate(specs):
-            for sub, key in zip(subcases[i], keys[i]):
-                for method in methods:
-                    if method in spec.methods:
-                        rows[i].append(_row(spec, value, sub, key, reports[method][key]))
+    for i, spec in enumerate(specs):
+        templates = [_template(spec, sub, rest[1:]) for sub, rest in zip(subcases[i], rests[i])]
+        spec_methods = [method for method in methods if method in spec.methods]
+        for value, point in zip(grid, keys):
+            for template, key in zip(templates, point[i]):
+                for method in spec_methods:
+                    rows[i].append(_row(template, value, reports[method][key]))
     return rows
 
 

@@ -18,7 +18,7 @@ import scipy.special
 
 from rscache import quadrature, rates
 from rscache.caching import Mode, parse_subcase_token
-from rscache.distributions import coverage, dist_spec, scale_tail_array
+from rscache.distributions import coverage, dist_spec
 from rscache.incgamma import reg_lower, reg_lower_diff, reg_upper
 from rscache.model import (
     PowerSplit,
@@ -269,33 +269,23 @@ def test_components_are_the_functionals_bit_for_bit():
                 args, iic = (rates._point(PARAMS, split), cls, w), sub.iic_at is cls
                 want = (
                     rates.common_stream_rate(*args, sub.iic_at),
-                    rates.private_rate_after_common(*args, iic),
-                    rates.private_rate_with_interference(*args, iic),
+                    args[0].at(rates.private_rate_after_common, *args[1:], iic),
+                    args[0].at(rates.private_rate_with_interference, *args[1:], iic),
                 )
                 got = tuple(getattr(parts, f"{k}_{cls.value}") for k in ("rs0", "rp", "rpi"))
                 assert got == want, (beta, rho, sub.token, cls)
     assert branches == {"B1", "B2", "B3", "B4", "Z"}
 
 
-def _direct_difference_tail(spec, params):
-    """The annulus tail on an array of scales, its incomplete gammas subtracted directly.
+def _direct_difference_tail(s, a, gamma_a, norm, out_alpha, in_alpha):
+    """The array tail, its incomplete gammas subtracted directly.
 
     P(a, x_out) and P(a, x_in) both round to about 1 once x_in = s r_e^alpha
-    passes a few units, so their difference keeps only rounding noise.
+    passes a few units, so the annulus's difference keeps only rounding
+    noise; the disk's x_in is 0, where the difference is P(a, x_out).
     """
-    if spec.cls is not ReceiverClass.EDGE:
-        return scale_tail_array(spec, params)
-    alpha = params.alpha
-    a = 2.0 / alpha
-    gamma_a = math.gamma(a)
-    r_out, r_in = params.r_0, params.r_e
-    norm = alpha * (r_out * r_out - r_in * r_in)
-
-    def tail(s):
-        p = scipy.special.gammainc(a, s * r_out**alpha) - scipy.special.gammainc(a, s * r_in**alpha)
-        return np.clip(2.0 * np.exp(-s) * gamma_a * p / (norm * s**a), 0.0, 1.0)
-
-    return tail
+    p = scipy.special.gammainc(a, s * out_alpha) - scipy.special.gammainc(a, s * in_alpha)
+    return np.clip(2.0 * np.exp(-s) * gamma_a * p / (norm * s**a), 0.0, 1.0)
 
 
 def test_noisy_density_fails_the_scaled_error_floor(monkeypatch, cold_rate_caches):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rscache import cli
+from rscache import cli, quadrature
 from rscache.distributions import coverage, dist_spec
 from rscache.model import (
     PowerSplit,
@@ -151,7 +151,8 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "setting", ["zeta=nan", "alpha=nan", "P=inf", "alpha=200", "alpha=inf", "r_0=inf"]
+    "setting",
+    ["zeta=nan", "alpha=nan", "P=inf", "alpha=200", "alpha=inf", "r_0=inf", "sigma2=inf"],
 )
 def test_nan_setting_exits_1_without_output(setting, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -160,6 +161,20 @@ def test_nan_setting_exits_1_without_output(setting, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert not out.exists()
     assert "must" in capsys.readouterr().err
+
+
+def test_a_numerical_failure_names_its_integral_and_point(monkeypatch, tmp_path, capsys):
+    # every point of a sweep shares one rule evaluation, so the message must
+    # say which integral missed: its functional, receiver, pre-log and point
+    monkeypatch.setattr(quadrature, "DEFAULT_RTOL", 1e-14)
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--var", "beta", "--from", "0.3", "--to", "0.6", "--points", "2",
+            "--mode", "mpc-cc", "--methods", "analytic", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "private_rate_after_common (center receiver, pre-log 1) at beta=0.3, rho=0.5, P=10: " in err
+    assert "position-averaged E1 rule failed: error estimate" in err
 
 
 @pytest.mark.parametrize(

@@ -179,7 +179,7 @@ def test_common_rate_single_edge_matches_mpmath():
     spec = dist_spec(SinrKind.COMMON, ReceiverClass.EDGE, _powers(STOCK), PARAMS)
     with mp.workdps(RATE_DPS):
         want = _ref_expect(spec, PARAMS.zeta, spec.theta) / _ref_coverage(spec, PARAMS.zeta)
-    got = common_rate_single(rates._point(PARAMS, STOCK), ReceiverClass.EDGE, False)
+    got = rates._point(PARAMS, STOCK).at(common_rate_single, ReceiverClass.EDGE, False)
     assert got == pytest.approx(float(want), rel=1e-10)
     # the value a cancelling density froze: 0.5935459527, off by -1.4e-7
     assert got == pytest.approx(0.593546033263504, rel=1e-12)
@@ -196,7 +196,7 @@ def test_common_rate_both_matches_mpmath():
             return _ref_expect(inner, z, inner.theta, lambda t: _ref_coverage(outer, t))
 
         want = (half(e, c) + half(c, e)) / (_ref_coverage(c, z) * _ref_coverage(e, z))
-    got = common_rate_both(rates._point(PARAMS, STOCK), None)
+    got = rates._point(PARAMS, STOCK).at(common_rate_both, None)
     assert got == pytest.approx(float(want), rel=1e-10)
 
 
@@ -230,7 +230,7 @@ def test_common_rate_both_ends_at_the_kink_like_mpmath():
             return mp.quad(f, pts + [hi])
 
         want = (half(e, c) + half(c, e)) / (_ref_coverage(c, z) * _ref_coverage(e, z))
-    got = common_rate_both(rates._point(params, split), ReceiverClass.EDGE)
+    got = rates._point(params, split).at(common_rate_both, ReceiverClass.EDGE)
     assert name == "fig3_cc-mpc.csv"
     assert got == pytest.approx(float(want), rel=1e-11)
     # integrating across the kink to infinity gave 0.5912165445, 1.2e-6 low
@@ -258,7 +258,7 @@ def test_common_rate_both_at_high_power_matches_mpmath(power, iic_at, want):
     # digits, taken in the scale of either receiver; at P = 1e100 the rate is
     # its noise-free limit log2(1 + 7/3).
     point = rates._point(SystemParams(P=power), PowerSplit(beta=0.7, rho=0.5))
-    got = common_rate_both(point, iic_at)
+    got = point.at(common_rate_both, iic_at)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -278,7 +278,7 @@ def test_private_rate_after_common_edge_matches_mpmath():
     bound = sinr_bound(SinrKind.PRIVATE, cls, powers)
     with mp.workdps(RATE_DPS):
         want = omega * _ref_expect(spec, after, bound) / _ref_coverage(spec0, PARAMS.zeta)
-    got = private_rate_after_common(rates._point(PARAMS, STOCK), cls, omega, False)
+    got = rates._point(PARAMS, STOCK).at(private_rate_after_common, cls, omega, False)
     assert got == pytest.approx(float(want), rel=1e-10)
 
 
@@ -295,7 +295,7 @@ def test_private_rate_with_interference_deep_edge_matches_mpmath():
     bound = sinr_bound(SinrKind.PRIVATE_INTERF, cls, powers)
     with mp.workdps(RATE_DPS):
         want = _ref_expect(spec, xi_t, bound) / _ref_coverage(spec, xi_t)
-    got = private_rate_with_interference(rates._point(PARAMS, DEEP), cls, 1.0, False)
+    got = rates._point(PARAMS, DEEP).at(private_rate_with_interference, cls, 1.0, False)
     assert got == pytest.approx(float(want), rel=1e-10)
     assert got == pytest.approx(1.00139693407776, rel=1e-12)
 
@@ -344,5 +344,5 @@ def test_cancelled_interference_route_at_high_power_matches_mpmath():
 
         pts = [lo] + [mp.mpf(k) for k in range(int(lo) + 1, 8)]
         want = mp.quad(f, pts) / _ref_coverage(spec, xi_t)
-    got = private_rate_with_interference(rates._point(params, split), cls, 1.0, True)
+    got = rates._point(params, split).at(private_rate_with_interference, cls, 1.0, True)
     assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)

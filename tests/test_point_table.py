@@ -12,6 +12,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rscache import rates, run_sweep, run_sweeps
@@ -51,6 +52,52 @@ def test_the_table_gives_each_subcase_its_report_alone(point, cold_rate_caches):
         branches |= {b for r in reports for b in (r.branch_center, r.branch_edge)}
     if point == "with-Z":
         assert "Z" in branches
+
+
+def _requests(monkeypatch) -> list:
+    """Every integral request that the union asks for at two points, from cold tables."""
+    made = []
+    integrate = rates._integrate
+
+    def recorded(requests):
+        made.extend(requests)
+        return integrate(requests)
+
+    monkeypatch.setattr(rates, "_integrate", recorded)
+    evaluate_points([slot(sub, *POINTS[name]) for name in ("P1e3", "with-Z") for sub in UNION])
+    monkeypatch.undo()
+    return made
+
+
+def _bits(raw) -> list[str]:
+    """The exact values of what _integrate gives one request, error estimates included."""
+    return [float(x).hex() for part in raw for x in np.atleast_1d(part)]
+
+
+def test_what_shares_a_batch_changes_no_integral_or_error_estimate(monkeypatch, cold_rate_caches):
+    # an integral's value and its rule's error estimates, and so the verdict
+    # of the check on them, must not depend on which other integrals share
+    # its rule evaluation, nor on where the blocks cut the pieces
+    requests = _requests(monkeypatch)
+    assert {type(r) for r in requests} == {rates._LogRate, rates._MinRate}
+    alone = [rates._integrate([r])[0] for r in requests]
+    union = rates._integrate(requests)
+    backward = rates._integrate(requests[::-1])[::-1]
+    uneven, start = [], 0
+    for size in (1, 2, 5, 17, 3, len(requests)):
+        uneven += rates._integrate(requests[start:start + size])
+        start += size
+    blocks = {}
+    for size in (1, 7):
+        monkeypatch.setattr(rates, "_BLOCK", size)
+        blocks[f"blocks of {size}"] = rates._integrate(requests)
+    want = [_bits(raw) for raw in alone]
+    values = [repr(r.finish(raw)) for r, raw in zip(requests, alone)]
+    ways = {"union": union, "reversed": backward, "uneven": uneven, **blocks}
+    for name, way in ways.items():
+        assert len(way) == len(requests)
+        assert [_bits(raw) for raw in way] == want, name
+        assert [repr(r.finish(raw)) for r, raw in zip(requests, way)] == values, name
 
 
 FUNCTIONALS = (

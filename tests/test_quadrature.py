@@ -9,6 +9,13 @@ from rscache.quadrature import QuadratureError, _check, gauss_kronrod
 from rscache.rates import integrate_log_scaled
 
 
+def _integral(fn, edges, scale=1.0):
+    """integrate_log_scaled over consecutive log-s edges, summed and checked as the min-rate is."""
+    edges = np.asarray(edges)
+    pieces, errors = integrate_log_scaled(fn, edges[:-1], edges[1:])
+    return _check(float(pieces.sum()), float(errors.sum()), "log-scaled quadrature failed", scale)
+
+
 def _unit_log_edges(lo, hi, cuts=()):
     """Log-s edges over (lo, hi) at most 1 unit apart, also cut at the given scales."""
     a, b = math.log(lo), math.log(hi)
@@ -25,13 +32,13 @@ def test_finds_mass_far_above_the_lower_limit(lo):
     # reference is Gamma(3/2, lo) in closed form.
     want = math.sqrt(lo) * math.exp(-lo) + math.sqrt(math.pi) / 2.0 * math.erfc(math.sqrt(lo))
     edges = _unit_log_edges(lo, 64.0, cuts=(0.25, 0.5, 1, 2, 4, 8, 16, 32, 48))
-    got = integrate_log_scaled(lambda s: np.sqrt(s) * np.exp(-s), edges)
+    got = _integral(lambda s: np.sqrt(s) * np.exp(-s), edges)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("lo, hi", [(1e-3, 5.0), (0.5, 2.0), (1e-12, 1e12)])
 def test_finite_range_matches_the_antiderivative(lo, hi):
-    got = integrate_log_scaled(lambda s: 1.0 / (1.0 + s) ** 2, _unit_log_edges(lo, hi))
+    got = _integral(lambda s: 1.0 / (1.0 + s) ** 2, _unit_log_edges(lo, hi))
     assert got == pytest.approx(1.0 / (1.0 + lo) - 1.0 / (1.0 + hi), rel=1e-12)
 
 
@@ -39,7 +46,7 @@ def test_empty_range_and_bad_limits():
     empty = np.array([])
     pieces, errors = gauss_kronrod(np.exp, empty, empty)
     assert pieces.shape == errors.shape == (0,)
-    assert integrate_log_scaled(np.exp, [math.log(2.0)]) == 0.0
+    assert _integral(np.exp, [math.log(2.0)]) == 0.0
     for left, right in ((2.0, 2.0), (3.0, 2.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
         with pytest.raises(ValueError):
             gauss_kronrod(np.exp, [left], [right])
@@ -63,7 +70,7 @@ def _noise(amplitude):
 
 def test_unresolvable_integrand_raises():
     with pytest.raises(QuadratureError, match="log-scaled quadrature failed"):
-        integrate_log_scaled(_noise(1.0), _unit_log_edges(1.0, 10.0))
+        _integral(_noise(1.0), _unit_log_edges(1.0, 10.0))
 
 
 def test_a_single_under_resolved_piece_trips_the_check():
@@ -84,13 +91,13 @@ def test_error_floor_scales_with_the_conditioning_probability():
     # noise of size 1e-20 leaves an error near 1e-20: under the 1e-15
     # floor, but not under the floor of a result later divided by 1e-10
     edges = _unit_log_edges(1.0, 10.0)
-    assert integrate_log_scaled(_noise(1e-20), edges) > 0.0
+    assert _integral(_noise(1e-20), edges) > 0.0
     with pytest.raises(QuadratureError):
-        integrate_log_scaled(_noise(1e-20), edges, scale=1e-10)
+        _integral(_noise(1e-20), edges, scale=1e-10)
 
 
 def test_non_finite_value_raises():
     with pytest.raises(QuadratureError, match="non-finite"):
-        integrate_log_scaled(lambda s: np.full_like(s, math.nan), [0.0, 1.0])
+        _integral(lambda s: np.full_like(s, math.nan), [0.0, 1.0])
     with pytest.raises(QuadratureError, match="non-finite"):
         _check(math.inf, 0.0, "infinite")

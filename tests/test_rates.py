@@ -97,7 +97,7 @@ def min_rate_by_ccdf_identity(params, split, iic_at, rtol=1e-10):
     ],
 )
 def test_min_rate_matches_the_ccdf_identity(split, iic_at):
-    direct = common_rate_both(rates._point(PARAMS, split), iic_at)
+    direct = rates._point(PARAMS, split).at(common_rate_both, iic_at)
     identity = min_rate_by_ccdf_identity(PARAMS, split, iic_at)
     assert direct == pytest.approx(identity, rel=1e-7)
 
@@ -105,20 +105,20 @@ def test_min_rate_matches_the_ccdf_identity(split, iic_at):
 def test_min_rate_matches_the_two_axis_integration():
     # same quantity through the joint density; slow, so only spot points
     for split, iic_at in ((SPLIT, None), (PowerSplit(0.6, 0.4), ReceiverClass.EDGE)):
-        direct = common_rate_both(rates._point(PARAMS, split), iic_at)
+        direct = rates._point(PARAMS, split).at(common_rate_both, iic_at)
         nested = nested_common_rate_both(PARAMS, split, iic_at, 1e-5)
         assert direct == pytest.approx(nested, rel=1e-5)
 
 
 def test_min_rate_sits_between_its_almost_sure_bounds():
     bound = sinr_bound(SinrKind.COMMON, ReceiverClass.CENTER, stream_powers(PARAMS.P, SPLIT))
-    got = common_rate_both(rates._point(PARAMS, SPLIT), None)
+    got = rates._point(PARAMS, SPLIT).at(common_rate_both, None)
     assert math.log2(1.0 + PARAMS.zeta) <= got <= math.log2(1.0 + bound)
 
 
 def test_single_receiver_common_rate_bounds():
     for cls in ReceiverClass:
-        got = common_rate_single(rates._point(PARAMS, SPLIT), cls, False)
+        got = rates._point(PARAMS, SPLIT).at(common_rate_single, cls, False)
         bound = sinr_bound(SinrKind.COMMON, cls, stream_powers(PARAMS.P, SPLIT))
         assert math.log2(1.0 + PARAMS.zeta) <= got <= math.log2(1.0 + bound)
 
@@ -181,7 +181,7 @@ def _branch_reconstruction(params, split, cls, omega, iic_at):
     if got.branch in ("B1", "B2", "B3"):
         from rscache.rates import private_rate_after_common, private_rate_with_interference
 
-        rp = private_rate_after_common(point, cls, omega, self_iic)
+        rp = point.at(private_rate_after_common, cls, omega, self_iic)
         if got.branch == "B1":
             want = rs0 + (pi_p / pi_0 if pi_0 > 0 else 0.0) * rp
             assert got.q == pytest.approx(pi_0, rel=1e-12)
@@ -189,14 +189,14 @@ def _branch_reconstruction(params, split, cls, omega, iic_at):
             want = rs0 + rp
             assert got.q == pytest.approx(pi_0, rel=1e-12)
         else:
-            rpi = private_rate_with_interference(point, cls, omega, self_iic)
+            rpi = point.at(private_rate_with_interference, cls, omega, self_iic)
             share = min(1.0, pi_0 / pi_pif) if pi_pif > 0 else 0.0
             want = share * (rs0 + rp) + (1.0 - share) * rpi
             assert got.q == pytest.approx(pi_pif, rel=1e-12)
     elif got.branch == "B4":
         from rscache.rates import private_rate_with_interference
 
-        want = private_rate_with_interference(point, cls, omega, self_iic)
+        want = point.at(private_rate_with_interference, cls, omega, self_iic)
         assert got.q == pytest.approx(pi_pif, rel=1e-12)
     else:
         want = 0.0
@@ -343,6 +343,11 @@ def test_fixed_rule_is_stable_under_piece_halving(monkeypatch, cold_rate_caches)
             assert x == pytest.approx(y, rel=1e-12, abs=1e-300)
 
 
+def _value(made):
+    """A lone _mean_lograte's value: a number as it is, a request evaluated alone."""
+    return made if isinstance(made, float) else made.finish(rates._integrate([made])[0])
+
+
 def _end_points(pieces):
     """A piece rule cut down to one piece from its first edge to its last."""
 
@@ -363,19 +368,19 @@ def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch, cold
         SinrKind.PRIVATE_IIC, ReceiverClass.CENTER, stream_powers(PARAMS.P, SPLIT), PARAMS
     )
     args = (spec, 1.0, 1.0, math.inf, coverage(spec, 1.0, PARAMS), PARAMS)
-    assert rates._mean_lograte(*args) > 0.0
-    assert common_rate_both(rates._point(PARAMS, SPLIT), None) > math.log2(1.0 + PARAMS.zeta)
+    assert _value(rates._mean_lograte(*args)) > 0.0
+    assert rates._point(PARAMS, SPLIT).at(common_rate_both, None) > math.log2(1.0 + PARAMS.zeta)
     cold_rate_caches()
     monkeypatch.setattr(quadrature, "DEFAULT_RTOL", 1e-14)
     with pytest.raises(QuadratureError):
-        rates._mean_lograte(*args)
+        _value(rates._mean_lograte(*args))
     monkeypatch.setattr(quadrature, "DEFAULT_RTOL", 1e-8)
     monkeypatch.setattr(rates, "_pieces", _end_points(_pieces))
     with pytest.raises(QuadratureError):
-        rates._mean_lograte(*args)
+        _value(rates._mean_lograte(*args))
     monkeypatch.setattr(rates, "_tail_pieces", _end_points(_tail_pieces))
     with pytest.raises(QuadratureError, match="log-scaled quadrature failed: error estimate"):
-        common_rate_both(rates._point(PARAMS, SPLIT), None)
+        rates._point(PARAMS, SPLIT).at(common_rate_both, None)
 
 
 def test_sum_rate_weighting():
@@ -399,7 +404,7 @@ def test_all_common_share_to_center_empties_the_edge_min_term():
         params,
     )
     point = rates._point(params, SPLIT)
-    single = common_rate_single(point, ReceiverClass.EDGE, False)
+    single = point.at(common_rate_single, ReceiverClass.EDGE, False)
     got = common_stream_rate(point, ReceiverClass.EDGE, w, None)
     assert got == pytest.approx(w * (1.0 - pi_c) * single, rel=1e-9)
 
