@@ -98,7 +98,7 @@ def radii(cls: ReceiverClass, params: SystemParams) -> tuple[float, float]:
     return 0.0, params.r_c
 
 
-def _geometry(
+def geometry(
     cls: ReceiverClass, params: SystemParams
 ) -> tuple[float, float, bool, float, float, float, float, float]:
     """Position-average constants of one receiver class.
@@ -118,37 +118,32 @@ def _geometry(
     )
 
 
-def scale_tail(spec: SinrDist, params: SystemParams) -> Callable[[float], float]:
-    """The coverage at scale s, s -> E_d[exp(-s (1 + d^alpha))]; see coverage.
+def tail_at(spec: SinrDist, s: float, params: SystemParams) -> float:
+    """The coverage at scale s, E_d[exp(-s (1 + d^alpha))]; see coverage.
 
-    The geometry (_geometry) is bound once, for integrands that ask for the
-    tail at every point. Past the underflow point, and at s = inf or NaN, it is 0;
-    below s r_out^alpha = 2^-55 it is e^-s (module docstring), so 1 at s = 0.
+    Past the underflow point, and at s = inf or NaN, it is 0; below
+    s r_out^alpha = 2^-55 it is e^-s (module docstring), so 1 at s = 0.
     """
-    a, gamma_a, annulus, norm, out_alpha, in_alpha, _, _ = _geometry(spec.cls, params)
-
-    def tail(s: float) -> float:
-        if not s <= _EXP_UNDERFLOW:
-            return 0.0
-        if s * out_alpha < _FLAT_POSITION:
-            return math.exp(-s)
-        if annulus:
-            p = reg_lower_diff(a, s * in_alpha, s * out_alpha)
-        else:
-            p = reg_lower(a, s * out_alpha)
-        val = 2.0 * math.exp(-s) * gamma_a * p / (norm * s**a)
-        return min(max(val, 0.0), 1.0)
-
-    return tail
+    a, gamma_a, annulus, norm, out_alpha, in_alpha, _, _ = geometry(spec.cls, params)
+    if not s <= _EXP_UNDERFLOW:
+        return 0.0
+    if s * out_alpha < _FLAT_POSITION:
+        return math.exp(-s)
+    if annulus:
+        p = reg_lower_diff(a, s * in_alpha, s * out_alpha)
+    else:
+        p = reg_lower(a, s * out_alpha)
+    val = 2.0 * math.exp(-s) * gamma_a * p / (norm * s**a)
+    return min(max(val, 0.0), 1.0)
 
 
 def tail_parameters(spec: SinrDist, params: SystemParams) -> tuple[float, ...]:
-    """(a, Gamma(a), norm, r_out^alpha, r_in^alpha) of the spec's position law (_geometry).
+    """(a, Gamma(a), norm, r_out^alpha, r_in^alpha) of the spec's position law (geometry).
 
     What scale_tail_array takes of a law, as one row's columns; the centre
     disk has r_in^alpha = 0.
     """
-    a, gamma_a, _, norm, out_alpha, in_alpha, _, _ = _geometry(spec.cls, params)
+    a, gamma_a, _, norm, out_alpha, in_alpha, _, _ = geometry(spec.cls, params)
     return a, gamma_a, norm, out_alpha, in_alpha
 
 
@@ -172,12 +167,12 @@ def power_by_exponent(x: np.ndarray, e: np.ndarray | float) -> np.ndarray:
 
 
 def scale_tail_array(s: np.ndarray, a, gamma_a, norm, out_alpha, in_alpha) -> np.ndarray:
-    """scale_tail on an array of scales, each under the law whose tail_parameters broadcast to it.
+    """tail_at on an array of scales, each under the law whose tail_parameters broadcast to it.
 
     Given as (rows, 1) columns against (rows, nodes) scales, the parameters
     put each row under its own law, so one evaluation serves the laws of
     many integrals; given as numbers, one law. The same arithmetic as
-    scale_tail on the incomplete gamma ufuncs, with the annulus's Q - Q
+    tail_at on the incomplete gamma ufuncs, with the annulus's Q - Q
     difference past x_in = a + 1 (incgamma.reg_lower_diff); the disk's
     x_in is 0, where the P - P form is P(a, x_out) exactly.
     """
@@ -201,7 +196,7 @@ def coverage(spec: SinrDist, t: float, params: SystemParams) -> float:
         return 1.0
     if t >= spec.theta:
         return 0.0
-    return scale_tail(spec, params)(spec._s(t))
+    return tail_at(spec, spec._s(t), params)
 
 
 def _pdf_bracket(a: float, s: float, x: float, r2: float, gamma_a: float) -> float:
@@ -226,14 +221,14 @@ def scale_measure(spec: SinrDist, params: SystemParams) -> Callable[[float], flo
     functionals in s avoids both the density spike at the support bound
     and the precision loss of d1 - d2 t near it.
 
-    The receiver geometry (_geometry) is bound here once, so a quadrature
+    The receiver geometry is bound here once, so a quadrature
     that evaluates m thousands of times pays for it once.
 
     For the annulus with x_in = s r_e^alpha >= a + 1 the two radius
     brackets are subtracted inside the gamma (the upper-regime form in the
     module docstring); below a + 1 their plain difference keeps its digits.
     """
-    a, gamma_a, annulus, norm, out_alpha, in_alpha, out_sq, in_sq = _geometry(spec.cls, params)
+    a, gamma_a, annulus, norm, out_alpha, in_alpha, out_sq, in_sq = geometry(spec.cls, params)
 
     def measure(s: float) -> float:
         # past the underflow point, and off (0, inf), the density is zero

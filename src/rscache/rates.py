@@ -31,22 +31,23 @@ receiver dispatch, and hands each the table as its first argument.
 asymptotic_report gives a slot's high-power limits.
 
 An integral functional returns its closed-form value where it has one
-and otherwise a request: what its one integral needs (_LogRate,
-_MinRate). The table makes the entries a call asks for together (_fill):
-evaluate_points asks for every integral of all of its slots, at all of
-their points, before it makes a report, and a lone lookup is a batch of
-one. All E1-form requests of a batch share one evaluation of the fixed
-piecewise G7K15 rule of quadrature.gauss_kronrod, and all min-rate
-requests another, each in blocks of _BLOCK pieces; no piece's value or
-error estimate depends on what shares its evaluation. Each request is
-then finished into its value, and refused (QuadratureError, naming its
-functional, receiver, pre-log and working point) when its error estimate
-misses the one fixed relative target, 1e-9; this module places the
-pieces. The single-receiver
-expectations are closed-form over the fading: at a fixed distance the
-Exp(1) gain clears a level exactly above one threshold, and integrating
-log(1 + SINR) by parts against e^-h leaves the exponential integral
-e^x E1(x) (Abramowitz & Stegun 5.1). What is left is a smooth average over
+and otherwise a request (_LogRate, _MinRate) that carries its own pieces
+of the fixed piecewise G7K15 rule of quadrature.gauss_kronrod, placed by
+this module, and a finish that reduces their sums to the value. The table
+makes the entries a call asks for together (_fill): evaluate_points asks
+for every integral of all of its slots, at all of their points, before it
+makes a report, and a lone lookup is a batch of one. _integrate evaluates
+the rule once per request kind, over the pieces of every request of that
+kind, in blocks of _BLOCK pieces, and hands each request its slice; no
+piece's value or error estimate depends on what shares its evaluation.
+finish refuses a request (QuadratureError, naming its functional,
+receiver, pre-log and working point) when its error estimate misses the
+one fixed relative target, 1e-9. The single-receiver expectations are
+closed-form over the fading: at a fixed distance the Exp(1) gain clears a
+level exactly above one threshold, and integrating log(1 + SINR) by parts
+against e^-h leaves the exponential integral e^x E1(x) (Abramowitz &
+Stegun 5.1) and, at each end t of the range, ln(1 + t) times the coverage
+at t, which the point's table holds. What is left is a smooth average over
 the receiver's position (_mean_lograte), cut at each doubling of d, where
 ln(1 + d^alpha) bends, and each e-fold of the fading factor. The time-shared
 min-rate integrates the product of the two receivers' closed-form tails
@@ -70,9 +71,9 @@ from .distributions import (
     SinrDist,
     coverage,
     dist_spec,
+    geometry,
     power_by_exponent,
     radii,
-    scale_tail,
     scale_tail_array,
     tail_parameters,
 )
@@ -177,11 +178,10 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pieces(s: float, r_in: float, r_out: float, alpha: float) -> list[float]:
+def _pieces(s: float, r_in: float, r_out: float, alpha: float, in_alpha: float) -> list[float]:
     """Edges of the rule's pieces over (r_in, r_out): the doublings and the e-folds at scale s."""
     cuts = [2.0**k for k in range(-2, math.frexp(r_out)[1]) if r_in < 2.0**k < r_out]
     if s > 0.0:
-        in_alpha = r_in**alpha
         for y in _EFOLDS:
             d = (in_alpha + y / s) ** (1.0 / alpha)
             if not d < r_out:
@@ -192,159 +192,93 @@ def _pieces(s: float, r_in: float, r_out: float, alpha: float) -> list[float]:
     return [r_in, *sorted(set(cuts)), r_out]
 
 
-#: pieces per evaluation of an integrand in _in_blocks: bounds a batch's
-#: temporaries at a few hundred KB however many integrals share it
-_BLOCK = 256
-
-
-def _in_blocks(rule: Callable, integrand: Callable, parts: Sequence[tuple[list, tuple]]):
-    """rule's (pieces, errors) over every part's pieces, in order, _BLOCK pieces a call.
-
-    A part is (edges, columns): its pieces lie between consecutive edges,
-    and integrand(x, *columns) gets a block's nodes x and each column as a
-    (pieces, 1) array, so each piece is integrated under its own part's
-    parameters. rule is gauss_kronrod or integrate_log_scaled.
-    """
-    left, right, counts = [], [], []
-    for edges, _ in parts:
-        left += edges[:-1]
-        right += edges[1:]
-        counts.append(len(edges) - 1)
-    if not left:
-        return np.empty(0), np.empty(0)
-    left, right = np.array(left), np.array(right)
-    columns = np.repeat(np.array([part[1] for part in parts]), counts, axis=0).T
-    pieces = []
-    for start in range(0, len(left), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        args = [column[block, None] for column in columns]
-        pieces.append(rule(lambda x, args=args: integrand(x, *args), left[block], right[block]))
-    values, errors = zip(*pieces)
-    return np.concatenate(values), np.concatenate(errors)
-
-
 def _fading_integrand(d, s, alpha, in_alpha, tau1, tau2) -> np.ndarray:
-    """The E1 form's position integrand at distances d, each row at its own scale and law."""
+    """The E1 form's position integrand at distances d, each row at its own scale and law.
+
+    A row with nothing interfering has tau2 = inf, where phi is exactly 0.
+    """
     d_alpha = power_by_exponent(d, alpha)
     big_d = 1.0 + d_alpha
     with np.errstate(over="ignore"):  # an inf product is exact: phi(inf) = 0
-        out = _phi(big_d * (s + tau1))
-        two = tau2[:, 0] < math.inf
-        if two.all():
-            out -= _phi(big_d * (s + tau2))
-        elif two.any():
-            out[two] -= _phi(big_d[two] * (s[two] + tau2[two]))
+        out = _phi(big_d * (s + tau1)) - _phi(big_d * (s + tau2))
     # times d of the position density 2 d / area; the 2 and the area are in weight
     return out * (np.exp(-s * (d_alpha - in_alpha)) * d)
 
 
-def _fading_average(requests: Sequence[_LogRate]) -> list[tuple[float, float, float]]:
-    """Each request's A(s_lo) - A(s_hi), its error estimate and A(s_lo) + A(s_hi).
-
-    A(s) = E_d[e^-sD (phi(D (s + tau1)) - phi(D (s + tau2)))] >= 0, with
-    D = 1 + d^alpha, tau1 = sigma2 / (d1 + d2), tau2 = sigma2 / d2 (no tau2
-    term when nothing interferes), phi(x) = e^x E1(x) and A(inf) = 0. One
-    G7K15 evaluation over the pieces of both scales of every request; the
-    fading factor is formed relative to the inner radius,
-    e^-s D = e^-s D_in e^-y, so no node underflows before the coverage does.
-    """
-    parts, weights, ends = [], [], []
-    for request in requests:
-        spec, params = request.spec, request.params
-        alpha = params.alpha
-        r_in, r_out = radii(spec.cls, params)
-        in_alpha = r_in**alpha
-        area = r_out * r_out - r_in * r_in
-        # tau2 is inf when nothing interferes: that law has no tau2 term
-        tau2 = spec.sigma2 / spec.d2 if spec.d2 > 0.0 else math.inf
-        taus = spec.sigma2 / (spec.d1 + spec.d2), tau2
-        for s, sign in ((request.s_lo, 1.0), (request.s_hi, -1.0)):
-            if math.isinf(s):
-                continue
-            edges = _pieces(s, r_in, r_out, alpha)
-            parts.append((edges, (s, alpha, in_alpha, *taus)))
-            # the e^-s D_in factor over the area of the position law, and the
-            # 2 of its density 2 d / area, for each of the scale's pieces
-            factor = sign * math.exp(-s * (1.0 + in_alpha)) / area
-            weights += [2.0 * factor] * (len(edges) - 1)
-        ends.append(len(weights))
-    pieces, errors = _in_blocks(gauss_kronrod, _fading_integrand, parts)
-    weight = np.array(weights)
-    size = np.abs(weight)
-    out, start = [], 0
-    for end in ends:
-        own = slice(start, end)
-        out.append((
-            float(pieces[own] @ weight[own]),
-            float(errors[own] @ size[own]),
-            float(pieces[own] @ size[own]),
-        ))
-        start = end
-    return out
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _LogRate:
-    """What a _mean_lograte still needs: its position average over the E1 form, then finish."""
+    """What a _mean_lograte still needs: its position pieces' G7K15 sums, then finish.
 
-    spec: SinrDist
-    params: SystemParams
+    parts are (edges, columns) as _fading_integrand takes them, one per
+    finite end scale; weights are their pieces' factors and ends the end
+    terms ln(1 + t) P(t) at lo and, if its scale is finite, hi.
+    """
+
+    cls: ReceiverClass
     omega: float
     lo: float
     hi: float
     norm: float
-    s_lo: float
-    s_hi: float
+    parts: list[tuple[list[float], tuple[float, ...]]]
+    weights: np.ndarray
+    ends: tuple[float, ...]
 
     @property
     def receiver(self) -> str:
-        return f"{self.spec.cls.value} receiver"
+        return f"{self.cls.value} receiver"
 
-    def finish(self, average: tuple[float, float, float]) -> float:
-        """The mean rate from its _fading_average: the end terms added, checked and clamped."""
-        integral, error, size = average
-        spec, omega, lo, hi = self.spec, self.omega, self.lo, self.hi
-        tail = scale_tail(spec, self.params)
-        edge = math.log1p(lo) * tail(self.s_lo)
-        integral += edge
-        size += edge
-        if math.isfinite(self.s_hi):
-            edge = math.log1p(hi) * tail(self.s_hi)
-            integral -= edge
+    def finish(self, pieces: tuple[np.ndarray, np.ndarray]) -> float:
+        """The mean rate from its pieces' integrals and error estimates.
+
+        The end terms are added, and the sum is checked and clamped.
+        """
+        values, errors = pieces
+        sizes = np.abs(self.weights)
+        integral = float(values @ self.weights)
+        error = float(errors @ sizes)
+        size = float(values @ sizes)
+        for edge, sign in zip(self.ends, (1.0, -1.0)):
+            integral += sign * edge
             size += edge
         # the error is held to the size of the terms: their difference can
         # cancel (see _mean_lograte), and then it is rounding, not the rule,
         # that errs
+        omega, norm = self.omega, self.norm
         scale = omega / math.log(2.0)
-        norm = self.norm
         _check(scale * size, scale * error, "position-averaged E1 rule failed", min(norm, 1.0))
         rate = scale * integral / norm
-        return min(max(rate, lograte(omega, lo)), lograte(omega, hi))
+        return min(max(rate, lograte(omega, self.lo)), lograte(omega, self.hi))
 
 
 def _mean_lograte(
-    spec: SinrDist,
+    point: _Point,
+    kind: SinrKind,
+    cls: ReceiverClass,
+    iic: bool,
     omega: float,
     lo: float,
     hi: float,
     norm: float,
-    params: SystemParams,
 ) -> float | _LogRate:
     """(1/norm) * integral of omega*log2(1+t) g(t) dt over (lo, min(hi, theta)).
 
-    0.0 where the range or the normaliser is empty; else the request for
-    its one integral, which _integrate evaluates and _LogRate.finish turns
-    into the value. Closed form over the fading, one fixed rule over the
-    position. At a fixed distance d the level t is reached at the fade
-    h = s(t) D, with D = 1 + d^alpha and s the scale map, so the part of
-    the integral above lo is, by parts,
+    g is the density of the point's (kind, cls, iic) law. 0.0 where the
+    range or the normaliser is empty; else the request for its one
+    integral, which _integrate evaluates and _LogRate.finish turns into the
+    value. Closed form over the fading, one fixed rule over the position.
+    At a fixed distance d the level t is reached at the fade h = s(t) D,
+    with D = 1 + d^alpha and s the scale map, so the part of the integral
+    above lo is, by parts,
 
       ln(1 + lo) e^-s_lo D + e^-s_lo D (phi(D (s_lo + tau1)) - phi(D (s_lo + tau2)))
 
-    with phi(x) = e^x E1(x), tau1 = sigma2/(d1 + d2), tau2 = sigma2/d2. Over
-    the position the first term is ln(1 + lo) times the closed-form tail at
-    s_lo; the second is _fading_average's G7K15 sum. The part above a finite
-    hi is subtracted the same way.
+    with phi(x) = e^x E1(x), tau1 = sigma2/(d1 + d2), tau2 = sigma2/d2
+    (inf, and no tau2 term, when nothing interferes). Over the position the
+    first term is ln(1 + lo) times the coverage at lo, from the point's
+    table. The second, A(s_lo) = E_d[e^-s_lo D (...)] >= 0, is the G7K15
+    sum over the request's pieces; the fading factor is formed relative to
+    the inner radius, e^-s D = e^-s D_in e^-y, so no node underflows before
+    the coverage does. The part above a finite hi is subtracted the same way.
 
     The rule's error estimate must meet the fixed relative target
     quadrature.DEFAULT_RTOL (1e-9), with the absolute floor scaled by the
@@ -356,6 +290,7 @@ def _mean_lograte(
     if norm < sys.float_info.min:
         # zero, or so deep in outage that the error floor would underflow
         return 0.0
+    spec = point.law(kind, cls, iic)
     theta = spec.theta
     hi = min(hi, theta)
     if not hi > lo:
@@ -364,7 +299,25 @@ def _mean_lograte(
     if not math.isfinite(s_lo):
         return 0.0
     s_hi = math.inf if hi >= theta else spec._s(hi)
-    return _LogRate(spec, params, omega, lo, hi, norm, s_lo, s_hi)
+    params = point.params
+    alpha = params.alpha
+    r_in, r_out = radii(cls, params)
+    *_, in_alpha, out_sq, in_sq = geometry(cls, params)
+    area = out_sq - in_sq
+    tau2 = spec.sigma2 / spec.d2 if spec.d2 > 0.0 else math.inf
+    taus = spec.sigma2 / (spec.d1 + spec.d2), tau2
+    parts, weights, ends = [], [], []
+    for t, s, sign in ((lo, s_lo, 1.0), (hi, s_hi, -1.0)):
+        if math.isinf(s):
+            continue
+        ends.append(math.log1p(t) * point.cover(kind, cls, iic, t))
+        edges = _pieces(s, r_in, r_out, alpha, in_alpha)
+        parts.append((edges, (s, alpha, in_alpha, *taus)))
+        # the e^-s D_in factor over the area of the position law, and the
+        # 2 of its density 2 d / area, for each of the scale's pieces
+        factor = sign * math.exp(-s * (1.0 + in_alpha)) / area
+        weights += [2.0 * factor] * (len(edges) - 1)
+    return _LogRate(cls, omega, lo, hi, norm, parts, np.array(weights), tuple(ends))
 
 
 def gap_thresholds(point: _Point, cls: ReceiverClass) -> tuple[float, float]:
@@ -385,10 +338,9 @@ def gap_thresholds(point: _Point, cls: ReceiverClass) -> tuple[float, float]:
 
 def common_rate_single(point: _Point, cls: ReceiverClass, iic: bool) -> float:
     """E[log2(1 + common SINR) | it clears zeta] for one receiver, pre-log free."""
-    params = point.params
-    spec = point.law(SinrKind.COMMON, cls, iic)
-    pi = point.cover(SinrKind.COMMON, cls, iic, params.zeta)
-    return _mean_lograte(spec, 1.0, params.zeta, spec.theta, pi, params)
+    z = point.params.zeta
+    pi = point.cover(SinrKind.COMMON, cls, iic, z)
+    return _mean_lograte(point, SinrKind.COMMON, cls, iic, 1.0, z, math.inf, pi)
 
 
 #: e-folds y of the min-rate's two tails from where its integral starts;
@@ -464,18 +416,17 @@ def _min_rate_integrand(s, d1, d2, sigma2, e1, cross, *tails) -> np.ndarray:
     return slope * scale_tail_array(s, *tails[:5]) * scale_tail_array(partner, *tails[5:])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _MinRate:
-    """What a common_rate_both still needs: its log-s pieces and columns, then finish.
+    """What a common_rate_both still needs: its log-s pieces' G7K15 sums, then finish.
 
-    columns are (d1, d2, sigma2, e1, cross, *inner tail, *outer tail), as
-    _min_rate_integrand takes them.
+    Its one part is (edges, columns), the columns (d1, d2, sigma2, e1,
+    cross, *inner tail, *outer tail) as _min_rate_integrand takes them.
     """
 
     zeta: float
     norm: float
-    edges: list[float]
-    columns: tuple[float, ...]
+    parts: list[tuple[list[float], tuple[float, ...]]]
     receiver = "both receivers"
     omega = 1.0
 
@@ -534,13 +485,14 @@ def common_rate_both(point: _Point, iic_at: ReceiverClass | None) -> float | _Mi
         den = sigma2 * d1 - cross * level
         return e1 * sigma2 * level / den if den > 0.0 else math.inf
 
-    # a scale that underflows to 0 (a subnormal sigma2) starts the log axis
-    # at the least float, where the integrand vanishes like s
+    # a scale that underflows to 0 (sigma2 zeta / d1 below the least float,
+    # say zeta = 1e-300 at P = 1e30) starts the log axis at the least float, where
+    # the integrand vanishes like s
     s_lo = max(inner._s(z), math.ulp(0.0))
-    falls = (1.0 + radii(spec.cls, params)[0] ** params.alpha for spec in (inner, outer))
-    edges = _tail_pieces(s_lo, *falls, partner, reach)
-    tails = (*tail_parameters(inner, params), *tail_parameters(outer, params))
-    return _MinRate(z, norm, edges, (d1, d2, sigma2, e1, cross, *tails))
+    tails = tail_parameters(inner, params), tail_parameters(outer, params)
+    # tail_parameters end in r_in^alpha; a tail's fall is 1 + r_in^alpha
+    edges = _tail_pieces(s_lo, *(1.0 + tail[4] for tail in tails), partner, reach)
+    return _MinRate(z, norm, [(edges, (d1, d2, sigma2, e1, cross, *tails[0], *tails[1]))])
 
 
 def common_stream_rate(
@@ -576,16 +528,15 @@ def private_rate_after_common(
     if not z < point.law(SinrKind.COMMON, cls, iic).theta:
         return 0.0
     xi_t = private_sinr_threshold(omega, params.xi)
-    spec = point.law(SinrKind.PRIVATE, cls, iic)
-    bound = spec.theta
+    bound = point.law(SinrKind.PRIVATE, cls, iic).theta
     if xi_t >= bound:
         return 0.0
     after, _ = point.at(gap_thresholds, cls)
     if xi_t >= after:
         norm = point.cover(SinrKind.PRIVATE, cls, iic, xi_t)
-        return _mean_lograte(spec, omega, xi_t, bound, norm, params)
+        return _mean_lograte(point, SinrKind.PRIVATE, cls, iic, omega, xi_t, bound, norm)
     norm = point.cover(SinrKind.COMMON, cls, iic, z)
-    return _mean_lograte(spec, omega, after, bound, norm, params)
+    return _mean_lograte(point, SinrKind.PRIVATE, cls, iic, omega, after, bound, norm)
 
 
 def private_rate_with_interference(
@@ -602,15 +553,14 @@ def private_rate_with_interference(
         return 0.0
     z = params.zeta
     xi_t = private_sinr_threshold(omega, params.xi)
-    spec = point.law(SinrKind.PRIVATE_INTERF, cls, iic)
-    bound = spec.theta
+    bound = point.law(SinrKind.PRIVATE_INTERF, cls, iic).theta
     if z >= point.law(SinrKind.COMMON, cls, iic).theta:
         # at or above the ceiling the common decode never happens, so the
         # interference route carries the whole conditioning
         if xi_t >= bound:
             return 0.0
         norm = point.cover(SinrKind.PRIVATE_INTERF, cls, iic, xi_t)
-        return _mean_lograte(spec, omega, xi_t, bound, norm, params)
+        return _mean_lograte(point, SinrKind.PRIVATE_INTERF, cls, iic, omega, xi_t, bound, norm)
     _, with_i = point.at(gap_thresholds, cls)
     if not xi_t < with_i:
         return 0.0
@@ -618,7 +568,7 @@ def private_rate_with_interference(
     norm -= point.cover(SinrKind.COMMON, cls, iic, z)
     if norm <= 0.0:
         return 0.0
-    return _mean_lograte(spec, omega, xi_t, with_i, norm, params)
+    return _mean_lograte(point, SinrKind.PRIVATE_INTERF, cls, iic, omega, xi_t, with_i, norm)
 
 
 @dataclass(frozen=True)
@@ -682,23 +632,46 @@ class _Point:
         return made
 
 
-def _integrate(requests: Sequence[_LogRate | _MinRate]) -> list:
-    """What each request's finish takes, in order.
+#: pieces per evaluation of an integrand in _integrate: bounds a batch's
+#: temporaries at a few hundred KB however many integrals share it
+_BLOCK = 256
 
-    The E1-form requests' position averages come from one rule evaluation
-    over all of their pieces (_fading_average), and the min-rate requests'
-    pieces from another, each in blocks of _BLOCK pieces.
+
+def _integrate(requests: Sequence[_LogRate | _MinRate]) -> list:
+    """What each request's finish takes, in order: its pieces' (values, errors).
+
+    The requests of a kind share one evaluation of their rule over all of
+    their parts' pieces, _BLOCK pieces a call. A part is (edges, columns):
+    its pieces lie between consecutive edges, and the integrand gets a
+    block's nodes and each column as a (pieces, 1) array, so each piece is
+    integrated under its own part's parameters.
     """
-    log_rates = [r for r in requests if isinstance(r, _LogRate)]
-    min_rates = [r for r in requests if isinstance(r, _MinRate)]
-    done = dict(zip(log_rates, _fading_average(log_rates)))
-    parts = [(request.edges, request.columns) for request in min_rates]
-    pieces, errors = _in_blocks(integrate_log_scaled, _min_rate_integrand, parts)
-    start = 0
-    for request in min_rates:
-        end = start + len(request.edges) - 1
-        done[request] = pieces[start:end], errors[start:end]
-        start = end
+    done = {}
+    for kind, rule, integrand in (
+        (_LogRate, gauss_kronrod, _fading_integrand),
+        (_MinRate, integrate_log_scaled, _min_rate_integrand),
+    ):
+        own = [request for request in requests if isinstance(request, kind)]
+        left, right, counts, columns, ends = [], [], [], [], []
+        for request in own:
+            for edges, row in request.parts:
+                left += edges[:-1]
+                right += edges[1:]
+                counts.append(len(edges) - 1)
+                columns.append(row)
+            ends.append(len(left))
+        if not left:
+            continue
+        left, right = np.array(left), np.array(right)
+        columns = np.repeat(np.array(columns), counts, axis=0).T
+        pieces = []
+        for start in range(0, len(left), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            args = [column[block, None] for column in columns]
+            pieces.append(rule(lambda x, args=args: integrand(x, *args), left[block], right[block]))
+        values, errors = (np.concatenate(each) for each in zip(*pieces))
+        for request, start, end in zip(own, [0, *ends], ends):
+            done[request] = values[start:end], errors[start:end]
     return [done[request] for request in requests]
 
 

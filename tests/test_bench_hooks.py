@@ -7,7 +7,8 @@ and its metrics drop out of a traced run; these checks fail first.
 A module imports a name it never reads only so that the tracer can hook
 it there; such imports, and only they, sit on lines marked
 ``# noqa: F401``. The scan below stands in for pyflakes' unused-import
-check.
+check. A last scan finds package functions and classes that no package
+code reads, which only tests (or nothing) would call.
 """
 
 import ast
@@ -79,3 +80,37 @@ def test_the_only_unused_imports_are_hooked_and_marked():
                 marked.add((module, name))
     assert unused == marked
     assert unused <= hooked
+
+
+def _read_outside(tree: ast.Module) -> set[str]:
+    """Every name or attribute a module reads, each top-level definition's own name aside.
+
+    A module-level function or class that only reads itself (recursion)
+    does not count as read.
+    """
+    read = set()
+    for statement in tree.body:
+        names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)}
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(statement.name)
+        read |= names
+    return read
+
+
+def test_every_package_function_and_class_has_a_package_reader():
+    # no production function that only tests call: each module-level
+    # function and class is read by package code, exported in
+    # rscache.__all__, or named by a tracer hook (an import alone is not a read)
+    hooked = {attr for _module, attr, _key, _layer in _load_tracer().HOOKS}
+    exported = set(importlib.import_module("rscache").__all__)
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*(_read_outside(tree) for tree in trees.values()))
+    unread = [
+        (stem, node.name)
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in read | exported | hooked
+    ]
+    assert unread == []

@@ -17,8 +17,8 @@ from rscache.distributions import (
     coverage,
     dist_spec,
     pdf_s_measure,
-    scale_tail,
     scale_tail_array,
+    tail_at,
     tail_parameters,
 )
 from rscache.model import (
@@ -204,8 +204,7 @@ def test_array_tail_is_the_scalar_tail(cls):
     spec = spec_for(SinrKind.COMMON, cls)
     s = np.concatenate([np.geomspace(1e-300, 700.0, 301), [0.0, 745.0, 746.0, np.inf, np.nan]])
     got = scale_tail_array(s, *tail_parameters(spec, PARAMS))
-    tail = scale_tail(spec, PARAMS)
-    want = [tail(float(x)) for x in s]
+    want = [tail_at(spec, float(x), PARAMS) for x in s]
     assert got.tolist() == pytest.approx(want, rel=1e-13, abs=1e-300)
     assert got[-5:].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 

@@ -17,14 +17,12 @@ import pytest
 
 from rscache import rates
 from rscache.caching import Mode, parse_subcase_token
-from rscache.distributions import coverage, dist_spec
 from rscache.model import (
     PowerSplit,
     ReceiverClass,
     SinrKind,
     SystemParams,
     private_sinr_threshold,
-    stream_powers,
 )
 from rscache.rates import evaluate_subcase
 from rscache.sweep import MODE_SUBCASES, figure_presets
@@ -76,12 +74,15 @@ def test_e1_form_matches_the_density_integral(monkeypatch, cold_rate_caches):
     deep = [(params, PowerSplit(beta=0.5, rho=0.5), roster)]
     calls = _captured_calls(monkeypatch, _figure_points() + deep)
     assert len(calls) > 200
-    assert min(args[4] for args in calls) < 1e-12
+    assert min(args[7] for args in calls) < 1e-12
     bad = []
     for args in calls:
-        got, want = _value(rates._mean_lograte(*args)), mean_lograte_by_density(*args)
+        point, kind, cls, iic, omega, lo, hi, norm = args
+        spec = point.law(kind, cls, iic)
+        got = _value(rates._mean_lograte(*args))
+        want = mean_lograte_by_density(spec, omega, lo, hi, norm, point.params)
         if not got == pytest.approx(want, rel=1e-10, abs=1e-300):
-            bad.append((args[0].kind, args[0].cls, args[2], args[3], args[4], got, want))
+            bad.append((spec.kind, cls, lo, hi, norm, got, want))
     assert bad == []
 
 
@@ -121,19 +122,19 @@ def _e1_reference(spec, omega, lo, params):
 @pytest.mark.parametrize("power", [1e11, 1e30, 1e100])
 def test_e1_form_at_high_power_matches_mpmath(power):
     params = SystemParams(P=power)
-    powers = stream_powers(power, PowerSplit(beta=0.7, rho=0.5))
+    point = rates._point(params, PowerSplit(beta=0.7, rho=0.5))
     omega = 2.0
     xi_t = private_sinr_threshold(omega, params.xi)
-    for kind, cls, lo in (
-        (SinrKind.COMMON, ReceiverClass.CENTER, params.zeta),
-        (SinrKind.PRIVATE, ReceiverClass.EDGE, xi_t),
+    for kind, cls, iic, lo in (
+        (SinrKind.COMMON, ReceiverClass.CENTER, False, params.zeta),
+        (SinrKind.PRIVATE, ReceiverClass.EDGE, False, xi_t),
         # nothing interferes: no tau2 term, and the rate grows with P
-        (SinrKind.PRIVATE_IIC, ReceiverClass.CENTER, xi_t),
+        (SinrKind.PRIVATE, ReceiverClass.CENTER, True, xi_t),
     ):
-        spec = dist_spec(kind, cls, powers, params)
-        norm = coverage(spec, lo, params)
-        got = _value(rates._mean_lograte(spec, omega, lo, math.inf, norm, params))
-        assert got == pytest.approx(_e1_reference(spec, omega, lo, params), rel=1e-13), kind
+        spec = point.law(kind, cls, iic)
+        norm = point.cover(kind, cls, iic, lo)
+        got = _value(rates._mean_lograte(point, kind, cls, iic, omega, lo, math.inf, norm))
+        assert got == pytest.approx(_e1_reference(spec, omega, lo, params), rel=1e-13), spec.kind
 
 
 def test_phi_matches_mpmath_on_both_sides_of_the_laguerre_switch():

@@ -35,6 +35,7 @@ from rscache.rates import (
     common_rate_both,
     common_rate_single,
     common_stream_rate,
+    evaluate_points,
     evaluate_subcase,
     _pieces,
     _tail_pieces,
@@ -238,22 +239,37 @@ def test_dispatch_is_total_and_sane(split, omega, cls, iic):
         assert got.rate == 0.0 and got.q == 0.0
 
 
+def _reports_or_errors(slots: list) -> list:
+    """evaluate_points of the slots; if it raises, each slot's own report or error."""
+    try:
+        return evaluate_points(slots)
+    except QuadratureError:
+        pass
+    out = []
+    for one in slots:
+        try:
+            out += evaluate_points([one])
+        except QuadratureError as exc:
+            out.append(exc)
+    return out
+
+
 def test_dispatch_gives_a_finite_rate_over_a_fine_grid():
     # a 60 x 60 grid reaches conditioning probabilities below the smallest
-    # normal float, e.g. the cancelling edge at (0.309, 0.973) and (0.973, 0.309)
+    # normal float, e.g. the cancelling edge at (0.309, 0.973) and (0.973, 0.309);
+    # each beta row is one evaluate_points call, as a sweep makes it
     grid = [float(x) for x in np.linspace(0.01, 0.99, 60)]
     bad = []
     for beta in grid:
-        for rho in grid:
-            split = PowerSplit(beta=beta, rho=rho)
-            for cls in ReceiverClass:
-                for iic in (None, ReceiverClass.CENTER, ReceiverClass.EDGE):
-                    try:
-                        rate = achieved_rate(rates._point(PARAMS, split), cls, 1.0, iic).rate
-                    except QuadratureError as exc:
-                        rate = exc
-                    if not (isinstance(rate, float) and math.isfinite(rate)):
-                        bad.append((beta, rho, cls, iic, rate))
+        row = [
+            (PARAMS, PowerSplit(beta=beta, rho=rho), iic, 1.0, 1.0)
+            for rho in grid
+            for iic in (None, ReceiverClass.CENTER, ReceiverClass.EDGE)
+        ]
+        for (_, split, iic, _, _), got in zip(row, _reports_or_errors(row)):
+            values = [got] if isinstance(got, QuadratureError) else [got.r_center, got.r_edge]
+            if not all(isinstance(v, float) and math.isfinite(v) for v in values):
+                bad.append((split.beta, split.rho, iic, got))
     assert bad == []
 
 
@@ -316,7 +332,7 @@ def test_pieces_strictly_increase_when_an_efold_lands_on_a_knee(alpha):
     # there is an input error to the quadrature
     for k in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
         for y in rates._EFOLDS:
-            edges = _pieces(y / k**alpha, 0.0, 64.0, alpha)
+            edges = _pieces(y / k**alpha, 0.0, 64.0, alpha, 0.0)
             assert all(a < b for a, b in zip(edges, edges[1:])), (k, y)
 
 
@@ -364,10 +380,9 @@ def test_fixed_rule_check_trips_on_an_under_resolved_integrand(monkeypatch, cold
     # disk cannot follow the fading factor e^-s d^alpha, which the check
     # must see, even at a target of 1e-8. Nor can one log-s piece from the
     # min-rate's start to its last e-fold follow the two tails.
-    spec = dist_spec(
-        SinrKind.PRIVATE_IIC, ReceiverClass.CENTER, stream_powers(PARAMS.P, SPLIT), PARAMS
-    )
-    args = (spec, 1.0, 1.0, math.inf, coverage(spec, 1.0, PARAMS), PARAMS)
+    point = rates._point(PARAMS, SPLIT)
+    law = SinrKind.PRIVATE, ReceiverClass.CENTER, True
+    args = (point, *law, 1.0, 1.0, math.inf, point.cover(*law, 1.0))
     assert _value(rates._mean_lograte(*args)) > 0.0
     assert rates._point(PARAMS, SPLIT).at(common_rate_both, None) > math.log2(1.0 + PARAMS.zeta)
     cold_rate_caches()
