@@ -198,27 +198,18 @@ class Subcase:
         return (self.center if cls is ReceiverClass.CENTER else self.edge).value
 
 
-def make_subcase(mode: Mode, center: str, edge: str, iic: str | None = None) -> Subcase:
-    """Convenience constructor from technique names ('efr', 'pfr', 'xor')."""
-    try:
-        c, e = Technique[center.upper()], Technique[edge.upper()]
-    except KeyError as exc:
-        raise ValueError(f"unknown delivery technique {exc.args[0].lower()!r}") from None
-    iic_at = None
-    if iic in ("center", "c", "iic-c"):
-        iic_at = ReceiverClass.CENTER
-    elif iic in ("edge", "e", "iic-e"):
-        iic_at = ReceiverClass.EDGE
-    elif iic not in (None, "", "none"):
-        raise ValueError(f"unknown IIC tag {iic!r}")
-    return Subcase(mode=mode, center=c, edge=e, iic_at=iic_at)
-
-
 def parse_subcase_token(mode: Mode, token: str) -> Subcase:
     """Invert ``Subcase.token``: e.g. 'xor/efr+iic-e'."""
     body, _, tag = token.partition("+")
     try:
-        c, e = body.split("/")
+        center, edge = body.split("/")
     except ValueError:
         raise ValueError(f"malformed subcase token {token!r}") from None
-    return make_subcase(mode, c, e, tag or None)
+    try:
+        c, e = Technique[center.upper()], Technique[edge.upper()]
+    except KeyError as exc:
+        raise ValueError(f"unknown delivery technique {exc.args[0].lower()!r}") from None
+    iic_tags = {"": None, "iic-c": ReceiverClass.CENTER, "iic-e": ReceiverClass.EDGE}
+    if tag not in iic_tags:
+        raise ValueError(f"unknown IIC tag {tag!r}")
+    return Subcase(mode=mode, center=c, edge=e, iic_at=iic_tags[tag])

@@ -194,7 +194,7 @@ def _cmd_coverage(args) -> int:
     else:
         print(f"{'t':>12} {'analytic':>14}")
     for t in thresholds:
-        a = coverage(spec, t, params)
+        a = coverage(spec, t)
         if not args.mc:
             print(f"{t:>12g} {a:>14.9g}")
             continue
@@ -212,6 +212,12 @@ def _compact(group: tuple[int, ...], K: int) -> str:
 def _cmd_placement(args) -> int:
     cfg = CodedCacheConfig(K=args.K, M=args.M, N=args.N)
     layout = cc_place(cfg)
+    if args.demands:
+        demands = [int(x) for x in args.demands.split(",")]
+    else:
+        demands = [(i % cfg.N) + 1 for i in range(cfg.K)]
+    # a bad demand list fails here, before anything is printed
+    schedule = cc_delivery_schedule(cfg, demands)
     print(f"coded caching over K={cfg.K} receivers, cache M={cfg.M} of N={cfg.N} files")
     print(f"replication degree t={cfg.t}; every file splits into "
           f"{cfg.subfiles_per_file} subfiles, one per receiver {cfg.t}-set")
@@ -219,11 +225,6 @@ def _cmd_placement(args) -> int:
         groups = [s.group for s in layout.cached(1, receiver)]
         shown = " ".join(_compact(g, cfg.K) for g in groups)
         print(f"receiver {receiver} caches subsets: {shown}")
-    if args.demands:
-        demands = [int(x) for x in args.demands.split(",")]
-    else:
-        demands = [(i % cfg.N) + 1 for i in range(cfg.K)]
-    schedule = cc_delivery_schedule(cfg, demands)
     print("demands: " + " ".join(str(d) for d in schedule.demands))
     print(f"xor schedule ({len(schedule.transmissions)} multicasts,"
           f" {schedule.subfile_size} of a file each):")

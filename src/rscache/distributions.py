@@ -31,13 +31,15 @@ noise, so there the difference is taken inside the gamma instead:
       - (r_0^2 e^-x_out - r_e^2 e^-x_in)
 
 with the P difference formed from the upper tails (incgamma.reg_lower_diff).
+The density is one function of a law and a scale, pdf_s_measure, with no
+closure bound per law: each law carries its position constants, which
+dist_spec computes once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
@@ -53,14 +55,22 @@ _EXP_UNDERFLOW = 745.0
 _FLAT_POSITION = 2.0**-55
 
 
-@dataclass(frozen=True)
+# hashed by value, but not frozen: a law is built for each working point,
+# and a frozen init of its 14 fields costs about ten times a plain one
+@dataclass(slots=True, unsafe_hash=True)
 class SinrDist:
-    """Distribution of one SINR kind at one receiver class.
+    """Distribution of one SINR kind at one receiver class, over that class's position law.
 
     d1 and d2 are the kind's signal and interference powers (model's SINR
     table). The scale map is s(t) = sigma2 * t / (d1 - d2 * t); the
     distribution has support (0, theta) with theta = d1/d2, the kind's
     noise-free bound (infinite when nothing interferes).
+
+    The position law is uniform over the edge ring (r_in, r_out) or the
+    centre disk (r_in = 0) at path-loss exponent alpha; a = 2/alpha, gamma_a
+    = Gamma(a), norm = alpha (r_out^2 - r_in^2) and out_alpha, in_alpha are
+    r_out^alpha, r_in^alpha. tail holds (a, gamma_a, norm, out_alpha,
+    in_alpha), the columns scale_tail_array takes of a law.
     """
 
     kind: SinrKind
@@ -68,6 +78,15 @@ class SinrDist:
     d1: float
     d2: float
     sigma2: float
+    alpha: float
+    r_in: float
+    r_out: float
+    a: float
+    gamma_a: float
+    norm: float
+    out_alpha: float
+    in_alpha: float
+    tail: tuple[float, float, float, float, float]
 
     @property
     def theta(self) -> float:
@@ -86,65 +105,37 @@ def dist_spec(
     powers: StreamPowers,
     params: SystemParams,
 ) -> SinrDist:
-    """Build the distribution of a SINR kind from the stream powers."""
+    """Build the distribution of a SINR kind from the stream powers and its class's position law."""
     d1, d2 = sinr_powers(kind, cls, powers)
-    return SinrDist(kind=kind, cls=cls, d1=d1, d2=d2, sigma2=params.sigma2)
-
-
-def radii(cls: ReceiverClass, params: SystemParams) -> tuple[float, float]:
-    """(r_in, r_out) of the receiver's position law: the edge ring or the centre disk."""
-    if cls is ReceiverClass.EDGE:
-        return params.r_e, params.r_0
-    return 0.0, params.r_c
-
-
-def geometry(
-    cls: ReceiverClass, params: SystemParams
-) -> tuple[float, float, bool, float, float, float, float, float]:
-    """Position-average constants of one receiver class.
-
-    (a, Gamma(a), annulus, norm, r_out^alpha, r_in^alpha, r_out^2, r_in^2)
-    with a = 2/alpha, annulus true for the edge class's ring (r_in = 0 for
-    the center disk) and norm = alpha (r_out^2 - r_in^2).
-    """
     alpha = params.alpha
+    if cls is ReceiverClass.EDGE:
+        r_in, r_out = params.r_e, params.r_0
+        norm = alpha * (r_out * r_out - r_in * r_in)
+    else:
+        r_in, r_out = 0.0, params.r_c
+        norm = alpha * r_out * r_out
     a = 2.0 / alpha
-    annulus = cls is ReceiverClass.EDGE
-    r_in, r_out = radii(cls, params)
-    norm = alpha * (r_out * r_out - r_in * r_in) if annulus else alpha * r_out * r_out
-    return (
-        a, math.gamma(a), annulus, norm,
-        r_out**alpha, r_in**alpha, r_out * r_out, r_in * r_in,
-    )
+    tail = (a, math.gamma(a), norm, r_out**alpha, r_in**alpha)
+    return SinrDist(kind, cls, d1, d2, params.sigma2, alpha, r_in, r_out, *tail, tail)
 
 
-def tail_at(spec: SinrDist, s: float, params: SystemParams) -> float:
+def tail_at(spec: SinrDist, s: float) -> float:
     """The coverage at scale s, E_d[exp(-s (1 + d^alpha))]; see coverage.
 
     Past the underflow point, and at s = inf or NaN, it is 0; below
     s r_out^alpha = 2^-55 it is e^-s (module docstring), so 1 at s = 0.
     """
-    a, gamma_a, annulus, norm, out_alpha, in_alpha, _, _ = geometry(spec.cls, params)
     if not s <= _EXP_UNDERFLOW:
         return 0.0
-    if s * out_alpha < _FLAT_POSITION:
+    a, x_out = spec.a, s * spec.out_alpha
+    if x_out < _FLAT_POSITION:
         return math.exp(-s)
-    if annulus:
-        p = reg_lower_diff(a, s * in_alpha, s * out_alpha)
+    if spec.cls is ReceiverClass.EDGE:
+        p = reg_lower_diff(a, s * spec.in_alpha, x_out)
     else:
-        p = reg_lower(a, s * out_alpha)
-    val = 2.0 * math.exp(-s) * gamma_a * p / (norm * s**a)
+        p = reg_lower(a, x_out)
+    val = 2.0 * math.exp(-s) * spec.gamma_a * p / (spec.norm * s**a)
     return min(max(val, 0.0), 1.0)
-
-
-def tail_parameters(spec: SinrDist, params: SystemParams) -> tuple[float, ...]:
-    """(a, Gamma(a), norm, r_out^alpha, r_in^alpha) of the spec's position law (geometry).
-
-    What scale_tail_array takes of a law, as one row's columns; the centre
-    disk has r_in^alpha = 0.
-    """
-    a, gamma_a, _, norm, out_alpha, in_alpha, _, _ = geometry(spec.cls, params)
-    return a, gamma_a, norm, out_alpha, in_alpha
 
 
 def power_by_exponent(x: np.ndarray, e: np.ndarray | float) -> np.ndarray:
@@ -167,7 +158,7 @@ def power_by_exponent(x: np.ndarray, e: np.ndarray | float) -> np.ndarray:
 
 
 def scale_tail_array(s: np.ndarray, a, gamma_a, norm, out_alpha, in_alpha) -> np.ndarray:
-    """tail_at on an array of scales, each under the law whose tail_parameters broadcast to it.
+    """tail_at on an array of scales, each under the law whose tail columns broadcast to it.
 
     Given as (rows, 1) columns against (rows, nodes) scales, the parameters
     put each row under its own law, so one evaluation serves the laws of
@@ -190,13 +181,13 @@ def scale_tail_array(s: np.ndarray, a, gamma_a, norm, out_alpha, in_alpha) -> np
     return np.where(s <= _EXP_UNDERFLOW, np.where(x_out < _FLAT_POSITION, decay, val), 0.0)
 
 
-def coverage(spec: SinrDist, t: float, params: SystemParams) -> float:
+def coverage(spec: SinrDist, t: float) -> float:
     """P[eta > t] for the positioned receiver, exactly zero for t >= theta."""
     if t <= 0.0:
         return 1.0
     if t >= spec.theta:
         return 0.0
-    return tail_at(spec, spec._s(t), params)
+    return tail_at(spec, spec._s(t))
 
 
 def _pdf_bracket(a: float, s: float, x: float, r2: float, gamma_a: float) -> float:
@@ -213,43 +204,33 @@ def _pdf_bracket(a: float, s: float, x: float, r2: float, gamma_a: float) -> flo
     return (s + a) * gamma_part / s**a - r2 * math.exp(-x)
 
 
-def scale_measure(spec: SinrDist, params: SystemParams) -> Callable[[float], float]:
-    """Density of the SINR pushed forward to scale coordinates, as s -> m(s).
+def pdf_s_measure(spec: SinrDist, s: float) -> float:
+    """Density of the SINR pushed forward to scale coordinates, at scale s.
 
     m(s) ds = g(t) dt under t = d1 s / (sigma2 + d2 s); the chain factor ds/dt
     cancels, leaving the bare exponential-decay shape. Integrating rate
     functionals in s avoids both the density spike at the support bound
     and the precision loss of d1 - d2 t near it.
 
-    The receiver geometry is bound here once, so a quadrature
-    that evaluates m thousands of times pays for it once.
-
     For the annulus with x_in = s r_e^alpha >= a + 1 the two radius
     brackets are subtracted inside the gamma (the upper-regime form in the
     module docstring); below a + 1 their plain difference keeps its digits.
     """
-    a, gamma_a, annulus, norm, out_alpha, in_alpha, out_sq, in_sq = geometry(spec.cls, params)
-
-    def measure(s: float) -> float:
-        # past the underflow point, and off (0, inf), the density is zero
-        if not 0.0 < s <= _EXP_UNDERFLOW:
-            return 0.0
-        x_out, x_in = s * out_alpha, s * in_alpha
-        if annulus and x_in >= a + 1.0:
-            # both brackets are ~ (s+a) Gamma(a) / s^a here and their
-            # difference would cancel; subtract inside the gamma instead
-            bracket = (s + a) * gamma_a * reg_lower_diff(a, x_in, x_out) / s**a - (
-                out_sq * math.exp(-x_out) - in_sq * math.exp(-x_in)
-            )
-        else:
-            bracket = _pdf_bracket(a, s, x_out, out_sq, gamma_a)
-            if annulus:
-                bracket = bracket - _pdf_bracket(a, s, x_in, in_sq, gamma_a)
-        return max(2.0 * math.exp(-s) * bracket / (norm * s), 0.0)
-
-    return measure
-
-
-def pdf_s_measure(spec: SinrDist, s: float, params: SystemParams) -> float:
-    """One value of the scale-coordinate density; see scale_measure."""
-    return scale_measure(spec, params)(s)
+    # past the underflow point, and off (0, inf), the density is zero
+    if not 0.0 < s <= _EXP_UNDERFLOW:
+        return 0.0
+    a, gamma_a = spec.a, spec.gamma_a
+    out_sq, in_sq = spec.r_out * spec.r_out, spec.r_in * spec.r_in
+    annulus = spec.cls is ReceiverClass.EDGE
+    x_out, x_in = s * spec.out_alpha, s * spec.in_alpha
+    if annulus and x_in >= a + 1.0:
+        # both brackets are ~ (s+a) Gamma(a) / s^a here and their
+        # difference would cancel; subtract inside the gamma instead
+        bracket = (s + a) * gamma_a * reg_lower_diff(a, x_in, x_out) / s**a - (
+            out_sq * math.exp(-x_out) - in_sq * math.exp(-x_in)
+        )
+    else:
+        bracket = _pdf_bracket(a, s, x_out, out_sq, gamma_a)
+        if annulus:
+            bracket = bracket - _pdf_bracket(a, s, x_in, in_sq, gamma_a)
+    return max(2.0 * math.exp(-s) * bracket / (spec.norm * s), 0.0)

@@ -71,11 +71,8 @@ from .distributions import (
     SinrDist,
     coverage,
     dist_spec,
-    geometry,
     power_by_exponent,
-    radii,
     scale_tail_array,
-    tail_parameters,
 )
 # not called here: bench/tracer.py hooks the name rscache.rates.pdf_s_measure
 from .distributions import pdf_s_measure  # noqa: F401
@@ -299,11 +296,8 @@ def _mean_lograte(
     if not math.isfinite(s_lo):
         return 0.0
     s_hi = math.inf if hi >= theta else spec._s(hi)
-    params = point.params
-    alpha = params.alpha
-    r_in, r_out = radii(cls, params)
-    *_, in_alpha, out_sq, in_sq = geometry(cls, params)
-    area = out_sq - in_sq
+    alpha, in_alpha = spec.alpha, spec.in_alpha
+    area = spec.r_out * spec.r_out - spec.r_in * spec.r_in
     tau2 = spec.sigma2 / spec.d2 if spec.d2 > 0.0 else math.inf
     taus = spec.sigma2 / (spec.d1 + spec.d2), tau2
     parts, weights, ends = [], [], []
@@ -311,7 +305,7 @@ def _mean_lograte(
         if math.isinf(s):
             continue
         ends.append(math.log1p(t) * point.cover(kind, cls, iic, t))
-        edges = _pieces(s, r_in, r_out, alpha, in_alpha)
+        edges = _pieces(s, spec.r_in, spec.r_out, alpha, in_alpha)
         parts.append((edges, (s, alpha, in_alpha, *taus)))
         # the e^-s D_in factor over the area of the position law, and the
         # 2 of its density 2 d / area, for each of the scale's pieces
@@ -398,8 +392,8 @@ def _min_rate_integrand(s, d1, d2, sigma2, e1, cross, *tails) -> np.ndarray:
     """common_rate_both's integrand at scales s, each row under its own request's columns.
 
     The slope of the inner receiver's scale times its tail at s, times the
-    outer tail at the partner's scale; tails holds the two laws'
-    tail_parameters, inner first.
+    outer tail at the partner's scale; tails holds the two laws' tail
+    columns, inner first.
     """
     # the partner's scale, without the product e1 sigma2 in the rows where
     # it underflows (d1 s / e1 there when cross is 0)
@@ -458,8 +452,7 @@ def common_rate_both(point: _Point, iic_at: ReceiverClass | None) -> float | _Mi
     scale is formed from s directly, not from the level t(s), whose
     distance to a shared bound cancels at high power.
     """
-    params = point.params
-    z = params.zeta
+    z = point.params.zeta
     spec_c, spec_e = (point.law(SinrKind.COMMON, cls, iic_at is cls) for cls in ReceiverClass)
     pi_c, pi_e = (point.cover(SinrKind.COMMON, cls, iic_at is cls, z) for cls in ReceiverClass)
     norm = pi_c * pi_e
@@ -489,10 +482,9 @@ def common_rate_both(point: _Point, iic_at: ReceiverClass | None) -> float | _Mi
     # say zeta = 1e-300 at P = 1e30) starts the log axis at the least float, where
     # the integrand vanishes like s
     s_lo = max(inner._s(z), math.ulp(0.0))
-    tails = tail_parameters(inner, params), tail_parameters(outer, params)
-    # tail_parameters end in r_in^alpha; a tail's fall is 1 + r_in^alpha
-    edges = _tail_pieces(s_lo, *(1.0 + tail[4] for tail in tails), partner, reach)
-    return _MinRate(z, norm, [(edges, (d1, d2, sigma2, e1, cross, *tails[0], *tails[1]))])
+    # a tail's fall is 1 + r_in^alpha of its law
+    edges = _tail_pieces(s_lo, 1.0 + inner.in_alpha, 1.0 + outer.in_alpha, partner, reach)
+    return _MinRate(z, norm, [(edges, (d1, d2, sigma2, e1, cross, *inner.tail, *outer.tail))])
 
 
 def common_stream_rate(
@@ -619,7 +611,7 @@ class _Point:
 
     def _cover(self, kind: SinrKind, cls: ReceiverClass, iic: bool, t: float) -> float:
         # the module's coverage, looked up at each call, so a hook on it sees every miss
-        return coverage(self.law(kind, cls, iic), t, self.params)
+        return coverage(self.law(kind, cls, iic), t)
 
     def at(self, fn: Callable, *args):
         # fn(self, *args), made as a batch of one; callers pass the module's

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate
 
 from rscache.caching import Mode, Subcase, Technique
-from rscache.distributions import SinrDist, coverage, dist_spec, pdf_s_measure, scale_measure
+from rscache.distributions import SinrDist, coverage, dist_spec, pdf_s_measure
 from rscache.model import (
     PowerSplit,
     ReceiverClass,
@@ -264,7 +264,7 @@ def pdf(spec: SinrDist, t: float, params: SystemParams) -> float:
     """Density of the SINR at level t (zero outside the open support)."""
     if t <= 0.0 or t >= spec.theta:
         return 0.0
-    return scale_measure(spec, params)(spec._s(t)) * _s_prime(spec, t)
+    return pdf_s_measure(spec, spec._s(t)) * _s_prime(spec, t)
 
 
 def level_of_s(spec: SinrDist, s: float) -> float:
@@ -305,10 +305,9 @@ def mean_lograte_by_density(
     if not math.isfinite(s_lo):
         return 0.0
     s_hi = math.inf if hi >= spec.theta else spec._s(hi)
-    measure = scale_measure(spec, params)
 
     def integrand(s: float) -> float:
-        m = measure(s)
+        m = pdf_s_measure(spec, s)
         if m == 0.0:
             return 0.0
         return omega * math.log2(1.0 + level_of_s(spec, s)) * m
@@ -335,7 +334,7 @@ def nested_common_rate_both(
         dist_spec(seen_kind(SinrKind.COMMON, iic_at is cls), cls, powers, params)
         for cls in (ReceiverClass.CENTER, ReceiverClass.EDGE)
     )
-    pi_c, pi_e = coverage(spec_c, z, params), coverage(spec_e, z, params)
+    pi_c, pi_e = coverage(spec_c, z), coverage(spec_e, z)
     if pi_c <= 0.0 or pi_e <= 0.0:
         return 0.0
     inner_rtol = rtol * 0.1
@@ -350,7 +349,7 @@ def nested_common_rate_both(
         cross = inner.d1 * outer.d2 - inner.d2 * outer.d1
 
         def integrand(s_out: float) -> float:
-            m_out = pdf_s_measure(outer, s_out, params)
+            m_out = pdf_s_measure(outer, s_out)
             if m_out == 0.0:
                 return 0.0
             den = inner.d1 * sig2 + cross * s_out
@@ -359,7 +358,7 @@ def nested_common_rate_both(
                 return 0.0
             return m_out * integrate_log_axis(
                 lambda s: math.log2(1.0 + level_of_s(inner, s))
-                * pdf_s_measure(inner, s, params),
+                * pdf_s_measure(inner, s),
                 s0_in,
                 s_cap,
                 rtol=inner_rtol,

@@ -52,7 +52,7 @@ def test_c1_coverage_curves_match_simulation():
             spec = spec_for(kind, cls, split)
             for anchor_i, target in enumerate(targets):
                 t = quantile(spec, target)
-                analytic = coverage(spec, t, PARAMS)
+                analytic = coverage(spec, t)
                 sim = SimConfig(
                     samples=100_000, seed=42,
                     spawn=(pair_i, beta_i, anchor_i),
@@ -91,7 +91,7 @@ def test_c3_density_mass_reproduces_coverage():
         spec = spec_for(kind, cls)
         for target in (0.8, 0.5, 0.2):
             t = quantile(spec, target)
-            pi = coverage(spec, t, PARAMS)
+            pi = coverage(spec, t)
             mass = tail_mass(spec, t)
             if abs(mass - pi) > 1e-6:
                 bad.append((kind.value, cls.value, t, pi, mass))
@@ -107,7 +107,7 @@ def test_c4_decode_impossibility_boundaries():
         for cls in ReceiverClass:
             split = PowerSplit(beta=beta, rho=0.5)
             spec = spec_for(SinrKind.COMMON, cls, split)
-            assert coverage(spec, params.zeta, params) == 0.0
+            assert coverage(spec, params.zeta) == 0.0
             assert outage_region(SinrKind.COMMON, cls, params.zeta, split)
     split = PowerSplit(beta=1.0 / 3.0 + 1e-6, rho=0.5)
     for cls in ReceiverClass:
@@ -115,7 +115,7 @@ def test_c4_decode_impossibility_boundaries():
     # the probability itself is representable only at the center; at the
     # edge the exponent is on the order of -4e6 and underflows a double
     assert coverage(spec_for(SinrKind.COMMON, ReceiverClass.CENTER, split),
-                    params.zeta, params) > 0.0
+                    params.zeta) > 0.0
 
     # the edge private stream dies once its power share drops to the point
     # where the center stream alone caps the SINR below the rate target
@@ -125,7 +125,7 @@ def test_c4_decode_impossibility_boundaries():
         for rho in (rho_star, rho_star + 0.01, 0.99):
             split = PowerSplit(beta=0.5, rho=rho)
             spec = spec_for(SinrKind.PRIVATE, ReceiverClass.EDGE, split)
-            assert coverage(spec, xi_t, params) == 0.0
+            assert coverage(spec, xi_t) == 0.0
             assert outage_region(SinrKind.PRIVATE, ReceiverClass.EDGE, xi_t, split)
         assert not outage_region(SinrKind.PRIVATE, ReceiverClass.EDGE, xi_t,
                                  PowerSplit(beta=0.5, rho=rho_star - 1e-6))
@@ -243,10 +243,10 @@ def test_c8c_rate_monotone_in_private_power_share():
         # starving one private stream shuts it off exactly, not approximately
         if rho <= xi_t / (1.0 + xi_t):
             spec = spec_for(SinrKind.PRIVATE, ReceiverClass.CENTER, split)
-            assert coverage(spec, xi_t, PARAMS) == 0.0
+            assert coverage(spec, xi_t) == 0.0
         if rho >= 1.0 / (1.0 + xi_t):
             spec = spec_for(SinrKind.PRIVATE, ReceiverClass.EDGE, split)
-            assert coverage(spec, xi_t, PARAMS) == 0.0
+            assert coverage(spec, xi_t) == 0.0
     slack = 1e-8
     assert all(b >= a - slack for a, b in zip(centers, centers[1:]))
     assert all(b <= a + slack for a, b in zip(edges, edges[1:]))

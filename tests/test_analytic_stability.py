@@ -210,7 +210,7 @@ def test_coverage_is_frozen_bit_for_bit(case):
     point, kind, cls, want = case
     params, split = COVERAGE_POINTS[point]
     spec = dist_spec(SinrKind[kind], ReceiverClass[cls], stream_powers(params.P, split), params)
-    got = tuple(coverage(spec, t, params) for t in _coverage_levels(spec, params))
+    got = tuple(coverage(spec, t) for t in _coverage_levels(spec, params))
     assert got == want
 
 
@@ -297,7 +297,7 @@ def test_noisy_density_fails_the_scaled_error_floor(monkeypatch, cold_rate_cache
     sub = parse_subcase_token(Mode.ALL_MPC, "efr/efr")
     split = PowerSplit(beta=0.5, rho=0.5)
     edge = dist_spec(SinrKind.COMMON, ReceiverClass.EDGE, stream_powers(PARAMS.P, split), PARAMS)
-    assert coverage(edge, PARAMS.zeta, PARAMS) == pytest.approx(2.9e-13, rel=0.05)
+    assert coverage(edge, PARAMS.zeta) == pytest.approx(2.9e-13, rel=0.05)
     with pytest.raises(QuadratureError, match="log-scaled quadrature failed"):
         evaluate_subcase(sub, PARAMS, split)
 

@@ -7,8 +7,9 @@ and its metrics drop out of a traced run; these checks fail first.
 A module imports a name it never reads only so that the tracer can hook
 it there; such imports, and only they, sit on lines marked
 ``# noqa: F401``. The scan below stands in for pyflakes' unused-import
-check. A last scan finds package functions and classes that no package
-code reads, which only tests (or nothing) would call.
+check. Another scan finds package functions and classes that no package
+code reads, which only tests (or nothing) would call; a last one finds
+parameters that their function's body never reads.
 """
 
 import ast
@@ -112,5 +113,36 @@ def test_every_package_function_and_class_has_a_package_reader():
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in read | exported | hooked
+    ]
+    assert unread == []
+
+
+def _unread_parameters(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter of a def that its body never reads.
+
+    A nested function's reads count for the function that encloses it.
+    Lambdas are left out: a table of them shares one signature on purpose.
+    """
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = ast.Module(body=node.body, type_ignores=[])
+            read = {sub.id for sub in ast.walk(body) if isinstance(sub, ast.Name)}
+            unread += [(node.name, p.arg) for p in params if p is not None and p.arg not in read]
+    return unread
+
+
+def test_every_package_parameter_is_read():
+    # a parameter no body reads is an argument every caller passes for
+    # nothing; the tracer's hooks are exempt, since a wrapper can read a
+    # parameter by position (sample_channels' n, as args[2])
+    hooked = {attr for _module, attr, _key, _layer in _load_tracer().HOOKS}
+    unread = [
+        (path.stem, function, parameter)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, parameter in _unread_parameters(ast.parse(path.read_text()))
+        if function not in hooked
     ]
     assert unread == []

@@ -18,7 +18,6 @@ from rscache.caching import (
     Technique,
     cc_delivery_schedule,
     cc_place,
-    make_subcase,
     parse_subcase_token,
 )
 from rscache.model import ReceiverClass, SystemParams
@@ -236,13 +235,13 @@ def test_subcase_token_round_trip():
 
 def test_subcase_validation():
     with pytest.raises(ValueError, match="MPC class"):
-        make_subcase(Mode.ALL_MPC, "xor", "efr")
+        parse_subcase_token(Mode.ALL_MPC, "xor/efr")
     with pytest.raises(ValueError, match="cache-cancel"):
-        make_subcase(Mode.ALL_CC, "xor", "xor", iic="center")
+        parse_subcase_token(Mode.ALL_CC, "xor/xor+iic-c")
     with pytest.raises(ValueError, match="other stream cached"):
-        make_subcase(Mode.CC_MPC, "efr", "efr", iic="edge")
+        parse_subcase_token(Mode.CC_MPC, "efr/efr+iic-e")
     with pytest.raises(ValueError, match="IIC"):
-        make_subcase(Mode.CC_MPC, "xor", "efr", iic="sideways")
+        parse_subcase_token(Mode.CC_MPC, "xor/efr+sideways")
 
 
 def test_sample_requests_ranges():

@@ -71,7 +71,13 @@ def test_placement_rejects_fractional_replication(capsys):
 
 
 def test_placement_rejects_bad_demand(capsys):
-    assert cli.main(["placement", "2", "1", "2", "--demands", "1,3"]) == 1
+    # a rank above N, a wrong count and a non-integer each fail before any output
+    for args in (["2", "1", "2", "--demands", "1,3"],
+                 ["5", "6", "10", "--demands", "1,2"],
+                 ["5", "6", "10", "--demands", "1,2,3,4,99"],
+                 ["5", "6", "10", "--demands", "1,2,x,4,5"]):
+        assert cli.main(["placement", *args]) == 1
+        assert capsys.readouterr().out == ""
 
 
 def test_compare_accepts_its_own_sweep(tmp_path, capsys):
@@ -400,7 +406,7 @@ def test_coverage_table_matches_library(capsys):
     for row, t in zip(lines[2:], thresholds):
         shown_t, shown_cov = (float(x) for x in row.split())
         assert shown_t == t
-        assert shown_cov == pytest.approx(coverage(spec, t, params), rel=1e-8)
+        assert shown_cov == pytest.approx(coverage(spec, t), rel=1e-8)
     assert [row.split()[1] for row in lines[-2:]] == ["0", "1"]
 
 

@@ -23,7 +23,7 @@ import pytest
 
 from rscache import rates
 from rscache.caching import Mode, parse_subcase_token
-from rscache.distributions import coverage, dist_spec, scale_measure
+from rscache.distributions import coverage, dist_spec, pdf_s_measure
 from rscache.model import (
     PowerSplit,
     ReceiverClass,
@@ -94,7 +94,7 @@ def test_scale_measure_matches_position_average(cls, kind, x_in):
     # the measure depends on the class alone; both kinds must see it
     spec = dist_spec(kind, cls, stream_powers(PARAMS.P, STOCK), PARAMS)
     s = x_in / PARAMS.r_e**PARAMS.alpha
-    got = scale_measure(spec, PARAMS)(s)
+    got = pdf_s_measure(spec, s)
     want = _position_average_measure(cls, s)
     assert want > 0
     assert abs((mp.mpf(got) - want) / want) < 1e-13
@@ -290,7 +290,7 @@ def test_private_rate_with_interference_deep_edge_matches_mpmath():
     assert PARAMS.zeta >= sinr_bound(SinrKind.COMMON, cls, powers)
     spec = dist_spec(SinrKind.PRIVATE_INTERF, cls, powers, PARAMS)
     xi_t = private_sinr_threshold(1.0, PARAMS.xi)
-    q = coverage(spec, xi_t, PARAMS)
+    q = coverage(spec, xi_t)
     assert 1e-50 < q < 1e-48
     bound = sinr_bound(SinrKind.PRIVATE_INTERF, cls, powers)
     with mp.workdps(RATE_DPS):

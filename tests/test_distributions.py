@@ -19,7 +19,6 @@ from rscache.distributions import (
     pdf_s_measure,
     scale_tail_array,
     tail_at,
-    tail_parameters,
 )
 from rscache.model import (
     PowerSplit,
@@ -49,13 +48,13 @@ def quantile(spec, target, params=PARAMS):
     hi = spec.theta
     if math.isinf(hi):
         hi = 1.0
-        while coverage(spec, hi, params) > target:
+        while coverage(spec, hi) > target:
             hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if coverage(spec, mid, params) > target:
+        if coverage(spec, mid) > target:
             lo = mid
         else:
             hi = mid
@@ -92,14 +91,14 @@ def tail_mass(spec, t, params=PARAMS, rtol=1e-10):
 @pytest.mark.parametrize("kind,cls", ALL_PAIRS)
 def test_coverage_is_a_ccdf(kind, cls):
     spec = spec_for(kind, cls)
-    assert coverage(spec, 0.0, PARAMS) == 1.0
+    assert coverage(spec, 0.0) == 1.0
     levels = [quantile(spec, q) for q in (0.9, 0.5, 0.1)]
-    values = [coverage(spec, t, PARAMS) for t in levels]
+    values = [coverage(spec, t) for t in levels]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert values[0] >= values[1] >= values[2]
     if math.isfinite(spec.theta):
-        assert coverage(spec, spec.theta, PARAMS) == 0.0
-        assert coverage(spec, spec.theta * 1.5, PARAMS) == 0.0
+        assert coverage(spec, spec.theta) == 0.0
+        assert coverage(spec, spec.theta * 1.5) == 0.0
 
 
 @pytest.mark.parametrize("kind,cls", ALL_PAIRS)
@@ -108,7 +107,7 @@ def test_pdf_matches_coverage_slope(kind, cls):
     for q in (0.8, 0.5, 0.2):
         t = quantile(spec, q)
         h = 1e-5 * max(t, 1e-3)
-        slope = (coverage(spec, t - h, PARAMS) - coverage(spec, t + h, PARAMS)) / (2 * h)
+        slope = (coverage(spec, t - h) - coverage(spec, t + h)) / (2 * h)
         assert pdf(spec, t, PARAMS) == pytest.approx(slope, rel=5e-6, abs=1e-12)
 
 
@@ -117,7 +116,7 @@ def test_density_integrates_back_to_coverage(kind, cls):
     spec = spec_for(kind, cls)
     for q in (0.95, 0.5, 0.05):
         t = quantile(spec, q)
-        assert tail_mass(spec, t) == pytest.approx(coverage(spec, t, PARAMS), abs=1e-6)
+        assert tail_mass(spec, t) == pytest.approx(coverage(spec, t), abs=1e-6)
 
 
 @pytest.mark.parametrize("kind,cls", ALL_PAIRS)
@@ -149,7 +148,7 @@ def test_outage_region_agrees_with_the_bound(kind, cls, beta, rho, t):
     if math.isinf(bound) or abs(t - bound) > 4 * math.ulp(bound):
         assert outage_region(kind, cls, t, split) == (t >= bound)
     if t >= bound:
-        assert coverage(spec, t, PARAMS) == 0.0
+        assert coverage(spec, t) == 0.0
 
 
 def test_center_dominates_edge_at_equal_powers():
@@ -160,7 +159,7 @@ def test_center_dominates_edge_at_equal_powers():
         e = spec_for(kind, ReceiverClass.EDGE)
         for q in (0.7, 0.3):
             t = quantile(e, q)
-            assert coverage(c, t, PARAMS) >= coverage(e, t, PARAMS)
+            assert coverage(c, t) >= coverage(e, t)
 
 
 def test_high_power_coverage_approaches_a_step():
@@ -172,9 +171,9 @@ def test_high_power_coverage_approaches_a_step():
         params,
     )
     theta = spec.theta
-    assert coverage(spec, 0.5 * theta, params) > 0.99
-    assert coverage(spec, 0.999 * theta, params) > 0.5
-    assert coverage(spec, theta, params) == 0.0
+    assert coverage(spec, 0.5 * theta) > 0.99
+    assert coverage(spec, 0.999 * theta) > 0.5
+    assert coverage(spec, theta) == 0.0
 
 
 def test_scale_coordinates_round_trip():
@@ -191,7 +190,7 @@ def test_scale_measure_matches_the_density():
     t = quantile(spec, 0.4)
     s = spec._s(t)
     # m(s) ds = g(t) dt, so m(s) = g(t) / s'(t)
-    assert pdf_s_measure(spec, s, PARAMS) == pytest.approx(
+    assert pdf_s_measure(spec, s) == pytest.approx(
         pdf(spec, t, PARAMS) / _s_prime(spec, t), rel=1e-10
     )
 
@@ -203,8 +202,8 @@ def test_array_tail_is_the_scalar_tail(cls):
     # ends s = 0, inf and NaN
     spec = spec_for(SinrKind.COMMON, cls)
     s = np.concatenate([np.geomspace(1e-300, 700.0, 301), [0.0, 745.0, 746.0, np.inf, np.nan]])
-    got = scale_tail_array(s, *tail_parameters(spec, PARAMS))
-    want = [tail_at(spec, float(x), PARAMS) for x in s]
+    got = scale_tail_array(s, *spec.tail)
+    want = [tail_at(spec, float(x)) for x in s]
     assert got.tolist() == pytest.approx(want, rel=1e-13, abs=1e-300)
     assert got[-5:].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
@@ -224,6 +223,6 @@ def test_coverage_against_simulation(kind, cls):
     sim = SimConfig(samples=40_000, seed=7)
     for q in (0.7, 0.3):
         t = quantile(spec, q)
-        a = coverage(spec, t, PARAMS)
+        a = coverage(spec, t)
         p, se = estimate_coverage(kind, cls, t, PARAMS, SPLIT, sim)
         assert abs(a - p) <= 3.0 * se

@@ -118,7 +118,7 @@ def test_coverage_estimate_and_binomial_stderr():
     p, se = estimate_coverage(kind, cls, t, PARAMS, SPLIT, sim)
     assert se == pytest.approx(math.sqrt(p * (1.0 - p) / sim.samples), rel=1e-12)
     spec = dist_spec(kind, cls, stream_powers(PARAMS.P, SPLIT), PARAMS)
-    assert abs(p - coverage(spec, t, PARAMS)) <= 3.0 * se
+    assert abs(p - coverage(spec, t)) <= 3.0 * se
 
 
 def test_coverage_stderr_shrinks_like_root_n():

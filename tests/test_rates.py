@@ -74,14 +74,14 @@ def min_rate_by_ccdf_identity(params, split, iic_at, rtol=1e-10):
     z = params.zeta
     spec_c = dist_spec(_common_kind(ReceiverClass.CENTER, iic_at), ReceiverClass.CENTER, powers, params)
     spec_e = dist_spec(_common_kind(ReceiverClass.EDGE, iic_at), ReceiverClass.EDGE, powers, params)
-    pi_c = coverage(spec_c, z, params)
-    pi_e = coverage(spec_e, z, params)
+    pi_c = coverage(spec_c, z)
+    pi_e = coverage(spec_e, z)
     if pi_c == 0.0 or pi_e == 0.0:
         return 0.0
     top = min(spec_c.theta, spec_e.theta)
 
     def integrand(t):
-        return coverage(spec_c, t, params) * coverage(spec_e, t, params) / (1.0 + t)
+        return coverage(spec_c, t) * coverage(spec_e, t) / (1.0 + t)
 
     integral = integrate_interval(integrand, z, top, rtol=rtol, open_upper=True)
     return math.log2(1.0 + z) + integral / (math.log(2.0) * pi_c * pi_e)
@@ -173,9 +173,9 @@ def _branch_reconstruction(params, split, cls, omega, iic_at):
     kind_p = SinrKind.PRIVATE_IIC if self_iic else SinrKind.PRIVATE
     kind_pi = SinrKind.PRIVATE_INTERF_IIC if self_iic else SinrKind.PRIVATE_INTERF
     xi_t = private_sinr_threshold(omega, params.xi)
-    pi_0 = coverage(dist_spec(kind_0, cls, powers, params), params.zeta, params)
-    pi_p = coverage(dist_spec(kind_p, cls, powers, params), xi_t, params)
-    pi_pif = coverage(dist_spec(kind_pi, cls, powers, params), xi_t, params)
+    pi_0 = coverage(dist_spec(kind_0, cls, powers, params), params.zeta)
+    pi_p = coverage(dist_spec(kind_p, cls, powers, params), xi_t)
+    pi_pif = coverage(dist_spec(kind_pi, cls, powers, params), xi_t)
     point = rates._point(params, split)
     rs0 = common_stream_rate(point, cls, omega, iic_at)
     got = achieved_rate(point, cls, omega, iic_at)
@@ -416,7 +416,6 @@ def test_all_common_share_to_center_empties_the_edge_min_term():
     pi_c = coverage(
         dist_spec(SinrKind.COMMON, ReceiverClass.CENTER, stream_powers(params.P, SPLIT), params),
         params.zeta,
-        params,
     )
     point = rates._point(params, SPLIT)
     single = point.at(common_rate_single, ReceiverClass.EDGE, False)
